@@ -33,9 +33,11 @@ that injected violations are detected, never silently certified.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .cfrac import TwoBridgeParams
+from .errors import InternalCheckFailed
 from .groups import Word, peripheral_word
 from .lifted import LiftedMoebius
 from .orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
@@ -129,6 +131,19 @@ class CertificateReport:
                 "error": self.error}
 
 
+@contextmanager
+def _surfaced(report: CertificateReport):
+    """Record an exception raised by a check as the report's error (verdict
+    Error), surfaced and never repaired.  InternalCheckFailed propagates:
+    it marks an implementation bug, which the CLI reports with exit 4."""
+    try:
+        yield
+    except InternalCheckFailed:
+        raise
+    except Exception as exc:
+        report.error = "%s: %s" % (type(exc).__name__, exc)
+
+
 def ball(alphabet, radius: int) -> list[Word]:
     """All freely reduced words of length <= radius, in breadth-first
     order; 485 words for a two-letter alphabet at radius 5."""
@@ -191,7 +206,7 @@ def audit_cone(oracle, budget: SampleBudget) -> CertificateReport:
     pairs, and identity agreement with the normal form."""
     report = CertificateReport("cone-%s" % oracle.group,
                                (oracle.params.c1, oracle.params.c2), budget)
-    try:
+    with _surfaced(report):
         words = ball(BALL_ALPHABETS[oracle.group], budget.ball_radius)
         positives = []
         for w in words:
@@ -219,8 +234,6 @@ def audit_cone(oracle, budget: SampleBudget) -> CertificateReport:
                 "semigroup", (str(w1), str(w2)),
                 ("Positive", "Positive", s.label),
                 note="product of positives is not positive"))
-    except Exception as exc:  # surfaced, not repaired
-        report.error = "%s: %s" % (type(exc).__name__, exc)
     return report
 
 
@@ -266,7 +279,7 @@ def check_navas_law(params: TwoBridgeParams, budget: SampleBudget,
     conjugated by c, sign(mu^r h^s) is Positive iff s > 0, Negative iff
     s < 0, and for s = 0 follows sign(r) times the member sign of mu."""
     report = CertificateReport("navas", (params.c1, params.c2), budget)
-    try:
+    with _surfaced(report):
         signer = _G1MemberSigner(params, budget.peripheral_bound)
         oracle = ConeOracle(params, "g1")
         box = [(r, s) for r, s in _peripheral_box(budget.peripheral_bound)
@@ -315,8 +328,6 @@ def check_navas_law(params: TwoBridgeParams, budget: SampleBudget,
                                       (str(c),), (via_words.label,),
                                       note="word route disagrees at "
                                            "(r,s)=(%d,%d)" % (r, s)))
-    except Exception as exc:
-        report.error = "%s: %s" % (type(exc).__name__, exc)
     return report
 
 
@@ -345,7 +356,7 @@ def check_restriction_law(params: TwoBridgeParams, budget: SampleBudget,
     direction at s = 0).
     """
     report = CertificateReport("restriction", (params.c1, params.c2), budget)
-    try:
+    with _surfaced(report):
         oracle = ConeOracle(params, "g2")
         rng = _rng_for(budget, "restriction", params)
         conjugators = _sample_conjugators(
@@ -386,8 +397,6 @@ def check_restriction_law(params: TwoBridgeParams, budget: SampleBudget,
                           "restriction", (), tuple(
                               sorted(v.value for v in witnessed)),
                           note="only one lattice order was witnessed"))
-    except Exception as exc:
-        report.error = "%s: %s" % (type(exc).__name__, exc)
     return report
 
 
@@ -404,7 +413,7 @@ def certify_compatibility(params: TwoBridgeParams, budget: SampleBudget,
     the whole sampled box."""
     report = CertificateReport("compatibility", (params.c1, params.c2),
                                budget)
-    try:
+    with _surfaced(report):
         signer = _G1MemberSigner(params, budget.peripheral_bound)
         o2 = ConeOracle(params, "g2")
         box = _peripheral_box(budget.peripheral_bound)
@@ -469,8 +478,6 @@ def certify_compatibility(params: TwoBridgeParams, budget: SampleBudget,
                                       (via_words.label,),
                                       note="word route disagrees at "
                                            "(r,s)=(%d,%d)" % (r, s)))
-    except Exception as exc:
-        report.error = "%s: %s" % (type(exc).__name__, exc)
     return report
 
 

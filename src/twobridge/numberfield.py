@@ -5,18 +5,30 @@ degree phi(n)/2.  Its minimal polynomial is extracted from the cyclotomic
 polynomial Phi_2n(t) by the palindromic substitution y = t + 1/t, using the
 Chebyshev-style recursion t^k + t^-k = p_k(y), p_(k+1) = y*p_k - p_(k-1).
 
-Elements are rational coordinate vectors in the power basis
-1, lambda, ..., lambda^(d-1).  Ring operations are exact; signs are decided
-by refining a Sturm-certified isolating interval for lambda (lambda is the
-largest real root of its minimal polynomial) until interval Horner
-evaluation excludes zero.  The refinement is cached on the field, so sign
-queries get cheaper over time.
+Elements are coordinate vectors in the power basis 1, lambda, ...,
+lambda^(d-1).  Integral coordinates are Python ints and only genuinely
+fractional ones are Fractions, so the ring Z[lambda], which holds every
+matrix entry the G1 realization builds, is computed in integers
+throughout.  Fractions enter only through division or fractional input.
+
+Signs are decided in two stages, both exact.  At construction the field
+certifies an isolating interval [lo, hi] for lambda (the largest real root
+of its minimal polynomial) by Sturm sequences, bisects it below width
+2^-(_FILTER_BITS+8), and stores the integer bound table
+floor(lo^i * 2^K) <= lambda^i * 2^K <= ceil(hi^i * 2^K), K = _FILTER_BITS
+(lo > 0, so the powers are monotone).  ``sign()`` first forms the integer
+lower and upper bounds of 2^K * value from that table and answers when they
+exclude zero.  Only when they do not does it fall back to interval Horner
+evaluation on a local copy of the certified interval, bisecting until zero
+is excluded.  Neither stage writes to the field: a field is immutable after
+construction, so every sign is independent of the queries made before it.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from math import cos, pi
+from math import ceil, cos, floor, pi
 from typing import Sequence
 
 from .errors import ConstructionFailed
@@ -147,6 +159,51 @@ def _count_roots_above(chain, lo: Fraction) -> int:
     return _variations(_peval(p, lo) for p in chain) - at_inf
 
 
+def _bisect(psi: Sequence, lo: Fraction, hi: Fraction) \
+        -> tuple[Fraction, Fraction]:
+    """The half of [lo, hi] that keeps the simple root of psi, where
+    psi(lo) < 0 < psi(hi); (mid, mid) if the midpoint is the root."""
+    mid = (lo + hi) / 2
+    s = _peval(psi, mid)
+    if s == 0:
+        return mid, mid
+    return (mid, hi) if s < 0 else (lo, mid)
+
+
+# --------------------------------------------------------------------------
+# sign decisions
+
+
+# K: the bound table holds lambda^i scaled by 2^K.  A larger K settles more
+# signs in the integer filter at the cost of wider integers.
+_FILTER_BITS = 128
+
+
+def _interval_mul(a, b, lo, hi):
+    cands = (a * lo, a * hi, b * lo, b * hi)
+    return min(cands), max(cands)
+
+
+def _refined_sign(coeffs: Sequence, psi: Sequence, lo: Fraction,
+                  hi: Fraction) -> int:
+    """Exact sign of a nonzero sum coeffs[i] * lambda^i by interval Horner
+    evaluation, bisecting the isolating interval [lo, hi] of lambda until
+    the enclosure excludes zero."""
+    while True:
+        if lo == hi:
+            v = _peval(coeffs, lo)
+            return 1 if v > 0 else (-1 if v < 0 else 0)
+        mn = mx = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            mn, mx = _interval_mul(mn, mx, lo, hi)
+            mn, mx = mn + c, mx + c
+        if mn > 0:
+            return 1
+        if mx < 0:
+            return -1
+        lo, hi = _bisect(psi, lo, hi)
+
+
 # --------------------------------------------------------------------------
 # the field
 
@@ -183,8 +240,12 @@ class NumberField:
             if top:
                 for i in range(d):
                     vec[i] -= top * self.psi[i]
-        self._powers = [tuple(row) for row in table]
-        self._interval = self._certify_interval()
+        # the nonzero (index, coefficient) pairs of lambda^k, k >= degree
+        self._reduction = tuple(
+            tuple((i, r) for i, r in enumerate(table[k]) if r)
+            for k in range(d, 2 * d - 1))
+        self._interval = self._narrowed(self._certify_interval())
+        self._bounds = self._bound_table()
         self.zero = self.element([0])
         self.one = self.element([1])
         self.lam = self.element([0, 1] if d > 1 else [-self.psi[0]])
@@ -203,26 +264,30 @@ class NumberField:
             "cannot certify an isolating interval for the largest root "
             "of %s near 2*cos(pi/%d)" % (list(self.psi), self.n))
 
-    def _refine(self) -> None:
+    def _narrowed(self, interval: tuple[Fraction, Fraction]) \
+            -> tuple[Fraction, Fraction]:
+        lo, hi = interval
+        width = Fraction(1, 1 << (_FILTER_BITS + 8))
+        while hi - lo >= width:
+            lo, hi = _bisect(self.psi, lo, hi)
+        return lo, hi
+
+    def _bound_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """floor(lo^i * 2^K) and ceil(hi^i * 2^K) for i < degree; they
+        enclose lambda^i * 2^K because 0 < lo <= lambda <= hi (the interval
+        is certified around 2*cos(pi/n) >= 1)."""
         lo, hi = self._interval
-        if lo == hi:
-            return
-        mid = (lo + hi) / 2
-        s = _peval(self.psi, mid)
-        if s == 0:
-            self._interval = (mid, mid)
-        elif s < 0:
-            self._interval = (mid, hi)
-        else:
-            self._interval = (lo, mid)
+        scale = 1 << _FILTER_BITS
+        return (tuple(floor(lo ** i * scale) for i in range(self.degree)),
+                tuple(ceil(hi ** i * scale) for i in range(self.degree)))
 
     # -------------------------------------------------------- constructors
 
     def element(self, coeffs) -> "FieldElement":
-        vec = [Fraction(c) for c in coeffs]
+        vec = [_coordinate(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("expected at most %d coordinates" % self.degree)
-        vec += [Fraction(0)] * (self.degree - len(vec))
+        vec += [0] * (self.degree - len(vec))
         return FieldElement(self, tuple(vec))
 
     def __repr__(self):
@@ -250,9 +315,12 @@ def real_cyclotomic_field(n: int) -> NumberField:
 # elements
 
 
-def _interval_mul(a, b, lo, hi):
-    cands = (a * lo, a * hi, b * lo, b * hi)
-    return min(cands), max(cands)
+def _coordinate(c):
+    """An exact coordinate: an int when integral, a Fraction otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class FieldElement:
@@ -266,7 +334,7 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -279,13 +347,13 @@ class FieldElement:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FieldElement(self.field, tuple(
-            a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return FieldElement(self.field,
+                            tuple(map(operator.add, self.coeffs, o.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -301,21 +369,18 @@ class FieldElement:
         if o is NotImplemented:
             return NotImplemented
         d = self.field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
+        conv = [0] * (2 * d - 1)
+        b = o.coeffs
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        conv[i + j] += a * b
-        out = list(conv[:d])
-        powers = self.field._powers
-        for k in range(d, 2 * d - 1):
+                for k, c in enumerate(b, i):
+                    conv[k] += a * c
+        out = conv[:d]
+        for k, row in enumerate(self.field._reduction, d):
             c = conv[k]
             if c:
-                row = powers[k]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
+                for i, r in row:
+                    out[i] += c * r
         return FieldElement(self.field, tuple(out))
 
     __rmul__ = __mul__
@@ -367,24 +432,26 @@ class FieldElement:
         return not any(self.coeffs)
 
     def sign(self) -> int:
-        """Exact sign: -1, 0, or +1."""
+        """Exact sign: -1, 0, or +1.
+
+        The integer bound table settles almost every sign; the rest go to
+        exact interval refinement.  Nothing is written to the field."""
         if self.is_zero():
             return 0
         field = self.field
-        while True:
-            lo, hi = field._interval
-            if lo == hi:
-                v = _peval(self.coeffs, lo)
-                return 1 if v > 0 else (-1 if v < 0 else 0)
-            mn = mx = self.coeffs[-1]
-            for c in reversed(self.coeffs[:-1]):
-                mn, mx = _interval_mul(mn, mx, lo, hi)
-                mn, mx = mn + c, mx + c
-            if mn > 0:
-                return 1
-            if mx < 0:
-                return -1
-            field._refine()
+        low = high = 0
+        for c, lo_i, hi_i in zip(self.coeffs, *field._bounds):
+            if c > 0:
+                low += c * lo_i
+                high += c * hi_i
+            elif c:
+                low += c * hi_i
+                high += c * lo_i
+        if low > 0:
+            return 1
+        if high < 0:
+            return -1
+        return _refined_sign(self.coeffs, field.psi, *field._interval)
 
     def __eq__(self, other):
         o = self._coerce(other)

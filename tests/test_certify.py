@@ -10,6 +10,7 @@ from twobridge.certify import (MUTATIONS, CertificateReport, Counterexample,
                                ball, certify_compatibility, check_navas_law,
                                check_restriction_law, overall_verdict,
                                run_checks, run_mutation_selftests)
+from twobridge.errors import InternalCheckFailed
 from twobridge.groups import Word
 from twobridge.orders import ConeOracle, Sign
 
@@ -94,6 +95,32 @@ def test_audit_cone_error_verdict():
     rep = audit_cone(Exploding(), SMALL)
     assert rep.verdict == "Error"
     assert "synthetic oracle failure" in rep.error
+
+
+def test_internal_check_failed_propagates_from_every_check(monkeypatch):
+    import twobridge.certify as certify_mod
+
+    p = knot_params(3, 4)
+
+    class Failing:
+        params = p
+        group = "g1"
+
+        def is_positive(self, w):
+            raise InternalCheckFailed("synthetic cross-check failure")
+
+    with pytest.raises(InternalCheckFailed):
+        audit_cone(Failing(), SMALL)
+
+    def fail(*args, **kwargs):
+        raise InternalCheckFailed("synthetic cross-check failure")
+
+    monkeypatch.setattr(certify_mod, "family_is_positive", fail)
+    monkeypatch.setattr(certify_mod, "_G1MemberSigner", fail)
+    for check in (check_navas_law, check_restriction_law,
+                  certify_compatibility):
+        with pytest.raises(InternalCheckFailed):
+            check(p, SMALL)
 
 
 def test_navas_law_small_budget():

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from twobridge import cli
+from twobridge.cfrac import knot_params
 from twobridge.errors import InternalCheckFailed
+from twobridge.numberfield import FieldElement
+from twobridge.orders import g1_realization
 
 GOLDEN_KNOT_INFO_3_4 = {
     "schema_version": 1,
@@ -133,6 +136,27 @@ def test_internal_check_failed_exit_4(capsys, monkeypatch):
                                  "--c1", "3", "--c2", "4", "a"])
     assert code == 4
     assert doc["error"]["code"] == "InternalCheckFailed"
+
+
+def test_certify_internal_check_failed_exit_4(capsys, monkeypatch):
+    # a sign regression that answers 0 ("undecided") instead of refining,
+    # here for every element with a coordinate above 1 in absolute value:
+    # the lifted action then calls a nontrivial word the identity, and the
+    # normal-form cross-check must end the run with exit 4, not a verdict
+    g1_realization(knot_params(3, 4))  # built with exact signs
+    exact = FieldElement.sign
+
+    def lossy(self):
+        return 0 if max(abs(c) for c in self.coeffs) > 1 else exact(self)
+
+    monkeypatch.setattr(FieldElement, "sign", lossy)
+    code, doc = run_cli(capsys, [
+        "certify", "--c1", "3", "--c2", "4", "--radius", "3",
+        "--conj-len", "2", "--peripheral-box", "2", "--samples", "50",
+        "--members", "4", "--check", "cone"])
+    assert code == 4
+    assert doc["error"]["code"] == "InternalCheckFailed"
+    assert "normal form disagree" in doc["error"]["message"]
 
 
 def test_certify_small_run(capsys):

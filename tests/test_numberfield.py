@@ -4,9 +4,10 @@ from math import cos, pi
 
 import pytest
 
+from twobridge import numberfield
 from twobridge.errors import ConstructionFailed
-from twobridge.numberfield import (NumberField, minimal_polynomial,
-                                   real_cyclotomic_field)
+from twobridge.numberfield import (FieldElement, NumberField,
+                                   minimal_polynomial, real_cyclotomic_field)
 
 # classical minimal polynomials of 2*cos(pi/n), coefficients by degree
 KNOWN = {
@@ -141,3 +142,152 @@ def test_zero_division():
     f = real_cyclotomic_field(5)
     with pytest.raises(ZeroDivisionError):
         f.zero.inverse()
+
+
+# --------------------------------------------------------------------------
+# integer coordinates
+
+
+def test_integer_elements_have_int_coordinates():
+    for n in (3, 5, 7, 11):
+        f = real_cyclotomic_field(n)
+        k = f.element([3, -2, 5, 7, -1][:f.degree])
+        values = [f.lam, f.one, f.zero, k, f.lam * f.lam, f.lam + f.one,
+                  k * f.lam - 4, (f.lam + k) * (k - f.lam * 3), f.lam ** 5,
+                  -k, 2 * k + 1, f.element([Fraction(6, 3)])]
+        for v in values:
+            assert all(type(c) is int for c in v.coeffs), v
+
+
+def test_hash_and_eq_agree_across_coordinate_types():
+    f = real_cyclotomic_field(5)
+    as_int = FieldElement(f, (1, 2))
+    as_fraction = FieldElement(f, (Fraction(1), Fraction(4, 2)))
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    half = f.element([Fraction(1, 2), Fraction(1)])
+    total = half + half
+    assert total == f.element([1, 2]) and hash(total) == hash(as_int)
+    assert len({as_int, as_fraction, total}) == 1
+
+
+# --------------------------------------------------------------------------
+# the sign filter against the exact reference
+
+
+def _reference_sign(e):
+    """Exact sign by interval Horner evaluation on the Sturm-certified
+    interval, bisecting until zero is excluded: the refinement used before
+    the integer filter, kept here as the reference."""
+    if e.is_zero():
+        return 0
+    psi = e.field.psi
+    lo, hi = e.field._certify_interval()
+    while True:
+        if lo == hi:
+            v = sum(c * lo ** i for i, c in enumerate(e.coeffs))
+            return (v > 0) - (v < 0)
+        mn = mx = e.coeffs[-1]
+        for c in reversed(e.coeffs[:-1]):
+            cands = (mn * lo, mn * hi, mx * lo, mx * hi)
+            mn, mx = min(cands) + c, max(cands) + c
+        if mn > 0:
+            return 1
+        if mx < 0:
+            return -1
+        mid = (lo + hi) / 2
+        s = sum(c * mid ** i for i, c in enumerate(psi))
+        if s == 0:
+            lo = hi = mid
+        elif s < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    exact = numberfield._refined_sign
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(numberfield, "_refined_sign", counted)
+    return calls
+
+
+def _random_elements(f, rng, count):
+    out = []
+    for _ in range(count):
+        bits = rng.choice((3, 20, 60, 150))
+        big = 1 << bits
+        out.append(f.element([rng.randint(-big, big)
+                              for _ in range(f.degree)]))
+        out.append(f.element([Fraction(rng.randint(-big, big),
+                                       rng.randint(1, 1 << bits))
+                              for _ in range(f.degree)]))
+    # products and differences of products cancel to small values
+    for _ in range(count // 2):
+        a, b, c, d = (rng.choice(out) for _ in range(4))
+        out.append(a * b - c * d)
+    return out
+
+
+def _tight_approximation(f):
+    """A rational p/q within about 2^-150 of lambda."""
+    lo, hi = f._interval
+    return ((lo + hi) / 2).limit_denominator(1 << 90)
+
+
+def test_filter_matches_reference_on_random_elements():
+    rng = random.Random(31)
+    for n in range(3, 22, 2):
+        f = NumberField(n)
+        for e in _random_elements(f, rng, 24):
+            assert e.sign() == _reference_sign(e), (n, e)
+
+
+def test_near_zero_elements_use_the_exact_fallback(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    for n in range(5, 22, 2):
+        f = real_cyclotomic_field(n)
+        pq = _tight_approximation(f)
+        for e in (f.lam - pq, pq - f.lam, (f.lam - pq) * (f.lam + 7),
+                  f.lam * f.lam - pq * pq):
+            before = len(fallbacks)
+            assert e.sign() == _reference_sign(e) != 0
+            assert len(fallbacks) == before + 1, (n, e)
+        tiny = f.lam + Fraction(1, 10 ** 40) - f.lam
+        assert tiny.sign() == 1 and (-tiny).sign() == -1
+        assert (f.lam * Fraction(1, 10 ** 40)).sign() == 1
+
+
+def test_sign_never_writes_to_the_field(monkeypatch):
+    fallbacks = _count_fallbacks(monkeypatch)
+    rng = random.Random(37)
+    for n in (5, 9, 13):
+        f = NumberField(n)
+        snapshot = dict(vars(f))
+        pq = _tight_approximation(f)
+        queries = _random_elements(f, rng, 12) + [f.lam - pq, pq - f.lam]
+        for e in queries:
+            e.sign()
+        assert vars(f) == snapshot
+        assert all(vars(f)[k] is v for k, v in snapshot.items())
+    assert fallbacks
+
+
+def test_fresh_and_warmed_fields_give_identical_signs():
+    rng = random.Random(41)
+    for n in (7, 11, 15):
+        warm = NumberField(n)
+        pq = _tight_approximation(warm)
+        vectors = [e.coeffs for e in _random_elements(warm, rng, 12)]
+        vectors += [(-pq, 1) + (0,) * (warm.degree - 2),
+                    (pq, -1) + (0,) * (warm.degree - 2)]
+        warmed = [warm.element(v).sign() for v in vectors]
+        # a second pass on the warmed field and a pass on a fresh one
+        assert [warm.element(v).sign() for v in vectors] == warmed
+        fresh = NumberField(n)
+        assert [fresh.element(v).sign() for v in vectors] == warmed
