@@ -163,18 +163,6 @@ def lspace_form(poly: LaurentPoly) -> LSpaceFormReport:
     return LSpaceFormReport(matches=False)
 
 
-def make_form_poly(exponents) -> LaurentPoly:
-    """Build the alternating form polynomial from 0 < n_1 < ... < n_k
-    (test helper: lspace_form inverts it)."""
-    ns = sorted(exponents)
-    assert all(n > 0 for n in ns) and len(set(ns)) == len(ns)
-    k = len(ns)
-    poly = {0: (-1) ** k}
-    for j, n in enumerate(ns, start=1):
-        poly[n] = poly[-n] = (-1) ** (k - j)
-    return poly
-
-
 class VerdictReason(Enum):
     NOT_FIBERED = "NotFibered"
     DETERMINANT_EXCEEDS_GENUS_BOUND = "DeterminantExceedsGenusBound"

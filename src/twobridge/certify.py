@@ -25,19 +25,21 @@ peripheral boxes); seeded sampling covers the rest.  A Refuted verdict is
 never repaired automatically: the laws hold in the intended semantics, so
 any counterexample localizes an implementation defect.
 
-The ``_corrupt*`` keyword arguments are injection seams for the mutation
-self-tests: they corrupt oracle outputs at the harness boundary to prove
-that injected violations are detected, never silently certified.
+The three peripheral checks compare sign patterns: one signer per piece
+maps each (r, s) of the peripheral box to the sign of mu^r h^s in a
+conjugated family member.  Its ``_corrupt(c, r, s, sign)`` argument is the
+one injection seam for the mutation self-tests, which prove that corrupted
+patterns are detected, never silently certified.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cfrac import TwoBridgeParams
-from .errors import InternalCheckFailed
+from .errors import InternalCheckFailed, ParseError
 from .groups import Word, peripheral_word
 from .lifted import LiftedMoebius
 from .orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
@@ -63,15 +65,10 @@ class SampleBudget:
         for name in ("ball_radius", "conjugator_length", "peripheral_bound",
                      "semigroup_samples", "member_samples"):
             if getattr(self, name) < 1:
-                raise ValueError("%s must be >= 1" % name)
+                raise ParseError("%s must be >= 1" % name)
 
     def as_dict(self) -> dict:
-        return {"ball_radius": self.ball_radius,
-                "conjugator_length": self.conjugator_length,
-                "peripheral_bound": self.peripheral_bound,
-                "semigroup_samples": self.semigroup_samples,
-                "member_samples": self.member_samples,
-                "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -147,17 +144,12 @@ def _surfaced(report: CertificateReport):
 def ball(alphabet, radius: int) -> list[Word]:
     """All freely reduced words of length <= radius, in breadth-first
     order; 485 words for a two-letter alphabet at radius 5."""
+    steps = [(g, e) for g in alphabet for e in (1, -1)]
     out = [Word()]
     layer = [()]
     for _ in range(radius):
-        grown = []
-        for letters in layer:
-            for g in alphabet:
-                for e in (1, -1):
-                    if letters and letters[-1] == (g, -e):
-                        continue
-                    grown.append(letters + ((g, e),))
-        layer = grown
+        layer = [w + ((g, e),) for w in layer for g, e in steps
+                 if not w or w[-1] != (g, -e)]
         out.extend(Word(ls) for ls in layer)
     return out
 
@@ -184,17 +176,15 @@ def _random_reduced_word(rng: random.Random, alphabet,
 def _sample_conjugators(rng: random.Random, alphabet, max_len: int,
                         count: int, forced=()) -> list[Word]:
     """Deterministic list of distinct conjugators, forced ones first."""
-    chosen = list(forced)
-    seen = {str(w) for w in chosen}
-    attempts = 0
-    while len(chosen) < count and attempts < 200 * count:
-        attempts += 1
-        w = _random_reduced_word(rng, alphabet, max_len)
-        key = str(w)
-        if key not in seen:
-            seen.add(key)
-            chosen.append(w)
-    return chosen
+    chosen = dict.fromkeys(forced)
+    for _ in range(200 * count):
+        if len(chosen) >= count:
+            break
+        chosen.setdefault(_random_reduced_word(rng, alphabet, max_len))
+    if len(chosen) < count:
+        raise InternalCheckFailed("sampled %d of %d distinct conjugators"
+                                  % (len(chosen), count))
+    return list(chosen)
 
 
 # --------------------------------------------------------------------------
@@ -238,39 +228,67 @@ def audit_cone(oracle, budget: SampleBudget) -> CertificateReport:
 
 
 # --------------------------------------------------------------------------
-# the peripheral sign law in conjugated G1 orders
+# peripheral sign patterns, and the sign law in conjugated G1 orders
 
 
-def _peripheral_box(bound: int):
-    return [(r, s) for r in range(-bound, bound + 1)
-            for s in range(-bound, bound + 1)]
+class _Signer:
+    """``pattern(c)`` maps the box to the signs of mu^r h^s (G1) or
+    y^r (z x^2)^s (G2) in the member conjugated by c: through cached lifted
+    transformations for G1, through ``family_is_positive`` for G2."""
 
-
-class _G1MemberSigner:
-    """Signs c mu^r h^s c^-1 in the base order, evaluating through cached
-    lifted transformations instead of re-walking the word letters."""
-
-    def __init__(self, params: TwoBridgeParams, bound: int):
+    def __init__(self, params: TwoBridgeParams, group: str, bound: int,
+                 _corrupt=None):
         self.params = params
-        self.real = g1_realization(params)
-        self.mu_pows = {r: self.real.mu_lift ** r
-                        for r in range(-bound, bound + 1)}
-        self.h_winds = {s: s * (2 * params.b1 - 1)
-                        for s in range(-bound, bound + 1)}
+        self.group = group
+        self.oracle = ConeOracle(params, group)
+        span = range(-bound, bound + 1)
+        self.box = [(r, s) for r in span for s in span]
+        self._corrupt = _corrupt
+        if group == "g1":
+            real = self._real = g1_realization(params)
+            wind = 2 * params.b1 - 1
+            self._lifts = [real.mu_lift ** r *
+                           LiftedMoebius.translation(real.field, s * wind)
+                           for r, s in self.box]
+        else:
+            self._words = [peripheral_word(params, "g2", r, s)
+                           for r, s in self.box]
 
-    def _translation(self, k: int) -> LiftedMoebius:
-        return LiftedMoebius.translation(self.real.field, k)
+    def pattern(self, c: Word) -> dict:
+        if self.group == "g1":
+            c_lift = self._real.lifted(c)
+            c_inv = c_lift.inverse()
+            signs = [self._real.decide(c_lift * g * c_inv)[0]
+                     for g in self._lifts]
+        else:
+            spec = OrderFamilySpec("g2", c)
+            signs = [family_is_positive(self.oracle, spec, w)
+                     for w in self._words]
+        if self._corrupt is not None:
+            signs = [self._corrupt(c, r, s, got)
+                     for (r, s), got in zip(self.box, signs)]
+        return dict(zip(self.box, signs))
 
-    def conjugator_pair(self, c: Word):
-        lifted = self.real.lifted(c)
-        return lifted, lifted.inverse()
+    def cross_check(self, report: CertificateReport, c: Word,
+                    pattern: dict, vectors) -> None:
+        """The pattern agrees with the plain word-route family oracle."""
+        spec = OrderFamilySpec(self.group, c)
+        for r, s in vectors:
+            via_words = family_is_positive(
+                self.oracle, spec, peripheral_word(self.params, self.group,
+                                                   r, s))
+            ok = via_words is pattern[(r, s)]
+            report.record("word-route-agreement", ok,
+                          None if ok else Counterexample(
+                              report.check, (str(c),), (via_words.label,),
+                              note="word route disagrees at (r,s)=(%d,%d)"
+                                   % (r, s)))
 
-    def sign(self, c_lift, c_inv, r: int, s: int) -> Sign:
-        g = c_lift * self.mu_pows[r]
-        if s:
-            g = g * self._translation(self.h_winds[s])
-        g = g * c_inv
-        return self.real.decide(g)[0]
+
+def _variant_for(mu_sign: Sign) -> Z2Order:
+    """The lattice order whose tie at s = 0 follows the sign of mu."""
+    return Z2Order.PLUS_FIRST if mu_sign is Sign.POSITIVE \
+        else Z2Order.MINUS_FIRST
 
 
 def check_navas_law(params: TwoBridgeParams, budget: SampleBudget,
@@ -280,14 +298,11 @@ def check_navas_law(params: TwoBridgeParams, budget: SampleBudget,
     s < 0, and for s = 0 follows sign(r) times the member sign of mu."""
     report = CertificateReport("navas", (params.c1, params.c2), budget)
     with _surfaced(report):
-        signer = _G1MemberSigner(params, budget.peripheral_bound)
-        oracle = ConeOracle(params, "g1")
-        box = [(r, s) for r, s in _peripheral_box(budget.peripheral_bound)
-               if (r, s) != (0, 0)]
+        signer = _Signer(params, "g1", budget.peripheral_bound, _corrupt)
         conjugators = ball(("a", "b"), budget.conjugator_length)
         for idx, c in enumerate(conjugators):
-            c_lift, c_inv = signer.conjugator_pair(c)
-            mu_sign = signer.sign(c_lift, c_inv, 1, 0)
+            pattern = signer.pattern(c)
+            mu_sign = pattern[(1, 0)]
             if mu_sign is Sign.IDENTITY:
                 report.record("mu-nontrivial", False, Counterexample(
                     "navas", (str(c),), (mu_sign.label,),
@@ -295,16 +310,11 @@ def check_navas_law(params: TwoBridgeParams, budget: SampleBudget,
                     note="conjugated meridian reported trivial"))
                 continue
             report.record("mu-nontrivial", True)
-            for r, s in box:
-                got = signer.sign(c_lift, c_inv, r, s)
-                if _corrupt is not None:
-                    got = _corrupt(c, r, s, got)
-                if s > 0:
-                    expected = Sign.POSITIVE
-                elif s < 0:
-                    expected = Sign.NEGATIVE
-                else:
-                    expected = mu_sign if r > 0 else mu_sign.flipped()
+            variant = _variant_for(mu_sign)
+            for (r, s), got in pattern.items():
+                if (r, s) == (0, 0):
+                    continue
+                expected = z2_is_positive(variant, (r, s))
                 ok = got is expected
                 report.record("peripheral-law", ok,
                               None if ok else Counterexample(
@@ -315,19 +325,8 @@ def check_navas_law(params: TwoBridgeParams, budget: SampleBudget,
                                   note="expected %s at (r,s)=(%d,%d)"
                                        % (expected.label, r, s)))
             if idx % 40 == 0:
-                # cross-route: the cached-transformation signs agree with
-                # the plain word-route family oracle
-                spec = OrderFamilySpec("g1", c)
-                for r, s in ((1, 0), (0, 1), (-1, -1)):
-                    via_words = family_is_positive(
-                        oracle, spec, peripheral_word(params, "g1", r, s))
-                    ok = via_words is signer.sign(c_lift, c_inv, r, s)
-                    report.record("word-route-agreement", ok,
-                                  None if ok else Counterexample(
-                                      "navas",
-                                      (str(c),), (via_words.label,),
-                                      note="word route disagrees at "
-                                           "(r,s)=(%d,%d)" % (r, s)))
+                signer.cross_check(report, c, pattern,
+                                   ((1, 0), (0, 1), (-1, -1)))
     return report
 
 
@@ -357,40 +356,28 @@ def check_restriction_law(params: TwoBridgeParams, budget: SampleBudget,
     """
     report = CertificateReport("restriction", (params.c1, params.c2), budget)
     with _surfaced(report):
-        oracle = ConeOracle(params, "g2")
+        signer = _Signer(params, "g2", budget.peripheral_bound, _corrupt)
         rng = _rng_for(budget, "restriction", params)
         conjugators = _sample_conjugators(
             rng, ("x", "y", "z"), budget.conjugator_length,
             budget.member_samples, forced=(Word(), Word((("x", 1),))))
-        box = _peripheral_box(budget.peripheral_bound)
         witnessed = set()
         for c in conjugators:
-            spec = OrderFamilySpec("g2", c)
-            pattern = {}
-            for r, s in box:
-                got = family_is_positive(
-                    oracle, spec, peripheral_word(params, "g2", r, s))
-                if _corrupt is not None:
-                    got = _corrupt(c, r, s, got)
-                pattern[(r, s)] = got
+            pattern = signer.pattern(c)
             variant = _variant_of(pattern)
-            ok = variant is not None
-            if ok:
+            if variant is not None:
                 witnessed.add(variant)
-            bad = next((v for v in box
-                        if pattern[v] is not
-                        z2_is_positive(Z2Order.PLUS_FIRST, v)
-                        and pattern[v] is not
-                        z2_is_positive(Z2Order.MINUS_FIRST, v)), None)
-            report.record("exactly-one-variant", ok,
-                          None if ok else Counterexample(
-                              "restriction",
-                              (str(peripheral_word(params, "g2", *bad))
-                               if bad else "",),
-                              (pattern[bad].label if bad else "",),
-                              member="conjugator %r" % str(c),
-                              note="restriction matches neither lattice "
-                                   "order"))
+                report.record("exactly-one-variant", True)
+                continue
+            bad = next((v for v, got in pattern.items()
+                        if all(got is not z2_is_positive(o, v)
+                               for o in Z2Order)), None)
+            report.record("exactly-one-variant", False, Counterexample(
+                "restriction",
+                (str(peripheral_word(params, "g2", *bad)) if bad else "",),
+                (pattern[bad].label if bad else "",),
+                member="conjugator %r" % str(c),
+                note="restriction matches neither lattice order"))
         both = len(witnessed) == 2
         report.record("both-variants-witnessed", both,
                       None if both else Counterexample(
@@ -405,56 +392,41 @@ def check_restriction_law(params: TwoBridgeParams, budget: SampleBudget,
 
 
 def certify_compatibility(params: TwoBridgeParams, budget: SampleBudget,
-                          _corrupt_image=None) -> CertificateReport:
+                          _corrupt=None) -> CertificateReport:
     """For each sampled conjugate of the base G1 order: read off the sign
     of mu, select the G2 member whose peripheral restriction starts with
     +1 in the mu-direction exactly when mu is positive, and verify that
     peripheral signs then agree across the gluing mu -> y, h -> z x^2 on
-    the whole sampled box."""
+    the whole sampled box.  ``_corrupt`` acts on the G2 (image) side."""
     report = CertificateReport("compatibility", (params.c1, params.c2),
                                budget)
     with _surfaced(report):
-        signer = _G1MemberSigner(params, budget.peripheral_bound)
-        o2 = ConeOracle(params, "g2")
-        box = _peripheral_box(budget.peripheral_bound)
-        # the two candidate G2 members; their peripheral patterns do not
-        # depend on anything else, so compute each box once
+        g1 = _Signer(params, "g1", budget.peripheral_bound)
+        g2 = _Signer(params, "g2", budget.peripheral_bound, _corrupt)
+        # the two candidate G2 members, computed once and keyed by the
+        # lattice order they restrict to (the first one wins)
         candidates = {}
-        for key, conj in (("identity", Word()), ("x", Word((("x", 1),)))):
-            spec = OrderFamilySpec("g2", conj)
-            pat = {}
-            for r, s in box:
-                got = family_is_positive(
-                    o2, spec, peripheral_word(params, "g2", r, s))
-                if _corrupt_image is not None:
-                    got = _corrupt_image(conj, r, s, got)
-                pat[(r, s)] = got
-            variant = _variant_of(pat)
-            candidates[key] = (conj, variant, pat)
+        for d in (Word(), Word((("x", 1),))):
+            image = g2.pattern(d)
+            candidates.setdefault(_variant_of(image), (d, image))
         rng = _rng_for(budget, "compatibility", params)
         conjugators = _sample_conjugators(
             rng, ("a", "b"), 2 * budget.conjugator_length,
             budget.member_samples, forced=(Word(),))
-        o1 = ConeOracle(params, "g1")
         for idx, c in enumerate(conjugators):
-            c_lift, c_inv = signer.conjugator_pair(c)
-            mu_sign = signer.sign(c_lift, c_inv, 1, 0)
-            needed = Z2Order.PLUS_FIRST if mu_sign is Sign.POSITIVE \
-                else Z2Order.MINUS_FIRST
-            match = next((k for k, (_, var, _p) in candidates.items()
-                          if var is needed), None)
+            pattern = g1.pattern(c)
+            match = candidates.get(_variant_for(pattern[(1, 0)]))
             if match is None:
                 report.record("member-selection", False, Counterexample(
-                    "compatibility", (str(c),), (mu_sign.label,),
+                    "compatibility", (str(c),), (pattern[(1, 0)].label,),
                     member="conjugator %r" % str(c),
                     note="no candidate G2 member restricts to the needed "
                          "lattice order"))
                 continue
             report.record("member-selection", True)
-            d_conj, _, pat = candidates[match]
-            for r, s in box:
-                s1 = signer.sign(c_lift, c_inv, r, s)
-                s2 = pat[(r, s)]
+            d, image = match
+            for (r, s), s1 in pattern.items():
+                s2 = image[(r, s)]
                 ok = s1 is s2
                 report.record("peripheral-sign-match", ok,
                               None if ok else Counterexample(
@@ -463,21 +435,11 @@ def certify_compatibility(params: TwoBridgeParams, budget: SampleBudget,
                                    str(peripheral_word(params, "g2", r, s))),
                                   (s1.label, s2.label),
                                   member="G1 conjugator %r, G2 member %r"
-                                         % (str(c), str(d_conj)),
+                                         % (str(c), str(d)),
                                   note="signs disagree at (r,s)=(%d,%d)"
                                        % (r, s)))
             if idx % 50 == 0:
-                spec = OrderFamilySpec("g1", c)
-                for r, s in ((1, 0), (0, 1)):
-                    via_words = family_is_positive(
-                        o1, spec, peripheral_word(params, "g1", r, s))
-                    ok = via_words is signer.sign(c_lift, c_inv, r, s)
-                    report.record("word-route-agreement", ok,
-                                  None if ok else Counterexample(
-                                      "compatibility", (str(c),),
-                                      (via_words.label,),
-                                      note="word route disagrees at "
-                                           "(r,s)=(%d,%d)" % (r, s)))
+                g1.cross_check(report, c, pattern, ((1, 0), (0, 1)))
     return report
 
 
@@ -493,6 +455,17 @@ def run_checks(params: TwoBridgeParams, budget: SampleBudget,
     """Run the selected certification checks; 'all' runs every one."""
     if which not in CHECK_NAMES + ("all",):
         raise ValueError("unknown check %r" % (which,))
+    # distinct members come from the reduced words over n letters up to
+    # length L, 1 + n((n-1)^L - 1)/(n-2); lengths past log2(members) add
+    # more than the budget asks for
+    for check, n, max_len in (("restrict", 6, budget.conjugator_length),
+                              ("compat", 4, 2 * budget.conjugator_length)):
+        length = min(max_len, budget.member_samples.bit_length())
+        have = 1 + n * ((n - 1) ** length - 1) // (n - 2)
+        if which in (check, "all") and have < budget.member_samples:
+            raise ParseError("%s cannot sample %d distinct members: only %d "
+                             "reduced conjugators have length <= %d"
+                             % (check, budget.member_samples, have, max_len))
     reports = []
     if which in ("cone", "all"):
         reports.append(audit_cone(ConeOracle(params, "g1"), budget))
@@ -508,11 +481,8 @@ def run_checks(params: TwoBridgeParams, budget: SampleBudget,
 
 def overall_verdict(reports) -> str:
     verdicts = {r.verdict for r in reports}
-    if "Error" in verdicts:
-        return "Error"
-    if "Refuted" in verdicts:
-        return "Refuted"
-    return "Certified"
+    return next((v for v in ("Error", "Refuted") if v in verdicts),
+                "Certified")
 
 
 class _CorruptedOracle:
@@ -562,20 +532,13 @@ def run_mutation_selftests(params: TwoBridgeParams,
         _corrupt=lambda c, r, s, sign: sign.flipped() if s < 0 else sign)
     results["navas-negative-side-flip"] = report.verdict
 
-    base_oracle = ConeOracle(params, "g2")
-    base_spec = OrderFamilySpec("g2", Word())
-
-    def forget_conjugator(c, r, s, sign):
-        return family_is_positive(base_oracle, base_spec,
-                                  peripheral_word(params, "g2", r, s))
-
-    report = check_restriction_law(params, budget,
-                                   _corrupt=forget_conjugator)
+    base = _Signer(params, "g2", budget.peripheral_bound).pattern(Word())
+    report = check_restriction_law(
+        params, budget, _corrupt=lambda c, r, s, sign: base[(r, s)])
     results["restriction-conjugation-dropped"] = report.verdict
 
     report = certify_compatibility(
-        params, budget,
-        _corrupt_image=lambda d, r, s, sign: sign.flipped())
+        params, budget, _corrupt=lambda d, r, s, sign: sign.flipped())
     results["compatibility-image-reversed"] = report.verdict
 
     return {name: results[name] != "Certified" for name in MUTATIONS}

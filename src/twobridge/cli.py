@@ -6,7 +6,7 @@ Every subcommand prints a single JSON document on standard output (pass
 ``{"error": {"code", "message"}}`` and exit nonzero:
 
 * 2 - the knot is outside the supported family (``OutOfFamily``)
-* 3 - malformed word or flag value (``ParseError``)
+* 3 - malformed word, flag value or budget (``ParseError``)
 * 4 - an exact internal cross-check failed (``InternalCheckFailed``,
   including construction failures); this always indicates a bug
 * 64 - command-line usage error
@@ -36,7 +36,8 @@ from .errors import (ConstructionFailed, InternalCheckFailed, OutOfFamily,
                      ParseError)
 from .groups import Word, presentations
 from .numberfield import NumberField
-from .orders import ConeOracle, G1Realization, OrderFamilySpec, Sign
+from .orders import (ConeOracle, G1Realization, OrderFamilySpec,
+                     family_sign_trace)
 
 SCHEMA_VERSION = 1
 
@@ -171,10 +172,9 @@ def _cmd_order_sign(args):
     params = knot_params(args.c1, args.c2)
     word = Word.parse(args.word)
     conjugator = Word.parse(args.conjugator)
-    oracle = ConeOracle(params, args.group)
-    sign, trace = oracle.sign_trace(conjugator * word * conjugator.inverse())
-    if args.reversed:
-        sign = sign.flipped()
+    sign, trace = family_sign_trace(
+        ConeOracle(params, args.group),
+        OrderFamilySpec(args.group, conjugator, args.reversed), word)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "order-sign",

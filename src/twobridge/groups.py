@@ -115,11 +115,6 @@ def _reduce(syllables):
     return tuple(stack)
 
 
-def free_reduce(w: Word) -> Word:
-    """Words reduce on construction; exposed for direct use on syllables."""
-    return w if isinstance(w, Word) else Word(w)
-
-
 W = Word.parse
 
 

@@ -37,7 +37,7 @@ class ProjectivePoint:
             u, v = -u, -v
             sv = -sv
         if sv == 0 and u.is_zero():
-            raise ValueError("[0 : 0] is not a projective point")
+            raise InternalCheckFailed("[0 : 0] is not a projective point")
         self.u = u
         self.v = v
         self.finite = sv != 0
@@ -130,7 +130,7 @@ class Moebius:
     def __init__(self, field: NumberField, a, b, c, d, _checked=False):
         if not _checked:
             if (a * d - b * c) != field.one:
-                raise ValueError("matrix is not unimodular")
+                raise InternalCheckFailed("matrix is not unimodular")
             for entry in (a, b, c, d):
                 s = entry.sign()
                 if s:

@@ -474,10 +474,6 @@ class FieldElement:
     def __ge__(self, other):
         return (self - other).sign() >= 0
 
-    def __float__(self):
-        return float(_peval([float(c) for c in self.coeffs],
-                            2 * cos(pi / self.field.n)))
-
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):

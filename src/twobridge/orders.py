@@ -362,10 +362,18 @@ class OrderFamilySpec:
     reversed: bool = False
 
 
-def family_is_positive(oracle: ConeOracle, spec: OrderFamilySpec,
-                       w: Word) -> Sign:
+def family_sign_trace(oracle: ConeOracle, spec: OrderFamilySpec,
+                      w: Word) -> tuple[Sign, dict]:
+    """Sign of w in the family member, with the base oracle's trace of
+    the conjugated word c w c^-1."""
     if spec.oracle_id != oracle.group:
         raise ValueError("family spec for %r applied to oracle %r"
                          % (spec.oracle_id, oracle.group))
-    sign = oracle.is_positive(spec.conjugator * w * spec.conjugator.inverse())
-    return sign.flipped() if spec.reversed else sign
+    sign, trace = oracle.sign_trace(
+        spec.conjugator * w * spec.conjugator.inverse())
+    return (sign.flipped() if spec.reversed else sign), trace
+
+
+def family_is_positive(oracle: ConeOracle, spec: OrderFamilySpec,
+                       w: Word) -> Sign:
+    return family_sign_trace(oracle, spec, w)[0]

@@ -6,9 +6,21 @@ from twobridge.alexander import (LSpaceFormReport, VerdictReason,
                                  alexander_poly, alexander_poly_from_pq,
                                  evaluate, is_monic, is_symmetric,
                                  lspace_form, lspace_surgery_verdict,
-                                 make_form_poly, normalize_symmetric, span)
+                                 normalize_symmetric, span)
 from twobridge.cfrac import genus, is_fibered, knot_params
 from twobridge.errors import InternalCheckFailed, NotNormalized
+
+
+def make_form_poly(exponents):
+    """The alternating form polynomial of 0 < n_1 < ... < n_k, which
+    lspace_form inverts."""
+    ns = sorted(exponents)
+    assert all(n > 0 for n in ns) and len(set(ns)) == len(ns)
+    k = len(ns)
+    poly = {0: (-1) ** k}
+    for j, n in enumerate(ns, start=1):
+        poly[n] = poly[-n] = (-1) ** (k - j)
+    return poly
 
 
 def grid():

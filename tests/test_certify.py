@@ -1,16 +1,18 @@
 """Tests for the certification harness."""
 
 import json
+import random
 
 import pytest
 
 from twobridge.cfrac import knot_params
 from twobridge.certify import (MUTATIONS, CertificateReport, Counterexample,
-                               SampleBudget, _CorruptedOracle, audit_cone,
-                               ball, certify_compatibility, check_navas_law,
+                               SampleBudget, _CorruptedOracle,
+                               _sample_conjugators, audit_cone, ball,
+                               certify_compatibility, check_navas_law,
                                check_restriction_law, overall_verdict,
                                run_checks, run_mutation_selftests)
-from twobridge.errors import InternalCheckFailed
+from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import Word
 from twobridge.orders import ConeOracle, Sign
 
@@ -26,6 +28,28 @@ def test_budget_validation():
         SampleBudget(member_samples=0)
     with pytest.raises(ValueError):
         SampleBudget(peripheral_bound=-1)
+
+
+def test_member_budget_must_fit_the_conjugator_pool():
+    # 7 reduced words over x, y, z up to length 1; 17 over a, b up to 2
+    p = knot_params(3, 4)
+    for which, members in (("restrict", 8), ("compat", 18), ("all", 8)):
+        budget = SampleBudget(conjugator_length=1, member_samples=members)
+        with pytest.raises(ParseError):
+            run_checks(p, budget, which)
+    tight = SampleBudget(ball_radius=1, conjugator_length=1,
+                         peripheral_bound=1, semigroup_samples=1,
+                         member_samples=7)
+    reports = run_checks(p, tight, "restrict")
+    assert reports[0].counts["exactly-one-variant"]["passes"] == 7
+
+
+def test_sampler_never_returns_fewer_than_asked():
+    rng = random.Random(0)
+    words = _sample_conjugators(rng, ("x", "y", "z"), 1, 7)
+    assert len({str(w) for w in words}) == 7
+    with pytest.raises(InternalCheckFailed):
+        _sample_conjugators(rng, ("x", "y", "z"), 1, 8)
 
 
 def test_ball_enumeration():
@@ -116,7 +140,7 @@ def test_internal_check_failed_propagates_from_every_check(monkeypatch):
         raise InternalCheckFailed("synthetic cross-check failure")
 
     monkeypatch.setattr(certify_mod, "family_is_positive", fail)
-    monkeypatch.setattr(certify_mod, "_G1MemberSigner", fail)
+    monkeypatch.setattr(certify_mod, "_Signer", fail)
     for check in (check_navas_law, check_restriction_law,
                   certify_compatibility):
         with pytest.raises(InternalCheckFailed):
@@ -154,6 +178,38 @@ def test_compatibility_small_budget():
         # 10 members x full 5x5 box including (0,0)
         assert rep.counts["peripheral-sign-match"] == {"passes": 250,
                                                        "failures": 0}
+
+
+def budget_passes(budget: SampleBudget) -> dict:
+    """Sub-check pass counts that the budget alone implies for a certified
+    knot; a check that drops or double-counts a sub-check breaks them."""
+    ball_r = 2 * 3 ** budget.ball_radius - 1
+    ball_l = 2 * 3 ** budget.conjugator_length - 1
+    box = (2 * budget.peripheral_bound + 1) ** 2
+    members = budget.member_samples
+    cone = {"trichotomy": ball_r, "identity": ball_r,
+            "semigroup": budget.semigroup_samples}
+    return {
+        "cone-g1": cone,
+        "cone-g2": cone,
+        "navas": {"mu-nontrivial": ball_l,
+                  "peripheral-law": ball_l * (box - 1),
+                  "word-route-agreement": 3 * -(-ball_l // 40)},
+        "restriction": {"exactly-one-variant": members,
+                        "both-variants-witnessed": 1},
+        "compatibility": {"member-selection": members,
+                          "peripheral-sign-match": members * box,
+                          "word-route-agreement": 2 * -(-members // 50)},
+    }
+
+
+@pytest.mark.parametrize("knot", [(3, 4), (7, -6)])
+def test_pass_counts_follow_the_budget(knot):
+    reports = run_checks(knot_params(*knot), SMALL, "all")
+    assert overall_verdict(reports) == "Certified"
+    got = {r.check: {k: v["passes"] for k, v in r.counts.items()}
+           for r in reports}
+    assert got == budget_passes(SMALL)
 
 
 def test_run_checks_all_and_overall():

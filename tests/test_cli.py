@@ -159,6 +159,45 @@ def test_certify_internal_check_failed_exit_4(capsys, monkeypatch):
     assert "normal form disagree" in doc["error"]["message"]
 
 
+def test_certify_broken_lift_invariant_exit_4(capsys, monkeypatch):
+    # a sign regression that answers 0 everywhere makes the lifted action
+    # canonicalize a point to [0 : 0]: a broken internal invariant, which
+    # must end the run with exit 4 rather than an Error verdict
+    g1_realization(knot_params(3, 4))  # built with exact signs
+    monkeypatch.setattr(FieldElement, "sign", lambda self: 0)
+    code, doc = run_cli(capsys, [
+        "certify", "--c1", "3", "--c2", "4", "--radius", "1",
+        "--samples", "1", "--check", "cone"])
+    assert code == 4
+    assert doc["error"]["code"] == "InternalCheckFailed"
+    assert "[0 : 0]" in doc["error"]["message"]
+
+
+def test_certify_budget_below_one_exit_3(capsys):
+    code, doc = run_cli(capsys, ["certify", "--c1", "3", "--c2", "4",
+                                 "--radius", "0"])
+    assert code == 3
+    assert doc["error"]["code"] == "ParseError"
+    assert "ball_radius" in doc["error"]["message"]
+
+
+def test_certify_members_beyond_conjugator_pool_exit_3(capsys):
+    # only 7 reduced conjugators over x, y, z have length <= 1, and 17
+    # over a, b have length <= 2: 50 distinct members cannot be sampled
+    argv = ["certify", "--c1", "3", "--c2", "4", "--conj-len", "1",
+            "--members", "50"]
+    code, doc = run_cli(capsys, argv)
+    assert code == 3
+    assert doc["error"]["code"] == "ParseError"
+    assert "restrict" in doc["error"]["message"]
+    code, doc = run_cli(capsys, argv + ["--check", "compat"])
+    assert code == 3 and "17" in doc["error"]["message"]
+    # navas enumerates its conjugators and samples no members
+    code, doc = run_cli(capsys, argv + ["--check", "navas",
+                                        "--peripheral-box", "1"])
+    assert code == 0 and doc["verdict"] == "Certified"
+
+
 def test_certify_small_run(capsys):
     argv = ["certify", "--c1", "3", "--c2", "4", "--radius", "3",
             "--conj-len", "2", "--peripheral-box", "2", "--samples", "200",

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twobridge.errors import InternalCheckFailed
 from twobridge.lifted import (LiftedMoebius, LiftedPoint, Moebius,
                               ProjectivePoint, boundary_zero, infinity,
                               lift0_apply, order_n_rotation,
@@ -29,7 +30,7 @@ def test_projective_canonicalization():
     assert not q.finite and q.u.sign() > 0
     assert q == infinity(F5)
     assert pt(F5, 3) == ProjectivePoint(6 * F5.one, 2 * F5.one)
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckFailed):
         ProjectivePoint(F5.zero, F5.zero)
 
 
@@ -54,7 +55,7 @@ def test_points_not_hashable():
 # --------------------------------------------------------------- matrices
 
 def test_moebius_checks_unimodularity():
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalCheckFailed):
         Moebius(F5, F5.one, F5.zero, F5.zero, 2 * F5.one)
     m = Moebius.identity(F5)
     assert m.is_identity() and m.trace() == 2 * F5.one

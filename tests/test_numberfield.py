@@ -20,6 +20,12 @@ KNOWN = {
 }
 
 
+def _approx(e: FieldElement) -> float:
+    """Floating-point value of an element, an independent sign oracle."""
+    lam = 2 * cos(pi / e.field.n)
+    return sum(float(c) * lam ** i for i, c in enumerate(e.coeffs))
+
+
 def test_minimal_polynomials():
     for n, psi in KNOWN.items():
         assert minimal_polynomial(n) == psi
@@ -86,7 +92,7 @@ def test_sign_matches_float_oracle():
             coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                       for _ in range(f.degree)]
             e = f.element(coeffs)
-            approx = float(e)
+            approx = _approx(e)
             if abs(approx) > 1e-6:
                 assert e.sign() == (1 if approx > 0 else -1)
 
