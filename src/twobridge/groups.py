@@ -35,9 +35,12 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse whitespace-separated tokens like "b^-1 a a"."""
+        """Parse whitespace-separated tokens like "b^-1 a a"; the token
+        "1" is the identity."""
         syllables = []
         for token in text.split():
+            if token == "1":
+                continue
             name, caret, exp = token.partition("^")
             if not name or name.startswith("^"):
                 raise ParseError("bad word token %r" % token)
@@ -73,10 +76,6 @@ class Word:
         for _ in range(n):
             out = out * self
         return out
-
-    def conjugate(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
 
     def letters(self):
         """Yield (generator, +-1) one letter at a time."""
@@ -248,40 +247,24 @@ def g2_normal_form(params: TwoBridgeParams, w: Word) -> G2Element:
     bad = w.generators() - {"x", "y", "z"}
     if bad:
         raise ParseError("G2 words use generators x, y, z only, got %s" % bad)
-    # eliminate y -> z^b2, then record each z-letter with the x-exponent
-    # sum strictly to its right: w = x^xpow * prod z_(T_j)^(e_j)
-    letters = []
-    for g, e in w.letters():
-        if g == "y":
-            letters.extend([("z", (1 if b2 > 0 else -1) * e)] * beta)
-        else:
-            letters.append((g, e))
-    xpow = sum(e for g, e in letters if g == "x")
-    suffix = 0
-    kernel_letters = []  # (index, +-1), left to right
-    for g, e in reversed(letters):
-        if g == "x":
-            suffix += e
-        else:
-            kernel_letters.append((suffix, e))
-    kernel_letters.reverse()
-    # normalize in K: z_i^beta = w0^((-1)^i), syllable exponents in 1..beta-1
+    # w = x^xpow * prod z_i^k over its z- and y-syllables (y^e = z^(b2*e)),
+    # where i is the x-exponent sum strictly to the right of the syllable.
+    # In K, z_i^k = z_i^(k mod beta) * w0^((-1)^i * (k div beta)).
+    xpow = sum(e for g, e in w.syllables if g == "x")
+    right = xpow
     stack = []
     central = 0
-    for i, e in kernel_letters:
-        sign_i = -1 if i % 2 else 1
-        if e > 0:
-            r = 1
-        else:
-            r = beta - 1
-            central -= sign_i
-        if stack and stack[-1][0] == i:
-            total = stack.pop()[1] + r
-            central += sign_i * (total // beta)
-            if total % beta:
-                stack.append((i, total % beta))
-        else:
-            stack.append((i, r))
+    for g, e in w.syllables:
+        if g == "x":
+            right -= e
+            continue
+        k = b2 * e if g == "y" else e
+        if stack and stack[-1][0] == right:
+            k += stack.pop()[1]
+        q, r = divmod(k, beta)
+        central += -q if right % 2 else q
+        if r:
+            stack.append((right, r))
     return G2Element(xpow=xpow, tail=tuple(stack), central=central)
 
 

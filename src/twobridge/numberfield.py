@@ -1,27 +1,26 @@
-"""Exact arithmetic in the real cyclotomic field Q(lambda), lambda = 2 cos(pi/n).
+"""Exact arithmetic in the ring Z[lambda], lambda = 2 cos(pi/n).
 
 For odd n >= 3 the number lambda = 2 cos(pi/n) is an algebraic integer of
 degree phi(n)/2.  Its minimal polynomial is extracted from the cyclotomic
 polynomial Phi_2n(t) by the palindromic substitution y = t + 1/t, using the
 Chebyshev-style recursion t^k + t^-k = p_k(y), p_(k+1) = y*p_k - p_(k-1).
 
-Elements are coordinate vectors in the power basis 1, lambda, ...,
-lambda^(d-1).  Integral coordinates are Python ints and only genuinely
-fractional ones are Fractions, so the ring Z[lambda], which holds every
-matrix entry the G1 realization builds, is computed in integers
-throughout.  Fractions enter only through division or fractional input.
+Elements are integer coordinate vectors in the power basis 1, lambda, ...,
+lambda^(d-1).  The ring is closed under +, - and *, which is all the G1
+realization needs: every matrix entry it builds lies in Z[lambda], and it
+never divides.
 
-Signs are decided in two stages, both exact.  At construction the field
-certifies an isolating interval [lo, hi] for lambda (the largest real root
-of its minimal polynomial) by Sturm sequences, bisects it below width
-2^-(_FILTER_BITS+8), and stores the integer bound table
-floor(lo^i * 2^K) <= lambda^i * 2^K <= ceil(hi^i * 2^K), K = _FILTER_BITS
-(lo > 0, so the powers are monotone).  ``sign()`` first forms the integer
-lower and upper bounds of 2^K * value from that table and answers when they
-exclude zero.  Only when they do not does it fall back to interval Horner
-evaluation on a local copy of the certified interval, bisecting until zero
-is excluded.  Neither stage writes to the field: a field is immutable after
-construction, so every sign is independent of the queries made before it.
+Signs are exact.  At construction the field certifies an isolating interval
+[lo, hi] for lambda (the largest real root of its minimal polynomial) by
+Sturm sequences, bisects it below width 2^-(K+8), K = _FILTER_BITS, and
+stores the integer bound table
+floor(lo^i * 2^K) <= lambda^i * 2^K <= ceil(hi^i * 2^K)
+(lo > 0, so the powers are monotone).  ``sign()`` forms the integer lower
+and upper bounds of 2^K * value from that table and answers when they
+exclude zero.  When they do not, it doubles K, bisects a local copy of the
+interval below 2^-(K+8), rebuilds the table and tests again.  Nothing is
+written to the field: a field is immutable after construction, so every
+sign is independent of the queries made before it.
 """
 
 from __future__ import annotations
@@ -171,45 +170,39 @@ def _bisect(psi: Sequence, lo: Fraction, hi: Fraction) \
 
 
 # --------------------------------------------------------------------------
-# sign decisions
+# the integer bound table
 
 
 # K: the bound table holds lambda^i scaled by 2^K.  A larger K settles more
-# signs in the integer filter at the cost of wider integers.
+# signs in the first test at the cost of wider integers.
 _FILTER_BITS = 128
 
 
-def _interval_mul(a, b, lo, hi):
-    cands = (a * lo, a * hi, b * lo, b * hi)
-    return min(cands), max(cands)
-
-
-def _refined_sign(coeffs: Sequence, psi: Sequence, lo: Fraction,
-                  hi: Fraction) -> int:
-    """Exact sign of a nonzero sum coeffs[i] * lambda^i by interval Horner
-    evaluation, bisecting the isolating interval [lo, hi] of lambda until
-    the enclosure excludes zero."""
-    while True:
-        if lo == hi:
-            v = _peval(coeffs, lo)
-            return 1 if v > 0 else (-1 if v < 0 else 0)
-        mn = mx = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            mn, mx = _interval_mul(mn, mx, lo, hi)
-            mn, mx = mn + c, mx + c
-        if mn > 0:
-            return 1
-        if mx < 0:
-            return -1
+def _narrowed(psi: Sequence, lo: Fraction, hi: Fraction, bits: int) \
+        -> tuple[Fraction, Fraction]:
+    """[lo, hi] bisected around the root of psi below width 2^-(bits+8)."""
+    width = Fraction(1, 1 << (bits + 8))
+    while hi - lo >= width:
         lo, hi = _bisect(psi, lo, hi)
+    return lo, hi
+
+
+def _bound_table(degree: int, lo: Fraction, hi: Fraction, bits: int) \
+        -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """floor(lo^i * 2^bits) and ceil(hi^i * 2^bits) for i < degree; they
+    enclose lambda^i * 2^bits because 0 < lo <= lambda <= hi (the interval
+    is certified around 2*cos(pi/n) >= 1)."""
+    scale = 1 << bits
+    return (tuple(floor(lo ** i * scale) for i in range(degree)),
+            tuple(ceil(hi ** i * scale) for i in range(degree)))
 
 
 # --------------------------------------------------------------------------
-# the field
+# the ring
 
 
 class NumberField:
-    """Q(lambda) for lambda = 2*cos(pi/n), with exact sign decisions.
+    """Z[lambda] for lambda = 2*cos(pi/n), with exact sign decisions.
 
     The minimal polynomial may be overridden (``_minpoly`` keyword) to
     exercise the failure path: construction re-derives and certifies an
@@ -244,8 +237,9 @@ class NumberField:
         self._reduction = tuple(
             tuple((i, r) for i, r in enumerate(table[k]) if r)
             for k in range(d, 2 * d - 1))
-        self._interval = self._narrowed(self._certify_interval())
-        self._bounds = self._bound_table()
+        self._interval = _narrowed(self.psi, *self._certify_interval(),
+                                   _FILTER_BITS)
+        self._bounds = _bound_table(d, *self._interval, _FILTER_BITS)
         self.zero = self.element([0])
         self.one = self.element([1])
         self.lam = self.element([0, 1] if d > 1 else [-self.psi[0]])
@@ -264,27 +258,12 @@ class NumberField:
             "cannot certify an isolating interval for the largest root "
             "of %s near 2*cos(pi/%d)" % (list(self.psi), self.n))
 
-    def _narrowed(self, interval: tuple[Fraction, Fraction]) \
-            -> tuple[Fraction, Fraction]:
-        lo, hi = interval
-        width = Fraction(1, 1 << (_FILTER_BITS + 8))
-        while hi - lo >= width:
-            lo, hi = _bisect(self.psi, lo, hi)
-        return lo, hi
-
-    def _bound_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """floor(lo^i * 2^K) and ceil(hi^i * 2^K) for i < degree; they
-        enclose lambda^i * 2^K because 0 < lo <= lambda <= hi (the interval
-        is certified around 2*cos(pi/n) >= 1)."""
-        lo, hi = self._interval
-        scale = 1 << _FILTER_BITS
-        return (tuple(floor(lo ** i * scale) for i in range(self.degree)),
-                tuple(ceil(hi ** i * scale) for i in range(self.degree)))
-
     # -------------------------------------------------------- constructors
 
     def element(self, coeffs) -> "FieldElement":
-        vec = [_coordinate(c) for c in coeffs]
+        """The element with integer coordinates ``coeffs`` in the power
+        basis; a non-integer coordinate raises TypeError."""
+        vec = [operator.index(c) for c in coeffs]
         if len(vec) > self.degree:
             raise ValueError("expected at most %d coordinates" % self.degree)
         vec += [0] * (self.degree - len(vec))
@@ -305,7 +284,7 @@ _FIELDS: dict[int, NumberField] = {}
 
 
 def real_cyclotomic_field(n: int) -> NumberField:
-    """Cached field Q(2*cos(pi/n)) for odd n >= 3."""
+    """Cached ring Z[2*cos(pi/n)] for odd n >= 3."""
     if n not in _FIELDS:
         _FIELDS[n] = NumberField(n)
     return _FIELDS[n]
@@ -315,16 +294,8 @@ def real_cyclotomic_field(n: int) -> NumberField:
 # elements
 
 
-def _coordinate(c):
-    """An exact coordinate: an int when integral, a Fraction otherwise."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class FieldElement:
-    """An element of Q(lambda), exact and totally ordered."""
+    """An element of Z[lambda]: exact, with an exact sign."""
 
     __slots__ = ("field", "coeffs")
 
@@ -337,7 +308,7 @@ class FieldElement:
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("elements of different fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.field.element([other])
         return NotImplemented
 
@@ -361,9 +332,6 @@ class FieldElement:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -385,48 +353,7 @@ class FieldElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def inverse(self) -> "FieldElement":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid: u*self + v*psi = 1 in Q[x]
-        r0 = [Fraction(c) for c in self.field.psi]
-        r1 = _trim(list(self.coeffs))
-        u0, u1 = [], [Fraction(1)]
-        while True:
-            quo, rem = _pdivmod(r0, r1)
-            if not rem:
-                break
-            u0, u1 = u1, _padd(u0, _pscale(_pmul(quo, u1), -1))
-            r0, r1 = r1, rem
-        lead = r1[-1]  # gcd is the nonzero constant r1 (psi irreducible)
-        if len(r1) != 1:
-            raise ConstructionFailed(
-                "minimal polynomial is reducible: gcd has degree %d"
-                % (len(r1) - 1))
-        return self.field.element([c / lead for c in u1])
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    # --------------------------------------------------------- comparisons
+    # --------------------------------------------------------------- sign
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -434,24 +361,33 @@ class FieldElement:
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1.
 
-        The integer bound table settles almost every sign; the rest go to
-        exact interval refinement.  Nothing is written to the field."""
+        The field's bound table settles almost every sign.  Otherwise the
+        loop doubles K, narrows a local copy of the interval and tests
+        again with a rebuilt table.  Nothing is written to the field."""
         if self.is_zero():
             return 0
         field = self.field
-        low = high = 0
-        for c, lo_i, hi_i in zip(self.coeffs, *field._bounds):
-            if c > 0:
-                low += c * lo_i
-                high += c * hi_i
-            elif c:
-                low += c * hi_i
-                high += c * lo_i
-        if low > 0:
-            return 1
-        if high < 0:
-            return -1
-        return _refined_sign(self.coeffs, field.psi, *field._interval)
+        bounds, bits = field._bounds, _FILTER_BITS
+        lo, hi = field._interval
+        while True:
+            low = high = 0
+            for c, lo_i, hi_i in zip(self.coeffs, *bounds):
+                if c > 0:
+                    low += c * lo_i
+                    high += c * hi_i
+                elif c:
+                    low += c * hi_i
+                    high += c * lo_i
+            if low > 0:
+                return 1
+            if high < 0:
+                return -1
+            if lo == hi:  # lambda is a rational root: evaluate exactly
+                v = _peval(self.coeffs, lo)
+                return (v > 0) - (v < 0)
+            bits *= 2
+            lo, hi = _narrowed(field.psi, lo, hi, bits)
+            bounds = _bound_table(field.degree, lo, hi, bits)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -461,18 +397,6 @@ class FieldElement:
 
     def __hash__(self):
         return hash((self.field.n, self.coeffs))
-
-    def __lt__(self, other):
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        return (self - other).sign() >= 0
 
     def __repr__(self):
         terms = []

@@ -81,7 +81,7 @@ def z2_is_positive(order: Z2Order, vec: tuple[int, int]) -> Sign:
 
 
 class G1Realization:
-    """Exact lifted generators for G1 over Q(2 cos(pi/n)), n = 2*b1 + 1.
+    """Exact lifted generators for G1 over Z[2 cos(pi/n)], n = 2*b1 + 1.
 
     a maps to the half turn S, b to the square of the order-n rotation R
     (squaring is an automorphism of the cyclic factor since n is odd, so the
@@ -186,10 +186,6 @@ def g1_sign_trace(params: TwoBridgeParams, w: Word,
             "the identity for %s" % w)
     trace["group"] = "g1"
     return sign, trace
-
-
-def g1_is_positive(params: TwoBridgeParams, w: Word) -> Sign:
-    return g1_sign_trace(params, w)[0]
 
 
 # --------------------------------------------------------------------------
@@ -309,10 +305,6 @@ def g2_sign_trace(params: TwoBridgeParams, w: Word) -> tuple[Sign, dict]:
         "nontrivial element of a free group" % _MAGNUS_DEGREE_CAP)
 
 
-def g2_is_positive(params: TwoBridgeParams, w: Word) -> Sign:
-    return g2_sign_trace(params, w)[0]
-
-
 # --------------------------------------------------------------------------
 # oracle objects and order families
 
@@ -326,10 +318,6 @@ class ConeOracle:
         self.params = params
         self.group = group
         self._realization = g1_realization(params) if group == "g1" else None
-
-    @property
-    def generators(self) -> tuple[str, ...]:
-        return ("a", "b") if self.group == "g1" else ("x", "y", "z")
 
     def sign_trace(self, w: Word) -> tuple[Sign, dict]:
         if self.group == "g1":

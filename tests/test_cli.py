@@ -120,6 +120,15 @@ def test_order_sign_layer3_trace(capsys):
     assert doc["trace"]["decided_by"] == "layer-3-magnus"
 
 
+def test_order_sign_identity_conjugator_matches_default(capsys):
+    for group, word in (("g1", "b^-1 a"), ("g2", "z x^-1 z")):
+        argv = ["order-sign", "--c1", "3", "--c2", "4", "--group", group,
+                word]
+        code, default = run_cli(capsys, argv)
+        assert code == 0 and default["conjugator"] == "1"
+        assert run_cli(capsys, argv + ["--conjugator", "1"]) == (0, default)
+
+
 def test_order_sign_parse_error_exit_3(capsys):
     code, doc = run_cli(capsys, ["order-sign", "--group", "g1",
                                  "--c1", "3", "--c2", "4", "q v"])

@@ -30,6 +30,17 @@ def test_word_parse_and_str():
     assert W("a a^-1").is_identity()
 
 
+def test_word_str_parses_back():
+    assert W("1") == Word() and W("a 1 b") == W("a b")
+    assert W(str(Word())) == Word()
+    rng = random.Random(11)
+    for _ in range(300):
+        w = Word(tuple((rng.choice("abxyz"), rng.choice((-1, 1)) *
+                        rng.randint(1, 40))
+                       for _ in range(rng.randint(0, 8))))
+        assert W(str(w)) == w
+
+
 def test_word_parse_errors():
     for bad in ("a^", "^2", "a^x", "a-b", "a^1.5"):
         with pytest.raises(ParseError):
@@ -49,7 +60,7 @@ def test_word_algebra():
     assert w ** 0 == Word()
     assert w ** 3 == w * w * w
     assert w ** -2 == (w.inverse()) ** 2
-    assert w.conjugate(W("a")) == W("a b^-1")  # a b^-1 a a^-1 = a b^-1
+    assert W("a") * w * W("a").inverse() == W("a b^-1")
     assert len(W("b^-2 a")) == 3
 
 
@@ -207,6 +218,57 @@ def test_g2_relator_insertion_soundness():
             cut = rng.randint(0, len(letters))
             w2 = Word(tuple(letters[:cut] + ins + letters[cut:]))
             assert g2_normal_form(k, w2) == g2_normal_form(k, w)
+
+
+def _g2_normal_form_by_letters(params, w):
+    """The normal form computed one letter at a time: the reference for
+    the syllable-wise ``g2_normal_form``."""
+    b2 = params.b2
+    beta = abs(b2)
+    letters = []
+    for g, e in w.letters():
+        if g == "y":
+            letters.extend([("z", (1 if b2 > 0 else -1) * e)] * beta)
+        else:
+            letters.append((g, e))
+    xpow = sum(e for g, e in letters if g == "x")
+    suffix = 0
+    kernel_letters = []
+    for g, e in reversed(letters):
+        if g == "x":
+            suffix += e
+        else:
+            kernel_letters.append((suffix, e))
+    kernel_letters.reverse()
+    stack = []
+    central = 0
+    for i, e in kernel_letters:
+        sign_i = -1 if i % 2 else 1
+        if e > 0:
+            r = 1
+        else:
+            r = beta - 1
+            central -= sign_i
+        if stack and stack[-1][0] == i:
+            total = stack.pop()[1] + r
+            central += sign_i * (total // beta)
+            if total % beta:
+                stack.append((i, total % beta))
+        else:
+            stack.append((i, r))
+    return G2Element(xpow=xpow, tail=tuple(stack), central=central)
+
+
+def test_g2_normal_form_matches_letter_reference():
+    rng = random.Random(23)
+    knots = KNOTS + [knot_params(c1, c2) for c1, c2 in
+                     ((3, 6), (5, -6), (9, 8), (11, -10))]
+    for k in knots:
+        for _ in range(300):
+            w = Word(tuple((rng.choice("xyz"), rng.choice((-1, 1)) *
+                            rng.choice((1, 2, 3, 17, 60, 251)))
+                           for _ in range(rng.randint(0, 9))))
+            assert g2_normal_form(k, w) == _g2_normal_form_by_letters(k, w)
 
 
 def test_g2_homomorphy_and_word_round_trip():

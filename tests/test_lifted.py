@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -13,12 +12,13 @@ from twobridge.numberfield import real_cyclotomic_field
 F5 = real_cyclotomic_field(5)
 
 
-def pt(field, x) -> ProjectivePoint:
-    return ProjectivePoint(field.element([Fraction(x)]), field.one)
+def pt(field, u, v=1) -> ProjectivePoint:
+    """The point [u : v] of integers u, v, that is u/v."""
+    return ProjectivePoint(field.element([u]), field.element([v]))
 
 
-def lpt(field, wind, x) -> LiftedPoint:
-    return LiftedPoint(wind, pt(field, x))
+def lpt(field, wind, u, v=1) -> LiftedPoint:
+    return LiftedPoint(wind, pt(field, u, v))
 
 
 # ----------------------------------------------------------------- points
@@ -83,11 +83,11 @@ def test_rotation_orders():
 def test_lift0_semantics_halfturn():
     s = order_two_rotation(F5)  # pole at 0, image of x is -1/x
     below = lift0_apply(s, lpt(F5, 0, -2))
-    assert below == lpt(F5, 0, Fraction(1, 2))
+    assert below == lpt(F5, 0, 1, 2)
     at = lift0_apply(s, lpt(F5, 0, 0))
     assert at == LiftedPoint(0, infinity(F5))
     above = lift0_apply(s, lpt(F5, 0, 3))
-    assert above == lpt(F5, 1, Fraction(-1, 3))
+    assert above == lpt(F5, 1, -1, 3)
     from_inf = lift0_apply(s, LiftedPoint(0, infinity(F5)))
     assert from_inf == lpt(F5, 1, 0)
 

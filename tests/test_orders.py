@@ -12,9 +12,8 @@ from twobridge.groups import Word, g1_normal_form, g2_normal_form, \
 from twobridge.numberfield import real_cyclotomic_field
 from twobridge.orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
                               _magnus_first_sign, _schreier_letters,
-                              _t_weight, family_is_positive, g1_is_positive,
-                              g1_realization, g1_sign_trace, g2_is_positive,
-                              g2_sign_trace, z2_is_positive)
+                              _t_weight, family_is_positive, g1_realization,
+                              g1_sign_trace, g2_sign_trace, z2_is_positive)
 
 W = Word.parse
 
@@ -121,7 +120,7 @@ def test_realization_rejects_non_generator_letters():
     with pytest.raises(ParseError):
         g1_realization(p).lifted(W("x"))
     with pytest.raises(ParseError):
-        g1_is_positive(p, W("a x"))
+        ConeOracle(p, "g1").is_positive(W("a x"))
 
 
 # --------------------------------------------------------------------------
@@ -140,9 +139,10 @@ def test_g1_sign_fixtures_trefoil():
     # falls to the next one
     assert trace == {"decided_by": "test-point", "test_point": 1,
                      "group": "g1"}
-    assert g1_is_positive(p, meridian(p).inverse()) is Sign.NEGATIVE
-    assert g1_is_positive(p, W("a")) is Sign.POSITIVE
-    assert g1_is_positive(p, W("b")) is Sign.POSITIVE
+    g1 = ConeOracle(p, "g1")
+    assert g1.is_positive(meridian(p).inverse()) is Sign.NEGATIVE
+    assert g1.is_positive(W("a")) is Sign.POSITIVE
+    assert g1.is_positive(W("b")) is Sign.POSITIVE
     sign, trace = g1_sign_trace(p, W(""))
     assert sign is Sign.IDENTITY
     assert trace == {"decided_by": "identity", "group": "g1"}
@@ -151,7 +151,7 @@ def test_g1_sign_fixtures_trefoil():
 def test_g1_meridian_positive_for_all_knots():
     for c1, c2 in KNOTS:
         p = knot_params(c1, c2)
-        assert g1_is_positive(p, meridian(p)) is Sign.POSITIVE
+        assert ConeOracle(p, "g1").is_positive(meridian(p)) is Sign.POSITIVE
 
 
 def test_g1_commutation_word_positive():
@@ -161,7 +161,7 @@ def test_g1_commutation_word_positive():
         p = knot_params(c1, c2)
         mu, h = meridian(p), HALF_TURN_WORD
         w = mu * h.inverse() * mu.inverse() * h * h
-        assert g1_is_positive(p, w) is Sign.POSITIVE
+        assert ConeOracle(p, "g1").is_positive(w) is Sign.POSITIVE
 
 
 def test_g1_peripheral_box_pattern():
@@ -169,9 +169,10 @@ def test_g1_peripheral_box_pattern():
     # order with the h-direction dominant and mu positive
     for c1, c2 in KNOTS:
         p = knot_params(c1, c2)
+        g1 = ConeOracle(p, "g1")
         for r in range(-3, 4):
             for s in range(-2, 3):
-                got = g1_is_positive(p, peripheral_word(p, "g1", r, s))
+                got = g1.is_positive(peripheral_word(p, "g1", r, s))
                 assert got is z2_is_positive(Z2Order.PLUS_FIRST, (r, s)), \
                     (c1, c2, r, s)
 
@@ -180,17 +181,18 @@ def test_g1_cone_axioms_sampled():
     p = knot_params(3, 4)
     rng = random.Random(43)
     words = [random_word(rng, "ab", rng.randrange(0, 6)) for _ in range(120)]
+    g1 = ConeOracle(p, "g1")
     positives = []
     for w in words:
-        s = g1_is_positive(p, w)
-        assert g1_is_positive(p, w.inverse()) is s.flipped()
+        s = g1.is_positive(w)
+        assert g1.is_positive(w.inverse()) is s.flipped()
         assert (s is Sign.IDENTITY) == g1_normal_form(p, w).is_identity()
         if s is Sign.POSITIVE:
             positives.append(w)
     assert positives
     for _ in range(150):
         w1, w2 = rng.choice(positives), rng.choice(positives)
-        assert g1_is_positive(p, w1 * w2) is Sign.POSITIVE
+        assert g1.is_positive(w1 * w2) is Sign.POSITIVE
 
 
 def test_g1_dual_route_disagreement_raises(monkeypatch):
@@ -218,8 +220,8 @@ def test_g2_layer1_fixtures():
     sign, trace = g2_sign_trace(p, W("z x^2"))
     assert sign is Sign.POSITIVE
     assert trace == {"group": "g2", "decided_by": "layer-1-pi", "pi": 2}
-    assert g2_is_positive(p, W("x^-1")) is Sign.NEGATIVE
-    assert g2_is_positive(p, W("x^-1 z^5")) is Sign.NEGATIVE
+    assert ConeOracle(p, "g2").is_positive(W("x^-1")) is Sign.NEGATIVE
+    assert ConeOracle(p, "g2").is_positive(W("x^-1 z^5")) is Sign.NEGATIVE
 
 
 def test_g2_layer2_fixtures():
@@ -231,8 +233,8 @@ def test_g2_layer2_fixtures():
         sign, trace = g2_sign_trace(p, W("y"))
         assert sign is ysign
         assert trace == {"group": "g2", "decided_by": "layer-2-t", "t": tval}
-        assert g2_is_positive(p, W("z")) is Sign.POSITIVE
-        assert g2_is_positive(p, W("z^-1")) is Sign.NEGATIVE
+        assert ConeOracle(p, "g2").is_positive(W("z")) is Sign.POSITIVE
+        assert ConeOracle(p, "g2").is_positive(W("z^-1")) is Sign.NEGATIVE
         # conjugating by x flips the weight: x^-1 y x = y^-1
         sign, trace = g2_sign_trace(p, W("x^-1 y x"))
         assert sign is ysign.flipped()
@@ -258,7 +260,7 @@ def test_g2_layer3_commutator_fixture():
         assert sign is Sign.NEGATIVE
         assert trace == {"group": "g2", "decided_by": "layer-3-magnus",
                          "truncation_degree": 2}
-        assert g2_is_positive(p, comm.inverse()) is Sign.POSITIVE
+        assert ConeOracle(p, "g2").is_positive(comm.inverse()) is Sign.POSITIVE
 
 
 def test_g2_identity_trace():
@@ -274,10 +276,11 @@ def test_g2_cone_axioms_sampled():
         rng = random.Random(47)
         words = [random_word(rng, "xyz", rng.randrange(0, 6))
                  for _ in range(150)]
+        g2 = ConeOracle(p, "g2")
         positives = []
         for w in words:
-            s = g2_is_positive(p, w)
-            assert g2_is_positive(p, w.inverse()) is s.flipped()
+            s = g2.is_positive(w)
+            assert g2.is_positive(w.inverse()) is s.flipped()
             assert (s is Sign.IDENTITY) == g2_normal_form(p,
                                                           w).is_identity()
             if s is Sign.POSITIVE:
@@ -285,7 +288,7 @@ def test_g2_cone_axioms_sampled():
         assert positives
         for _ in range(200):
             w1, w2 = rng.choice(positives), rng.choice(positives)
-            assert g2_is_positive(p, w1 * w2) is Sign.POSITIVE
+            assert g2.is_positive(w1 * w2) is Sign.POSITIVE
 
 
 # --------------------------------------------------------------------------
