@@ -77,13 +77,6 @@ class Word:
             out = out * self
         return out
 
-    def letters(self):
-        """Yield (generator, +-1) one letter at a time."""
-        for g, e in self.syllables:
-            step = 1 if e > 0 else -1
-            for _ in range(abs(e)):
-                yield g, step
-
     def generators(self):
         return {g for g, _ in self.syllables}
 
@@ -190,30 +183,17 @@ def g1_normal_form(params: TwoBridgeParams, w: Word) -> G1Element:
     bad = w.generators() - {"a", "b"}
     if bad:
         raise ParseError("G1 words use generators a, b only, got %s" % bad)
+    # a^e = a^(e mod 2) h^(e div 2) and b^e = b^(e mod n) h^(e div n),
+    # merged with an equal generator left on the stack
     stack = []
     central = 0
-    for g, e in w.letters():
-        if g == "a":
-            # a = s(abar), a^-1 = s(abar) h^-1
-            if e < 0:
-                central -= 1
-            if stack and stack[-1][0] == "a":
-                stack.pop()
-                central += 1
-            else:
-                stack.append(("a", 1))
-        else:
-            # b = s(bbar), b^-1 = s(bbar^(n-1)) h^-1
-            j = 1 if e > 0 else n - 1
-            if e < 0:
-                central -= 1
-            if stack and stack[-1][0] == "b":
-                total = stack.pop()[1] + j
-                central += total // n
-                if total % n:
-                    stack.append(("b", total % n))
-            else:
-                stack.append(("b", j))
+    for g, e in w.syllables:
+        if stack and stack[-1][0] == g:
+            e += stack.pop()[1]
+        q, r = divmod(e, 2 if g == "a" else n)
+        central += q
+        if r:
+            stack.append((g, r))
     return G1Element(delta=tuple(stack), central=central)
 
 

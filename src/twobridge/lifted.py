@@ -15,7 +15,10 @@ n, n+1:
 ``LiftedMoebius`` values are pairs (matrix, wind) meaning
 lift0(matrix) composed with ``wind`` deck translations.  The deck
 translation T1 is central, so composition only needs one integer cocycle,
-which is computed exactly by evaluating both sides at a base point.
+and that cocycle is read from three signs of lower-left entries (the
+classical cocycle of the universal cover of PSL(2, R); Ghys, "Groups
+acting on the circle", 2001, section 6).  Composing never evaluates the
+action; only ``apply`` moves points.
 All arithmetic is exact over a ``NumberField``.
 """
 
@@ -156,17 +159,6 @@ class Moebius:
     def inverse(self) -> "Moebius":
         return Moebius(self.field, self.d, -self.b, -self.c, self.a)
 
-    def __pow__(self, e: int) -> "Moebius":
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc, base = Moebius.identity(self.field), self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def apply(self, p: ProjectivePoint) -> ProjectivePoint:
         return ProjectivePoint(self.a * p.u + self.b * p.v,
                                self.c * p.u + self.d * p.v)
@@ -202,19 +194,19 @@ def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
     return LiftedPoint(p.wind + (1 if s > 0 else 0), q)
 
 
-def _base_point(field: NumberField) -> LiftedPoint:
-    return LiftedPoint(0, boundary_zero(field))
+def _cocycle(m1: Moebius, m2: Moebius) -> int:
+    """Integer k with lift0(m1) lift0(m2) = lift0(m1 m2) T1^k.
 
-
-def _cocycle(m1: Moebius, m2: Moebius, prod: Moebius) -> int:
-    """Integer k with lift0(m1) lift0(m2) = lift0(prod) T1^k."""
-    p = _base_point(m1.field)
-    z1 = lift0_apply(m1, lift0_apply(m2, p))
-    z2 = lift0_apply(prod, p)
-    if z1.point != z2.point:
-        raise InternalCheckFailed(
-            "lift cocycle: projections disagree at the base point")
-    return z1.wind - z2.wind
+    Follow infinity at level 0: lift0(m2) raises it to a2/c2 at level 1
+    when c2 != 0, and lift0(m1) raises that point once more exactly when
+    it lies at or right of the pole -d1/c1, while lift0(m1 m2) raises
+    infinity once when its lower-left entry c1 a2 + d1 c2 is nonzero.
+    That entry is taken before sign canonicalization, which may negate it.
+    """
+    s1, s2 = m1.c.sign(), m2.c.sign()
+    if not (s1 and s2):
+        return 0
+    return 1 if (m1.c * m2.a + m1.d * m2.c).sign() * s1 * s2 >= 0 else 0
 
 
 class LiftedMoebius:
@@ -239,31 +231,32 @@ class LiftedMoebius:
         return lift0_apply(self.matrix, p).shifted(self.wind)
 
     def __mul__(self, other: "LiftedMoebius") -> "LiftedMoebius":
-        # lift0 of the identity matrix is the identity map, so composing
-        # with a deck translation never shifts the cocycle
+        # composing with a deck translation adds winding only and needs no
+        # matrix product
         if self.matrix.is_identity():
             return LiftedMoebius(other.matrix, self.wind + other.wind)
         if other.matrix.is_identity():
             return LiftedMoebius(self.matrix, self.wind + other.wind)
-        prod = self.matrix * other.matrix
-        k = _cocycle(self.matrix, other.matrix, prod)
-        return LiftedMoebius(prod, k + self.wind + other.wind)
+        k = _cocycle(self.matrix, other.matrix)
+        return LiftedMoebius(self.matrix * other.matrix,
+                             k + self.wind + other.wind)
 
     def inverse(self) -> "LiftedMoebius":
-        inv = self.matrix.inverse()
-        k = _cocycle(self.matrix, inv, Moebius.identity(self.matrix.field))
-        return LiftedMoebius(inv, -k - self.wind)
+        # lift0(m) lift0(m^-1) = T1 when m moves infinity, else identity
+        k = 0 if self.matrix.c.is_zero() else 1
+        return LiftedMoebius(self.matrix.inverse(), -k - self.wind)
 
     def __pow__(self, e: int) -> "LiftedMoebius":
+        """Square and multiply from the top bit of |e| down."""
         if e < 0:
             return self.inverse() ** (-e)
-        acc = LiftedMoebius.translation(self.matrix.field, 0)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
+        if e == 0:
+            return LiftedMoebius.translation(self.matrix.field, 0)
+        acc = self
+        for bit in bin(e)[3:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     def is_identity(self) -> bool:

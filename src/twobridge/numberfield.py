@@ -208,17 +208,22 @@ class NumberField:
     exercise the failure path: construction re-derives and certifies an
     isolating interval for the largest real root and checks it against a
     floating seed for 2*cos(pi/n), raising ConstructionFailed when the
-    polynomial cannot be certified.
+    polynomial is not monic of the true degree or cannot be certified.
     """
 
     def __init__(self, n: int, _minpoly: Sequence[int] | None = None):
         if n < 3 or n % 2 == 0:
             raise ValueError("n must be odd and >= 3, got %r" % (n,))
         self.n = n
-        psi = list(_minpoly) if _minpoly is not None else minimal_polynomial(n)
-        if not psi or psi[-1] != 1 or len(psi) < 2:
-            raise ConstructionFailed(
-                "minimal polynomial for n=%d is not monic of degree >= 1" % n)
+        psi = minimal_polynomial(n)
+        if _minpoly is not None:
+            # a multiple of the true polynomial would certify the same
+            # root, and sign() could then never exclude zero
+            if len(_minpoly) != len(psi) or _minpoly[-1] != 1:
+                raise ConstructionFailed(
+                    "minimal polynomial for n=%d must be monic of degree %d"
+                    % (n, len(psi) - 1))
+            psi = list(_minpoly)
         self.psi = tuple(int(c) for c in psi)
         self.degree = len(psi) - 1
         # lambda^k for k = 0 .. 2*degree - 2, reduced to the power basis

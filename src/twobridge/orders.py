@@ -103,7 +103,7 @@ class G1Realization:
             real_cyclotomic_field(n)
         s = order_two_rotation(f)
         r = order_n_rotation(f)
-        if not (r ** n).is_identity():
+        if not (LiftedMoebius.lift0(r) ** n).matrix.is_identity():
             raise ConstructionFailed(
                 "order-n rotation has wrong order for n=%d" % n)
         lifted_s = LiftedMoebius.lift0(s)
@@ -111,7 +111,7 @@ class G1Realization:
         if lifted_s * lifted_s != t1:
             raise ConstructionFailed("lifted half turn squared is not T1")
         self.a_lift = lifted_s * LiftedMoebius.translation(f, b1 - 1)
-        self.b_lift = LiftedMoebius.lift0(r ** 2)
+        self.b_lift = LiftedMoebius.lift0(r * r)
         self.h_lift = LiftedMoebius.translation(f, 2 * b1 - 1)
         if self.a_lift * self.a_lift != self.h_lift:
             raise ConstructionFailed("a~^2 != T1^(2*b1-1)")
@@ -142,12 +142,12 @@ class G1Realization:
     def lifted(self, w: Word) -> LiftedMoebius:
         """The lifted transformation represented by a word over {a, b}."""
         acc = LiftedMoebius.translation(self.field, 0)
-        for gen, e in w.letters():
+        for gen, e in w.syllables:
             pair = self._gen_lifts.get(gen)
             if pair is None:
                 raise ParseError(
                     "G1 words use generators a, b only, got %r" % gen)
-            acc = acc * (pair[0] if e > 0 else pair[1])
+            acc = acc * (pair[0] if e > 0 else pair[1]) ** abs(e)
         return acc
 
     def decide(self, g: LiftedMoebius) -> tuple[Sign, dict]:

@@ -97,6 +97,12 @@ def test_criterion_2_alexander_grid():
                 assert verdict.reason.value == "NotFibered"
 
 
+def _letters(w):
+    """The word's (generator, +-1) letters, left to right."""
+    return [(g, 1 if e > 0 else -1) for g, e in w.syllables
+            for _ in range(abs(e))]
+
+
 def _random_word(rng, alphabet, max_len=6):
     letters = []
     for _ in range(rng.randrange(0, max_len + 1)):
@@ -123,8 +129,8 @@ def test_criterion_3_normal_form_soundness():
                     if rng.random() < 0.5:
                         r = r.inverse()
                     g = _random_word(rng, alphabet, max_len=2)
-                    ins = list((g * r * g.inverse()).letters())
-                    letters = list(w.letters())
+                    ins = _letters(g * r * g.inverse())
+                    letters = _letters(w)
                     cut = rng.randint(0, len(letters))
                     w2 = Word(tuple(letters[:cut] + ins + letters[cut:]))
                     assert normal_form(params, w2) == normal_form(params, w)

@@ -100,6 +100,18 @@ def test_order_sign_meridian(capsys):
                             "group": "g1"}
 
 
+def test_order_sign_huge_g1_exponent_answers(capsys):
+    # n = 7 and 10^8 = 2 + 7 * 14285714, so b^(10^8) = b^2 h^14285714
+    # with h = a^2: both words must get the same document
+    argv = ["order-sign", "--group", "g1", "--c1", "7", "--c2", "4"]
+    code, doc = run_cli(capsys, argv + ["b^100000000"])
+    assert code == 0 and doc["sign"] == "Positive"
+    code, same = run_cli(capsys, argv + ["b^2 a^28571428"])
+    assert code == 0
+    assert {k: v for k, v in doc.items() if k != "word"} == \
+        {k: v for k, v in same.items() if k != "word"}
+
+
 def test_order_sign_conjugated_reversed(capsys):
     code, doc = run_cli(capsys, ["order-sign", "--group", "g2",
                                  "--c1", "3", "--c2", "4",

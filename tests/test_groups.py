@@ -11,6 +11,14 @@ from twobridge.groups import (G1Element, G2Element, W, Word,
 
 KNOTS = [knot_params(3, 4), knot_params(3, -4),
          knot_params(5, 4), knot_params(7, -6)]
+KNOTS_8 = KNOTS + [knot_params(c1, c2) for c1, c2 in
+                   ((3, 6), (5, -6), (9, 8), (11, -10))]
+
+
+def _letters(w):
+    """The word's (generator, +-1) letters, left to right."""
+    return [(g, 1 if e > 0 else -1) for g, e in w.syllables
+            for _ in range(abs(e))]
 
 
 def random_word(rng, alphabet, max_len=12):
@@ -141,8 +149,8 @@ def test_g1_relator_insertion_soundness():
             w = random_word(rng, ("a", "b"))
             r = relator if rng.random() < 0.5 else relator.inverse()
             g = random_word(rng, ("a", "b"), max_len=4)
-            ins = list((g * r * g.inverse()).letters())
-            letters = list(w.letters())
+            ins = _letters(g * r * g.inverse())
+            letters = _letters(w)
             cut = rng.randint(0, len(letters))
             w2 = Word(tuple(letters[:cut] + ins + letters[cut:]))
             assert g1_normal_form(k, w2) == g1_normal_form(k, w)
@@ -159,6 +167,47 @@ def test_g1_homomorphy_and_word_round_trip():
             via = g1_normal_form(k, g1_element_word(n1) * g1_element_word(n2))
             assert direct == via
             assert g1_normal_form(k, g1_element_word(n1)) == n1
+
+
+def _g1_normal_form_by_letters(params, w):
+    """The normal form computed one letter at a time: the reference for
+    the syllable-wise ``g1_normal_form``."""
+    n = 2 * params.b1 + 1
+    stack = []
+    central = 0
+    for g, e in _letters(w):
+        if g == "a":
+            # a = s(abar), a^-1 = s(abar) h^-1
+            if e < 0:
+                central -= 1
+            if stack and stack[-1][0] == "a":
+                stack.pop()
+                central += 1
+            else:
+                stack.append(("a", 1))
+        else:
+            # b = s(bbar), b^-1 = s(bbar^(n-1)) h^-1
+            j = 1 if e > 0 else n - 1
+            if e < 0:
+                central -= 1
+            if stack and stack[-1][0] == "b":
+                total = stack.pop()[1] + j
+                central += total // n
+                if total % n:
+                    stack.append(("b", total % n))
+            else:
+                stack.append(("b", j))
+    return G1Element(delta=tuple(stack), central=central)
+
+
+def test_g1_normal_form_matches_letter_reference():
+    rng = random.Random(29)
+    for k in KNOTS_8:
+        for _ in range(300):
+            w = Word(tuple((rng.choice("ab"), rng.choice((-1, 1)) *
+                            rng.choice((1, 2, 3, 7, 11, 60, 250)))
+                           for _ in range(rng.randint(0, 9))))
+            assert g1_normal_form(k, w) == _g1_normal_form_by_letters(k, w)
 
 
 # ---------------------------------------------------------------- G2
@@ -213,8 +262,8 @@ def test_g2_relator_insertion_soundness():
             if rng.random() < 0.5:
                 r = r.inverse()
             g = random_word(rng, ("x", "y", "z"), max_len=4)
-            ins = list((g * r * g.inverse()).letters())
-            letters = list(w.letters())
+            ins = _letters(g * r * g.inverse())
+            letters = _letters(w)
             cut = rng.randint(0, len(letters))
             w2 = Word(tuple(letters[:cut] + ins + letters[cut:]))
             assert g2_normal_form(k, w2) == g2_normal_form(k, w)
@@ -226,7 +275,7 @@ def _g2_normal_form_by_letters(params, w):
     b2 = params.b2
     beta = abs(b2)
     letters = []
-    for g, e in w.letters():
+    for g, e in _letters(w):
         if g == "y":
             letters.extend([("z", (1 if b2 > 0 else -1) * e)] * beta)
         else:
@@ -261,9 +310,7 @@ def _g2_normal_form_by_letters(params, w):
 
 def test_g2_normal_form_matches_letter_reference():
     rng = random.Random(23)
-    knots = KNOTS + [knot_params(c1, c2) for c1, c2 in
-                     ((3, 6), (5, -6), (9, 8), (11, -10))]
-    for k in knots:
+    for k in KNOTS_8:
         for _ in range(300):
             w = Word(tuple((rng.choice("xyz"), rng.choice((-1, 1)) *
                             rng.choice((1, 2, 3, 17, 60, 251)))

@@ -2,12 +2,15 @@ import random
 
 import pytest
 
+from twobridge import lifted
+from twobridge.certify import ball
 from twobridge.errors import InternalCheckFailed
 from twobridge.lifted import (LiftedMoebius, LiftedPoint, Moebius,
                               ProjectivePoint, boundary_zero, infinity,
                               lift0_apply, order_n_rotation,
                               order_two_rotation)
 from twobridge.numberfield import real_cyclotomic_field
+from twobridge.orders import G1Realization
 
 F5 = real_cyclotomic_field(5)
 
@@ -73,12 +76,18 @@ def test_rotation_orders():
         s = order_two_rotation(f)
         r = order_n_rotation(f)
         assert (s * s).is_identity()
-        assert (r ** n).is_identity()
-        for k in range(1, n):
-            assert not (r ** k).is_identity()
+        power = r
+        for _ in range(1, n):
+            assert not power.is_identity()
+            power = power * r
+        assert power.is_identity()
 
 
 # ------------------------------------------------------------------ lifts
+
+def _squared(m: Moebius) -> Moebius:
+    return m * m
+
 
 def test_lift0_semantics_halfturn():
     s = order_two_rotation(F5)  # pole at 0, image of x is -1/x
@@ -110,7 +119,7 @@ def test_halfturn_squared_is_deck_translation():
 def test_lifted_rotation_powers():
     for n in (3, 5, 7, 9, 11):
         f = real_cyclotomic_field(n)
-        bt = LiftedMoebius.lift0(order_n_rotation(f) ** 2)
+        bt = LiftedMoebius.lift0(_squared(order_n_rotation(f)))
         assert bt ** n == LiftedMoebius.translation(f, n - 2)
 
 
@@ -126,7 +135,7 @@ def test_group_laws_random():
     rng = random.Random(31)
     f = real_cyclotomic_field(7)
     gens = [LiftedMoebius.lift0(order_two_rotation(f)),
-            LiftedMoebius.lift0(order_n_rotation(f) ** 2),
+            LiftedMoebius.lift0(_squared(order_n_rotation(f))),
             LiftedMoebius.translation(f, 1)]
     gens += [g.inverse() for g in gens]
     ident = LiftedMoebius.translation(f, 0)
@@ -153,10 +162,69 @@ def test_group_laws_random():
 
 def test_pow_matches_repeated_product():
     f = real_cyclotomic_field(5)
-    g = LiftedMoebius.lift0(order_n_rotation(f) ** 2) * \
+    g = LiftedMoebius.lift0(_squared(order_n_rotation(f))) * \
         LiftedMoebius.lift0(order_two_rotation(f))
     acc = LiftedMoebius.translation(f, 0)
-    for k in range(5):
+    for k in range(70):
         assert g ** k == acc
         assert g ** (-k) == acc.inverse()
         acc = acc * g
+
+
+# ------------------------------------------------ the sign-only cocycle
+
+def _cocycle_by_evaluation(m1: Moebius, m2: Moebius, prod: Moebius) -> int:
+    """The reference cocycle: the level difference of lift0(m1) lift0(m2)
+    and lift0(prod), prod = m1 m2, at the point 0 of level 0, whose
+    projections must agree."""
+    p = LiftedPoint(0, boundary_zero(m1.field))
+    z1 = lift0_apply(m1, lift0_apply(m2, p))
+    z2 = lift0_apply(prod, p)
+    assert z1.point == z2.point
+    return z1.wind - z2.wind
+
+
+def _ball_lifts(b1: int, radius: int = 3) -> list:
+    """Lifts of the G1 ball of the radius, followed by their inverses."""
+    real = G1Realization(b1)
+    lifts = [real.lifted(w) for w in ball("ab", radius)]
+    return lifts + [g.inverse() for g in lifts]
+
+
+@pytest.mark.parametrize("b1", [1, 2, 3, 4, 5])
+def test_cocycle_matches_evaluation_on_radius_3_balls(b1):
+    lifts = _ball_lifts(b1)
+    for g in lifts:
+        m1 = g.matrix
+        for h in lifts:
+            m2 = h.matrix
+            prod = g * h
+            k = _cocycle_by_evaluation(m1, m2, prod.matrix)
+            assert lifted._cocycle(m1, m2) == k
+            assert prod.wind == k + g.wind + h.wind
+        inv = g.inverse()
+        k = _cocycle_by_evaluation(m1, inv.matrix, Moebius.identity(m1.field))
+        assert inv.wind == -k - g.wind
+
+
+def test_composition_never_evaluates_the_action(monkeypatch):
+    rng = random.Random(37)
+    real = G1Realization(2)
+    words = ball("ab", 3)
+    before = [real.lifted(w) for w in words]
+    cases = []
+    for _ in range(40):
+        g = real.lifted(rng.choice(words))
+        h = real.lifted(rng.choice(words))
+        e = rng.randint(-40, 40)
+        cases.append((g, h, e, g * h, g.inverse(), g ** e))
+
+    def evaluation(*args):
+        raise AssertionError("the group law evaluated the action")
+
+    monkeypatch.setattr(lifted, "lift0_apply", evaluation)
+    for g, h, e, prod, inv, power in cases:
+        assert g * h == prod
+        assert g.inverse() == inv
+        assert g ** e == power
+    assert [real.lifted(w) for w in words] == before

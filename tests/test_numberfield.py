@@ -138,6 +138,22 @@ def test_corrupted_minpoly_fails_certification():
     assert NumberField(7, _minpoly=good).degree == 3
 
 
+def test_minpoly_of_the_wrong_degree_is_rejected():
+    # psi * (t + 3) still has 2 cos(pi/7) as its certified largest root,
+    # but psi itself would then be a nonzero element of sign 0
+    psi = minimal_polynomial(7)
+    multiple = [3 * c for c in psi + [0]]
+    for i, c in enumerate(psi):
+        multiple[i + 1] += c
+    with pytest.raises(ConstructionFailed, match="degree 3"):
+        NumberField(7, _minpoly=multiple)
+    with pytest.raises(ConstructionFailed, match="degree 3"):
+        NumberField(7, _minpoly=[-1, 1])
+    # the selftest's polynomial has the right degree; Sturm rejects it
+    with pytest.raises(ConstructionFailed, match="cannot certify"):
+        NumberField(3, _minpoly=[-2, 1])
+
+
 # --------------------------------------------------------------------------
 # integer coordinates
 
