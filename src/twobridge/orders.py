@@ -16,7 +16,9 @@ lexicographic tower:
   (-1)^i (well defined on the kernel relations);
 * layer 3: on ker t, which is free, the Magnus power-series order (first
   nonzero coefficient in graded-lexicographic order) after rewriting in an
-  explicit Schreier basis; the truncation degree doubles until decided.
+  explicit Schreier basis.  Monomials are searched one degree at a time,
+  and the search stops at the least degree with a nonzero coefficient,
+  which is at most the syllable count of the reduced word.
 
 Both oracles are total and exact.  Conjugated and reversed variants of the
 base orders form the normal families used by the certification harness.
@@ -240,40 +242,53 @@ def _schreier_letters(beta: int, tail) -> list[tuple[tuple[int, int, int],
     return reduced
 
 
-def _magnus_first_sign(letters, degree: int) -> int:
-    """First nonzero coefficient (graded-lex) of the Magnus expansion,
-    truncated at the given total degree; 0 if undecided at this degree."""
-    poly = {(): 1}
-    for tok, e in letters:
-        if e > 0:
-            factor = {(): 1, (tok,): 1}
-        else:
-            factor = {(tok,) * k: (-1) ** k for k in range(degree + 1)}
-        nxt: dict = {}
-        for m1, c1 in poly.items():
-            room = degree - len(m1)
-            for m2, c2 in factor.items():
-                if len(m2) > room:
-                    continue
-                key = m1 + m2
-                val = nxt.get(key, 0) + c1 * c2
-                if val:
-                    nxt[key] = val
-                elif key in nxt:
-                    del nxt[key]
-        poly = nxt
-    best = None
-    for mono, coeff in poly.items():
-        if mono and coeff:
-            key = (len(mono), mono)
-            if best is None or key < best[0]:
-                best = (key, coeff)
-    if best is None:
+def _magnus_first_sign(letters, max_degree: int) -> tuple[int, int]:
+    """Sign and degree of the first nonzero coefficient (graded-lex) of
+    the Magnus expansion x -> 1 + X; (0, max_degree) if every coefficient
+    up to max_degree vanishes.
+
+    The coefficient of X_t1...X_tm is a signed count of embeddings into
+    the letters: a letter x takes at most one X, a letter x^-1 any run
+    X^k with weight (-1)^k.  A monomial prefix keeps, per letter position,
+    the signed count of embeddings whose last X sits at that letter, so
+    one pass over the letters extends it by every token at once.  Degrees
+    are tried in increasing order, each by a depth-first walk over prefixes
+    in lex order, which meets the monomials of that degree in lex order
+    and keeps one prefix per level in memory; a prefix with no embeddings
+    has no nonzero extension and is dropped.
+    """
+    toks = [tok for tok, _ in letters]
+    inv = [e < 0 for _, e in letters]
+
+    def first(counts: dict, run: int, start: int, depth: int) -> int:
+        # sign of the lex-first nonzero coefficient among the extensions of
+        # the prefix by depth tokens; run counts embeddings ending before
+        # letter start
+        children: dict = {}
+        for i in range(start, len(toks)):
+            old = counts.get(i, 0)
+            # new X at letter i: after any earlier last X, or, inside
+            # x^-1, after an X already at letter i
+            new = -(run + old) if inv[i] else run
+            if new:
+                children.setdefault(toks[i], {})[i] = new
+            run += old
+        for tok in sorted(children):
+            child = children[tok]
+            if depth == 1:
+                coeff = sum(child.values())
+                s = (coeff > 0) - (coeff < 0)
+            else:
+                s = first(child, 0, next(iter(child)), depth - 1)
+            if s:
+                return s
         return 0
-    return 1 if best[1] > 0 else -1
 
-
-_MAGNUS_DEGREE_CAP = 64
+    for degree in range(1, max_degree + 1):
+        s = first({}, 1, 0, degree)  # the empty prefix: one embedding
+        if s:
+            return s, degree
+    return 0, max_degree
 
 
 def g2_sign_trace(params: TwoBridgeParams, w: Word) -> tuple[Sign, dict]:
@@ -292,17 +307,18 @@ def g2_sign_trace(params: TwoBridgeParams, w: Word) -> tuple[Sign, dict]:
     if not letters:
         raise InternalCheckFailed(
             "nontrivial kernel element rewrote to the empty word")
-    degree = 2
-    while degree <= _MAGNUS_DEGREE_CAP:
-        s = _magnus_first_sign(letters, degree)
-        if s:
-            return _sign_of_int(s), {
-                "group": "g2", "decided_by": "layer-3-magnus",
-                "truncation_degree": degree}
-        degree *= 2
-    raise InternalCheckFailed(
-        "Magnus oracle undecided at degree %d: bug, the element is a "
-        "nontrivial element of a free group" % _MAGNUS_DEGREE_CAP)
+    # the monomial taking one letter from each syllable t^e of the reduced
+    # word has coefficient prod(e) != 0, so a nonzero coefficient exists
+    # at degree <= the syllable count
+    syllables = 1 + sum(a != b for (a, _), (b, _) in zip(letters,
+                                                         letters[1:]))
+    s, degree = _magnus_first_sign(letters, syllables)
+    if not s:
+        raise InternalCheckFailed(
+            "Magnus oracle undecided at degree %d, the syllable count of "
+            "a reduced word: bug" % syllables)
+    return _sign_of_int(s), {"group": "g2", "decided_by": "layer-3-magnus",
+                             "truncation_degree": degree}
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from twobridge.cfrac import (double_branched_cover, eval_cf, even_expansion,
                              genus, is_fibered, knot_params)
 from twobridge.groups import Word, g1_normal_form, g2_normal_form
 from twobridge.orders import ConeOracle
+from reference import letters_of
 
 GRID = [(2 * b1 + 1, 2 * b2)
         for b1 in range(1, 6)
@@ -97,12 +98,6 @@ def test_criterion_2_alexander_grid():
                 assert verdict.reason.value == "NotFibered"
 
 
-def _letters(w):
-    """The word's (generator, +-1) letters, left to right."""
-    return [(g, 1 if e > 0 else -1) for g, e in w.syllables
-            for _ in range(abs(e))]
-
-
 def _random_word(rng, alphabet, max_len=6):
     letters = []
     for _ in range(rng.randrange(0, max_len + 1)):
@@ -129,8 +124,8 @@ def test_criterion_3_normal_form_soundness():
                     if rng.random() < 0.5:
                         r = r.inverse()
                     g = _random_word(rng, alphabet, max_len=2)
-                    ins = _letters(g * r * g.inverse())
-                    letters = _letters(w)
+                    ins = letters_of(g * r * g.inverse())
+                    letters = letters_of(w)
                     cut = rng.randint(0, len(letters))
                     w2 = Word(tuple(letters[:cut] + ins + letters[cut:]))
                     assert normal_form(params, w2) == normal_form(params, w)

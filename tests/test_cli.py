@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from twobridge import cli
+from twobridge import cli, orders
 from twobridge.cfrac import knot_params
 from twobridge.errors import InternalCheckFailed
 from twobridge.numberfield import FieldElement
@@ -157,6 +157,19 @@ def test_internal_check_failed_exit_4(capsys, monkeypatch):
                                  "--c1", "3", "--c2", "4", "a"])
     assert code == 4
     assert doc["error"]["code"] == "InternalCheckFailed"
+
+
+def test_order_sign_undecided_magnus_exit_4(capsys, monkeypatch):
+    # a Magnus search that finds no nonzero coefficient up to the syllable
+    # count contradicts the bound, so order-sign must exit 4
+    monkeypatch.setattr(orders, "_magnus_first_sign",
+                        lambda letters, max_degree: (0, max_degree))
+    code, doc = run_cli(capsys, ["order-sign", "--group", "g2",
+                                 "--c1", "3", "--c2", "4",
+                                 "z x^-1 z x z^-1 x^-1 z^-1 x"])
+    assert code == 4
+    assert doc["error"]["code"] == "InternalCheckFailed"
+    assert "syllable count" in doc["error"]["message"]
 
 
 def test_certify_internal_check_failed_exit_4(capsys, monkeypatch):

@@ -8,17 +8,12 @@ from twobridge.groups import (G1Element, G2Element, W, Word,
                               g1_element_word, g1_normal_form,
                               g2_element_word, g2_normal_form,
                               peripheral_word, presentations)
+from reference import letters_of
 
 KNOTS = [knot_params(3, 4), knot_params(3, -4),
          knot_params(5, 4), knot_params(7, -6)]
 KNOTS_8 = KNOTS + [knot_params(c1, c2) for c1, c2 in
                    ((3, 6), (5, -6), (9, 8), (11, -10))]
-
-
-def _letters(w):
-    """The word's (generator, +-1) letters, left to right."""
-    return [(g, 1 if e > 0 else -1) for g, e in w.syllables
-            for _ in range(abs(e))]
 
 
 def random_word(rng, alphabet, max_len=12):
@@ -149,8 +144,8 @@ def test_g1_relator_insertion_soundness():
             w = random_word(rng, ("a", "b"))
             r = relator if rng.random() < 0.5 else relator.inverse()
             g = random_word(rng, ("a", "b"), max_len=4)
-            ins = _letters(g * r * g.inverse())
-            letters = _letters(w)
+            ins = letters_of(g * r * g.inverse())
+            letters = letters_of(w)
             cut = rng.randint(0, len(letters))
             w2 = Word(tuple(letters[:cut] + ins + letters[cut:]))
             assert g1_normal_form(k, w2) == g1_normal_form(k, w)
@@ -175,7 +170,7 @@ def _g1_normal_form_by_letters(params, w):
     n = 2 * params.b1 + 1
     stack = []
     central = 0
-    for g, e in _letters(w):
+    for g, e in letters_of(w):
         if g == "a":
             # a = s(abar), a^-1 = s(abar) h^-1
             if e < 0:
@@ -262,8 +257,8 @@ def test_g2_relator_insertion_soundness():
             if rng.random() < 0.5:
                 r = r.inverse()
             g = random_word(rng, ("x", "y", "z"), max_len=4)
-            ins = _letters(g * r * g.inverse())
-            letters = _letters(w)
+            ins = letters_of(g * r * g.inverse())
+            letters = letters_of(w)
             cut = rng.randint(0, len(letters))
             w2 = Word(tuple(letters[:cut] + ins + letters[cut:]))
             assert g2_normal_form(k, w2) == g2_normal_form(k, w)
@@ -275,7 +270,7 @@ def _g2_normal_form_by_letters(params, w):
     b2 = params.b2
     beta = abs(b2)
     letters = []
-    for g, e in _letters(w):
+    for g, e in letters_of(w):
         if g == "y":
             letters.extend([("z", (1 if b2 > 0 else -1) * e)] * beta)
         else:

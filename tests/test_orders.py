@@ -1,9 +1,11 @@
 """Tests for the positive-cone oracles and order families."""
 
 import random
+import time
 
 import pytest
 
+from twobridge import orders
 from twobridge.cfrac import knot_params
 from twobridge.errors import ConstructionFailed, InternalCheckFailed, \
     ParseError
@@ -14,6 +16,7 @@ from twobridge.orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
                               _magnus_first_sign, _schreier_letters,
                               _t_weight, family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
+from reference import magnus_first_sign_stepped
 
 W = Word.parse
 
@@ -251,15 +254,16 @@ def test_g2_weight_on_normal_forms():
 
 
 def test_g2_layer3_commutator_fixture():
-    # [z, x^-1 z x] lies in the kernel of both pi and t; the Magnus layer
-    # decides it at the first attempted truncation degree
+    # [z, x^-1 z x] lies in the kernel of both pi and t; its Schreier
+    # rewrite has a basis letter of nonzero exponent sum (a^-2 at beta = 2),
+    # so the least degree with a nonzero Magnus coefficient is 1
     for c1, c2 in KNOTS:
         p = knot_params(c1, c2)
         comm = W("z") * W("x^-1 z x") * W("z^-1") * W("x^-1 z^-1 x")
         sign, trace = g2_sign_trace(p, comm)
         assert sign is Sign.NEGATIVE
         assert trace == {"group": "g2", "decided_by": "layer-3-magnus",
-                         "truncation_degree": 2}
+                         "truncation_degree": 1}
         assert ConeOracle(p, "g2").is_positive(comm.inverse()) is Sign.POSITIVE
 
 
@@ -323,15 +327,131 @@ def test_schreier_free_reduction():
 def test_magnus_first_sign_basics():
     a = (1, 1, 0)
     b = (2, 2, 0)
-    assert _magnus_first_sign([(a, 1)], 2) == 1
-    assert _magnus_first_sign([(a, -1)], 2) == -1
-    assert _magnus_first_sign([(a, -1), (a, -1)], 2) == -1
+    assert _magnus_first_sign([(a, 1)], 1) == (1, 1)
+    assert _magnus_first_sign([(a, -1)], 1) == (-1, 1)
+    assert _magnus_first_sign([(a, -1), (a, -1)], 1) == (-1, 1)
     # commutator: lowest graded-lex term is +ab at degree 2
     comm = [(a, 1), (b, 1), (a, -1), (b, -1)]
-    assert _magnus_first_sign(comm, 1) == 0  # undecided at degree 1
-    assert _magnus_first_sign(comm, 2) == 1
+    assert _magnus_first_sign(comm, 1) == (0, 1)  # undecided at degree 1
+    assert _magnus_first_sign(comm, 4) == (1, 2)
     inv = [(b, 1), (a, 1), (b, -1), (a, -1)]
-    assert _magnus_first_sign(inv, 2) == -1
+    assert _magnus_first_sign(inv, 4) == (-1, 2)
+
+
+def _syllables(letters):
+    return 1 + sum(t1 != t2 for (t1, _), (t2, _) in zip(letters,
+                                                         letters[1:]))
+
+
+def _commutator(g, h):
+    return g * h * g.inverse() * h.inverse()
+
+
+def _reduced_token_words(tokens, max_len):
+    """Every nonempty freely reduced word over the tokens and their
+    inverses, up to max_len letters."""
+    layer = [[]]
+    for _ in range(max_len):
+        layer = [w + [(t, e)] for w in layer for t in tokens for e in (1, -1)
+                 if not (w and w[-1] == (t, -e))]
+        yield from layer
+
+
+def _kernel_letters(params, w):
+    """Schreier letters of w if it reaches the Magnus layer, else None."""
+    nf = g2_normal_form(params, w)
+    beta = abs(params.b2)
+    if nf.xpow or _t_weight(beta, nf) or nf.is_identity():
+        return None
+    return _schreier_letters(beta, nf.tail)
+
+
+def test_short_words_are_decided_within_their_syllable_count():
+    # every reduced word up to the length cap, single syllables included
+    a, b, c = (1, 1, 0), (1, 1, 1), (2, 2, 0)
+    for tokens, max_len in (((a, b), 6), ((a, b, c), 4)):
+        for word in _reduced_token_words(tokens, max_len):
+            k = _syllables(word)
+            sign, degree = _magnus_first_sign(word, k)
+            assert sign and degree <= k, word
+            assert (sign, degree) == magnus_first_sign_stepped(word, k), word
+
+
+def test_sparse_magnus_matches_dense_reference():
+    rng = random.Random(61)
+    tokens = [(1, 1, 0), (1, 1, 1), (1, -1, 2), (2, 2, 0)]
+    words = []
+    while len(words) < 300:
+        word = []
+        for _ in range(rng.randint(1, 12)):
+            t, e = rng.choice(tokens), rng.choice((1, -1))
+            if word and word[-1] == (t, -e):
+                word.pop()
+            else:
+                word.append((t, e))
+        if word:
+            words.append(word)
+    # free-kernel words of the g2 pieces: conjugated simple and double
+    # commutators of random kernel elements
+    for c1, c2 in ((3, 4), (7, -6), (3, 6), (5, -6)):
+        p = knot_params(c1, c2)
+        pool = []
+        while len(pool) < 6:
+            k = random_word(rng, "xyz", rng.randint(2, 6))
+            if _kernel_letters(p, k):
+                pool.append(k)
+        for _ in range(25):
+            k1, k2, k3 = rng.sample(pool, 3)
+            g = random_word(rng, "xyz", rng.randint(0, 3))
+            k = _commutator(k1, k2) if rng.random() < 0.5 else \
+                _commutator(_commutator(k1, k2), k3)
+            letters = _kernel_letters(p, g * k * g.inverse())
+            if letters:
+                words.append(letters)
+    for c1, c2 in ((3, 4), (3, 6), (5, -6)):
+        p = knot_params(c1, c2)
+        for w in nested_commutators(4):
+            words.append(_kernel_letters(p, w))
+    for word in words:
+        k = _syllables(word)
+        assert _magnus_first_sign(word, k) == \
+            magnus_first_sign_stepped(word, k), word
+
+
+def nested_commutators(depth):
+    """c1 = [u, v], c(k+1) = [ck, u or v, alternating], for the kernel
+    elements u = z x^-1 z x and v = z x z x^-1."""
+    u, v = W("z x^-1 z x"), W("z x z x^-1")
+    out = [_commutator(u, v)]
+    while len(out) < depth:
+        out.append(_commutator(out[-1], u if len(out) % 2 else v))
+    return out
+
+
+@pytest.mark.parametrize("knot, depth, sign, degree, seconds", [
+    ((3, 6), 4, Sign.NEGATIVE, 5, None),
+    ((3, 6), 5, Sign.NEGATIVE, 6, 0.5),
+    ((3, 6), 6, Sign.POSITIVE, 7, 2.0),
+    ((3, 8), 4, Sign.NEGATIVE, 5, None),
+])
+def test_deep_commutators_pinned(knot, depth, sign, degree, seconds):
+    p = knot_params(*knot)
+    w = nested_commutators(depth)[-1]
+    t0 = time.perf_counter()
+    got, trace = g2_sign_trace(p, w)
+    elapsed = time.perf_counter() - t0
+    assert (got, trace) == (sign, {"group": "g2",
+                                   "decided_by": "layer-3-magnus",
+                                   "truncation_degree": degree})
+    if seconds is not None:
+        assert elapsed < seconds, elapsed
+
+
+def test_undecided_magnus_answer_raises(monkeypatch):
+    monkeypatch.setattr(orders, "_magnus_first_sign",
+                        lambda letters, max_degree: (0, max_degree))
+    with pytest.raises(InternalCheckFailed, match="syllable count"):
+        g2_sign_trace(knot_params(3, 6), nested_commutators(1)[0])
 
 
 # --------------------------------------------------------------------------
