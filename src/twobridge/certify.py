@@ -6,8 +6,8 @@ the gluing:
 
 * ``audit_cone`` - the sign oracle of one piece really describes a positive
   cone: trichotomy on a full ball of words, closure under products on
-  sampled positive pairs, and agreement with the normal-form word problem
-  about the identity.
+  sampled positive pairs (signed through the oracle's ``product_sign``),
+  and agreement with the normal-form word problem about the identity.
 * ``check_navas_law`` - in every conjugate of the base G1 order, peripheral
   elements mu^r h^s are signed lexicographically: by s, then by r with the
   direction set by the conjugated sign of mu.
@@ -218,7 +218,7 @@ def audit_cone(oracle, budget: SampleBudget) -> CertificateReport:
         for _ in range(budget.semigroup_samples):
             w1 = positives[rng.randrange(len(positives))]
             w2 = positives[rng.randrange(len(positives))]
-            s = oracle.is_positive(w1 * w2)
+            s = oracle.product_sign(w1, w2)
             ok = s is Sign.POSITIVE
             report.record("semigroup", ok, None if ok else Counterexample(
                 "semigroup", (str(w1), str(w2)),
@@ -233,8 +233,9 @@ def audit_cone(oracle, budget: SampleBudget) -> CertificateReport:
 
 class _Signer:
     """``pattern(c)`` maps the box to the signs of mu^r h^s (G1) or
-    y^r (z x^2)^s (G2) in the member conjugated by c: through cached lifted
-    transformations for G1, through ``family_is_positive`` for G2."""
+    y^r (z x^2)^s (G2) in the member conjugated by c: for G1 by deciding
+    cached lifted transformations at the test points moved by c^-1, for G2
+    through ``family_is_positive``."""
 
     def __init__(self, params: TwoBridgeParams, group: str, bound: int,
                  _corrupt=None):
@@ -256,10 +257,11 @@ class _Signer:
 
     def pattern(self, c: Word) -> dict:
         if self.group == "g1":
-            c_lift = self._real.lifted(c)
-            c_inv = c_lift.inverse()
-            signs = [self._real.decide(c_lift * g * c_inv)[0]
-                     for g in self._lifts]
+            # c^-1 is an increasing map of the line, so c g c^-1 moves the
+            # test point p_i as g moves c^-1(p_i): move the points instead
+            c_inv = self._real.lifted(c).inverse()
+            points = [c_inv.apply(p) for p in self._real.test_points]
+            signs = [self._real.decide(g, points)[0] for g in self._lifts]
         else:
             spec = OrderFamilySpec("g2", c)
             signs = [family_is_positive(self.oracle, spec, w)
@@ -497,6 +499,9 @@ class _CorruptedOracle:
     def is_positive(self, w: Word) -> Sign:
         return self._override(w, self.base.is_positive(w))
 
+    def product_sign(self, w1: Word, w2: Word) -> Sign:
+        return self._override(w1 * w2, self.base.product_sign(w1, w2))
+
     def word_is_identity(self, w: Word) -> bool:
         return self.base.word_is_identity(w)
 
@@ -506,39 +511,39 @@ MUTATIONS = ("cone-sign-flip", "cone-identity-positive",
              "compatibility-image-reversed")
 
 
-def run_mutation_selftests(params: TwoBridgeParams,
-                           budget: SampleBudget | None = None) -> dict:
-    """Inject five distinct corruptions at the oracle seams and report,
-    for each, whether the harness detected it (verdict not Certified)."""
-    if budget is None:
-        budget = SampleBudget(ball_radius=3, conjugator_length=2,
-                              peripheral_bound=2, semigroup_samples=300,
-                              member_samples=8, seed=0)
-    results = {}
+SELFTEST_BUDGET = SampleBudget(ball_radius=3, conjugator_length=2,
+                               peripheral_bound=2, semigroup_samples=300,
+                               member_samples=8, seed=0)
 
+
+def mutation_reports(params: TwoBridgeParams,
+                     budget: SampleBudget = SELFTEST_BUDGET) -> dict:
+    """The report of each check run under one of five distinct corruptions
+    injected at the oracle seams, keyed by the names in MUTATIONS."""
     target = Word((("a", 1),))
-    oracle = _CorruptedOracle(
+    flipped_a = _CorruptedOracle(
         ConeOracle(params, "g1"),
         lambda w, s: s.flipped() if w == target else s)
-    results["cone-sign-flip"] = audit_cone(oracle, budget).verdict
-
-    oracle = _CorruptedOracle(
+    identity_positive = _CorruptedOracle(
         ConeOracle(params, "g2"),
         lambda w, s: Sign.POSITIVE if s is Sign.IDENTITY else s)
-    results["cone-identity-positive"] = audit_cone(oracle, budget).verdict
-
-    report = check_navas_law(
-        params, budget,
-        _corrupt=lambda c, r, s, sign: sign.flipped() if s < 0 else sign)
-    results["navas-negative-side-flip"] = report.verdict
-
     base = _Signer(params, "g2", budget.peripheral_bound).pattern(Word())
-    report = check_restriction_law(
-        params, budget, _corrupt=lambda c, r, s, sign: base[(r, s)])
-    results["restriction-conjugation-dropped"] = report.verdict
+    return {
+        "cone-sign-flip": audit_cone(flipped_a, budget),
+        "cone-identity-positive": audit_cone(identity_positive, budget),
+        "navas-negative-side-flip": check_navas_law(
+            params, budget,
+            _corrupt=lambda c, r, s, sign: sign.flipped() if s < 0 else sign),
+        "restriction-conjugation-dropped": check_restriction_law(
+            params, budget, _corrupt=lambda c, r, s, sign: base[(r, s)]),
+        "compatibility-image-reversed": certify_compatibility(
+            params, budget, _corrupt=lambda d, r, s, sign: sign.flipped()),
+    }
 
-    report = certify_compatibility(
-        params, budget, _corrupt=lambda d, r, s, sign: sign.flipped())
-    results["compatibility-image-reversed"] = report.verdict
 
-    return {name: results[name] != "Certified" for name in MUTATIONS}
+def run_mutation_selftests(params: TwoBridgeParams,
+                           budget: SampleBudget = SELFTEST_BUDGET) -> dict:
+    """Inject five distinct corruptions at the oracle seams and report,
+    for each, whether the harness detected it (verdict not Certified)."""
+    reports = mutation_reports(params, budget)
+    return {name: reports[name].verdict != "Certified" for name in MUTATIONS}

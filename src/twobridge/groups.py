@@ -197,12 +197,6 @@ def g1_normal_form(params: TwoBridgeParams, w: Word) -> G1Element:
     return G1Element(delta=tuple(stack), central=central)
 
 
-def g1_element_word(elem: G1Element) -> Word:
-    """A word representing the element: the section letters followed by
-    h^central = a^(2*central)."""
-    return Word(tuple(elem.delta) + (("a", 2 * elem.central),))
-
-
 # ---------------------------------------------------------------- G2
 
 
@@ -246,14 +240,3 @@ def g2_normal_form(params: TwoBridgeParams, w: Word) -> G2Element:
         if r:
             stack.append((right, r))
     return G2Element(xpow=xpow, tail=tuple(stack), central=central)
-
-
-def g2_element_word(params: TwoBridgeParams, elem: G2Element) -> Word:
-    """A word over {x, z} representing the element:
-    x^xpow * prod x^-i z^r x^i * z^(beta*central)."""
-    beta = abs(params.b2)
-    syllables = [("x", elem.xpow)]
-    for i, r in elem.tail:
-        syllables += [("x", -i), ("z", r), ("x", i)]
-    syllables.append(("z", beta * elem.central))
-    return Word(tuple(syllables))

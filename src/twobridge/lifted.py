@@ -105,18 +105,6 @@ class LiftedPoint:
             return NotImplemented
         return self._cmp(other) == 0
 
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def __hash__(self):
         raise TypeError("lifted points are not hashable")
 
@@ -126,7 +114,7 @@ class LiftedPoint:
 
 class Moebius:
     """A unimodular 2x2 matrix over the field, canonicalized up to sign
-    (first nonzero entry positive), acting on projective points."""
+    (first nonzero entry positive); ``lift0_apply`` moves points by it."""
 
     __slots__ = ("field", "a", "b", "c", "d")
 
@@ -159,10 +147,6 @@ class Moebius:
     def inverse(self) -> "Moebius":
         return Moebius(self.field, self.d, -self.b, -self.c, self.a)
 
-    def apply(self, p: ProjectivePoint) -> ProjectivePoint:
-        return ProjectivePoint(self.a * p.u + self.b * p.v,
-                               self.c * p.u + self.d * p.v)
-
     def trace(self) -> FieldElement:
         return self.a + self.d
 
@@ -184,13 +168,15 @@ class Moebius:
 
 def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
     """Apply the distinguished lift of ``m`` to a cover point."""
-    q = m.apply(p.point)
+    u, v = p.point.u, p.point.v
+    denom = m.c * u + m.d * v
+    q = ProjectivePoint(m.a * u + m.b * v, denom)
     if m.c.is_zero():
         return LiftedPoint(p.wind, q)
     if not p.point.finite:
         return LiftedPoint(p.wind + 1, q)
     # position of u/v relative to the pole -d/c, via sign((c*u + d*v) * c)
-    s = (m.c * p.point.u + m.d * p.point.v).sign() * m.c.sign()
+    s = denom.sign() * m.c.sign()
     return LiftedPoint(p.wind + (1 if s > 0 else 0), q)
 
 

@@ -152,9 +152,15 @@ class G1Realization:
             acc = acc * (pair[0] if e > 0 else pair[1]) ** abs(e)
         return acc
 
-    def decide(self, g: LiftedMoebius) -> tuple[Sign, dict]:
-        """Sign of a lifted element by its first moved test point."""
-        for idx, p in enumerate(self.test_points):
+    def decide(self, g: LiftedMoebius, points=None) -> tuple[Sign, dict]:
+        """Sign of a lifted element by its first moved test point.
+
+        ``points`` replaces the test points by their images m(p_i) under
+        an increasing map m of the line: g is then decided as m^-1 g m,
+        which moves p_i exactly when g moves m(p_i), in the same direction.
+        """
+        for idx, p in enumerate(self.test_points if points is None
+                                else points):
             c = g.apply(p)._cmp(p)
             if c:
                 return (Sign.POSITIVE if c > 0 else Sign.NEGATIVE,
@@ -176,12 +182,14 @@ def g1_realization(params: TwoBridgeParams,
 
 
 def g1_sign_trace(params: TwoBridgeParams, w: Word,
-                  _realization: G1Realization | None = None) \
-        -> tuple[Sign, dict]:
+                  _realization: G1Realization | None = None,
+                  _lift: LiftedMoebius | None = None) -> tuple[Sign, dict]:
+    """Sign of w from its lift (``_lift`` if already known), cross-checked
+    against the normal form's verdict about the identity."""
     real = _realization if _realization is not None else \
         g1_realization(params)
     trivial = g1_normal_form(params, w).is_identity()
-    sign, trace = real.decide(real.lifted(w))
+    sign, trace = real.decide(real.lifted(w) if _lift is None else _lift)
     if (sign is Sign.IDENTITY) != trivial:
         raise InternalCheckFailed(
             "lifted action and normal form disagree about "
@@ -334,6 +342,8 @@ class ConeOracle:
         self.params = params
         self.group = group
         self._realization = g1_realization(params) if group == "g1" else None
+        # g1: the lift of every factor product_sign has seen
+        self._lifts: dict[Word, LiftedMoebius] = {}
 
     def sign_trace(self, w: Word) -> tuple[Sign, dict]:
         if self.group == "g1":
@@ -342,6 +352,19 @@ class ConeOracle:
 
     def is_positive(self, w: Word) -> Sign:
         return self.sign_trace(w)[0]
+
+    def product_sign(self, w1: Word, w2: Word) -> Sign:
+        """Sign of w1 w2.  For g1 each factor is lifted once per oracle, so
+        a product costs one lifted product; the normal form of w1 w2 still
+        cross-checks the identity on every call."""
+        if self.group == "g2":
+            return self.is_positive(w1 * w2)
+        lifts = self._lifts
+        for w in (w1, w2):
+            if w not in lifts:
+                lifts[w] = self._realization.lifted(w)
+        return g1_sign_trace(self.params, w1 * w2, self._realization,
+                             lifts[w1] * lifts[w2])[0]
 
     def word_is_identity(self, w: Word) -> bool:
         """Normal-form equality oracle (independent of the sign decision

@@ -1,4 +1,7 @@
-"""Slow exact routes that the tests compare the fast paths against."""
+"""Slow exact routes that the tests compare the fast paths against, and
+helpers that only the tests need."""
+
+from twobridge.groups import Word
 
 
 def letters_of(w):
@@ -51,3 +54,37 @@ def magnus_first_sign_stepped(letters, max_degree: int) -> tuple[int, int]:
         if s:
             return s, degree
     return 0, max_degree
+
+
+def cover_increasing(*points) -> bool:
+    """True iff the lifted points are strictly increasing on the cover
+    line, left to right."""
+    return all(p._cmp(q) < 0 for p, q in zip(points, points[1:]))
+
+
+def g1_element_word(elem) -> Word:
+    """A word representing a G1 normal form: the section letters followed
+    by h^central = a^(2*central)."""
+    return Word(tuple(elem.delta) + (("a", 2 * elem.central),))
+
+
+def g2_element_word(params, elem) -> Word:
+    """A word over {x, z} representing a G2 normal form:
+    x^xpow * prod x^-i z^r x^i * z^(beta*central)."""
+    beta = abs(params.b2)
+    syllables = [("x", elem.xpow)]
+    for i, r in elem.tail:
+        syllables += [("x", -i), ("z", r), ("x", i)]
+    syllables.append(("z", beta * elem.central))
+    return Word(tuple(syllables))
+
+
+def pattern_by_products(signer, c) -> dict:
+    """The G1 peripheral pattern of the member conjugated by c, deciding
+    each box element g as the lifted product c g c^-1 at the fixed test
+    points; the reference for ``_Signer.pattern``."""
+    real = signer._real
+    c_lift = real.lifted(c)
+    c_inv = c_lift.inverse()
+    return {v: real.decide(c_lift * g * c_inv)[0]
+            for v, g in zip(signer.box, signer._lifts)}

@@ -1,5 +1,6 @@
 """Tests for the certification harness."""
 
+import hashlib
 import json
 import random
 
@@ -7,14 +8,16 @@ import pytest
 
 from twobridge.cfrac import knot_params
 from twobridge.certify import (MUTATIONS, CertificateReport, Counterexample,
-                               SampleBudget, _CorruptedOracle,
+                               SampleBudget, _CorruptedOracle, _Signer,
                                _sample_conjugators, audit_cone, ball,
                                certify_compatibility, check_navas_law,
-                               check_restriction_law, overall_verdict,
-                               run_checks, run_mutation_selftests)
+                               check_restriction_law, mutation_reports,
+                               overall_verdict, run_checks,
+                               run_mutation_selftests)
 from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import Word
 from twobridge.orders import ConeOracle, Sign
+from reference import pattern_by_products
 
 SMALL = SampleBudget(ball_radius=3, conjugator_length=2, peripheral_bound=2,
                      semigroup_samples=300, member_samples=10, seed=1)
@@ -268,3 +271,106 @@ def test_counterexamples_capped_but_counted():
     assert len(rep.counterexamples) <= 20
     total_failures = sum(slot["failures"] for slot in rep.counts.values())
     assert total_failures > 20
+
+
+# ------------------------------------------- fast routes against references
+
+@pytest.mark.parametrize("c1,c2", [(3, 4), (5, 4), (7, -6)])  # b1 = 1, 2, 3
+def test_g1_pattern_matches_conjugated_products(c1, c2):
+    signer = _Signer(knot_params(c1, c2), "g1", 2)
+    conjugators = ball(("a", "b"), 3)
+    for c in conjugators:
+        assert signer.pattern(c) == pattern_by_products(signer, c), str(c)
+    # every conjugate of mu is positive and h is central, so the box is
+    # signed alike in every member; words of length 4 are not
+    signer.box = ball(("a", "b"), 4)[len(conjugators):]
+    signer._lifts = [signer._real.lifted(w) for w in signer.box]
+    for c in conjugators:
+        assert signer.pattern(c) == pattern_by_products(signer, c), str(c)
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_product_sign_matches_word_route(group):
+    rng = random.Random(7)
+    words = ball(("a", "b") if group == "g1" else ("x", "z"), 3)
+    pairs = [(rng.choice(words), rng.choice(words)) for _ in range(150)]
+    pairs += [(w, w.inverse()) for w in words[:20]]  # identity branch
+    # w2 starts by cancelling the last letter of w1
+    pairs += [(w, Word(((g, -1 if e > 0 else 1),)) * v)
+              for w, v in pairs[:60] if w.syllables
+              for g, e in w.syllables[-1:]]
+    for knot in ((3, 4), (7, -6)):
+        oracle = ConeOracle(knot_params(*knot), group)
+        reference = ConeOracle(knot_params(*knot), group)
+        for w1, w2 in pairs:
+            assert oracle.product_sign(w1, w2) is \
+                reference.is_positive(w1 * w2), (str(w1), str(w2))
+
+
+def test_product_sign_keeps_the_identity_cross_check():
+    oracle = ConeOracle(knot_params(3, 4), "g1")
+    a, b = Word((("a", 1),)), Word((("b", 1),))
+    oracle._lifts[a] = oracle._realization.lifted(b.inverse())  # a stale lift
+    with pytest.raises(InternalCheckFailed):
+        oracle.product_sign(a, b)
+
+
+def test_semigroup_only_word_corruption_detected():
+    """A corruption of one word that audit_cone meets only as a sampled
+    product w1 w2 (longer than the ball radius) is refuted under
+    semigroup."""
+    p = knot_params(3, 4)
+    seen = []
+    audit_cone(_CorruptedOracle(ConeOracle(p, "g1"),
+                                lambda w, s: seen.append(w) or s), SMALL)
+    target = next(w for w in seen if len(w) > SMALL.ball_radius)
+    rep = audit_cone(_CorruptedOracle(
+        ConeOracle(p, "g1"), lambda w, s: s.flipped() if w == target else s),
+        SMALL)
+    assert rep.verdict == "Refuted"
+    assert rep.counts["semigroup"]["failures"] >= 1
+    assert rep.counts["trichotomy"]["failures"] == 0
+    assert rep.counts["identity"]["failures"] == 0
+    assert rep.counterexamples[0].check == "semigroup"
+
+
+# sha256 of each mutation report's sorted-key JSON at the self-test budget.
+# Reusing lifts (cached factors in the cone audit, moved test points in the
+# peripheral checks) must leave every count and counterexample as it was
+# with lifted products formed for every word.
+MUTATION_REPORT_DIGESTS = {
+    (3, 4): {
+        "cone-sign-flip": "c7c4dde4b4855fc0728f62c6f2800a3c"
+                          "17285983a39396d3747a1a38b2cea369",
+        "cone-identity-positive": "8fe77e7d98a7e2467ba508eb8eeccbe3"
+                                  "ba1da5f53a1445cc719496ad875f9558",
+        "navas-negative-side-flip": "7b70564258a6a747b9a386c01d8b0fb7"
+                                    "08a3e8ad086421aeaead76f30c8ce138",
+        "restriction-conjugation-dropped": "d2508aa023ea5829ba786c56bd859518"
+                                           "8cfd9aeb50a97e4284a4c5f64afc4328",
+        "compatibility-image-reversed": "5daf9023a5516435f37e74be2d7267d9"
+                                        "6adb62d440128b11310ad3fdb5ecf2ea",
+    },
+    (7, -6): {
+        "cone-sign-flip": "db3c9fc57fee343cce3010fd1d40bc1a"
+                          "2067116afe71cdd3cbdc5202bee621f5",
+        "cone-identity-positive": "3c79c084b250053fac1b9e7780d6ae56"
+                                  "3cd7801915ec67ca58635bc03b39ba40",
+        "navas-negative-side-flip": "3fb15a87048490080781af609e81a7a0"
+                                    "e5ed98e6f367deb31f63679ba2beb8ee",
+        "restriction-conjugation-dropped": "f7c1628b2ac268ea12d7c02333e3aa02"
+                                           "33c1050a4a7878975905067b22aa13e0",
+        "compatibility-image-reversed": "bbc182b683e9e9fe45ab093b73cd0734"
+                                        "14ff13e10348d95292a8b3b16d04b2d7",
+    },
+}
+
+
+@pytest.mark.parametrize("knot", sorted(MUTATION_REPORT_DIGESTS))
+def test_mutation_reports_unchanged(knot):
+    reports = mutation_reports(knot_params(*knot))
+    assert list(reports) == list(MUTATIONS)
+    got = {name: hashlib.sha256(json.dumps(
+        rep.as_dict(), sort_keys=True).encode()).hexdigest()
+        for name, rep in reports.items()}
+    assert got == MUTATION_REPORT_DIGESTS[knot]

@@ -5,10 +5,9 @@ import pytest
 from twobridge.cfrac import knot_params
 from twobridge.errors import ParseError
 from twobridge.groups import (G1Element, G2Element, W, Word,
-                              g1_element_word, g1_normal_form,
-                              g2_element_word, g2_normal_form,
+                              g1_normal_form, g2_normal_form,
                               peripheral_word, presentations)
-from reference import letters_of
+from reference import g1_element_word, g2_element_word, letters_of
 
 KNOTS = [knot_params(3, 4), knot_params(3, -4),
          knot_params(5, 4), knot_params(7, -6)]
