@@ -19,13 +19,21 @@ and that cocycle is read from three signs of lower-left entries (the
 classical cocycle of the universal cover of PSL(2, R); Ghys, "Groups
 acting on the circle", 2001, section 6).  Composing never evaluates the
 action; only ``apply`` moves points.
+
+A matrix product builds each entry with one fused ``mul_add`` (two
+convolutions, one reduction), and so does the unimodularity check every
+``Moebius`` passes.  Each ``Moebius`` signs its lower-left entry once, at
+construction, and records whether canonicalization negated it.  Two of
+the cocycle's signs are then the factors' stored ones, and the third is
+the product's own c as built, so a lifted product computes one new sign
+for the cocycle.
 All arithmetic is exact over a ``NumberField``.
 """
 
 from __future__ import annotations
 
 from .errors import InternalCheckFailed
-from .numberfield import FieldElement, NumberField
+from .numberfield import FieldElement, NumberField, mul_add
 
 
 class ProjectivePoint:
@@ -114,35 +122,40 @@ class LiftedPoint:
 
 class Moebius:
     """A unimodular 2x2 matrix over the field, canonicalized up to sign
-    (first nonzero entry positive); ``lift0_apply`` moves points by it."""
+    (first nonzero entry positive); ``lift0_apply`` moves points by it.
 
-    __slots__ = ("field", "a", "b", "c", "d")
+    Construction checks unimodularity and signs the lower-left entry once:
+    ``c_sign`` is the sign of the stored c, and ``flipped`` records whether
+    canonicalization negated the matrix, so the entry as built had sign
+    -c_sign when ``flipped``.
+    """
 
-    def __init__(self, field: NumberField, a, b, c, d, _checked=False):
-        if not _checked:
-            if (a * d - b * c) != field.one:
-                raise InternalCheckFailed("matrix is not unimodular")
-            for entry in (a, b, c, d):
-                s = entry.sign()
-                if s:
-                    if s < 0:
-                        a, b, c, d = -a, -b, -c, -d
-                    break
+    __slots__ = ("field", "a", "b", "c", "d", "c_sign", "flipped")
+
+    def __init__(self, field: NumberField, a, b, c, d):
+        if mul_add(a, d, b, -c) != field.one:
+            raise InternalCheckFailed("matrix is not unimodular")
+        c_sign = c.sign()
+        # a == 0 forces b*c = -1, so the first nonzero entry is a or b
+        flipped = (a if not a.is_zero() else b).sign() < 0
+        if flipped:
+            a, b, c, d = -a, -b, -c, -d
+            c_sign = -c_sign
         self.field = field
         self.a, self.b, self.c, self.d = a, b, c, d
+        self.c_sign = c_sign
+        self.flipped = flipped
 
     @classmethod
     def identity(cls, field: NumberField) -> "Moebius":
-        return cls(field, field.one, field.zero, field.zero, field.one,
-                   _checked=True)
+        return cls(field, field.one, field.zero, field.zero, field.one)
 
     def __mul__(self, other: "Moebius") -> "Moebius":
-        return Moebius(
-            self.field,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d)
+        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
+        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
+        return Moebius(self.field,
+                       mul_add(a1, a2, b1, c2), mul_add(a1, b2, b1, d2),
+                       mul_add(c1, a2, d1, c2), mul_add(c1, b2, d1, d2))
 
     def inverse(self) -> "Moebius":
         return Moebius(self.field, self.d, -self.b, -self.c, self.a)
@@ -151,7 +164,9 @@ class Moebius:
         return self.a + self.d
 
     def is_identity(self) -> bool:
-        return self == Moebius.identity(self.field)
+        one = self.field.one.coeffs
+        return not self.c_sign and self.b.is_zero() and \
+            self.a.coeffs == one and self.d.coeffs == one
 
     def __eq__(self, other):
         if not isinstance(other, Moebius):
@@ -169,30 +184,33 @@ class Moebius:
 def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
     """Apply the distinguished lift of ``m`` to a cover point."""
     u, v = p.point.u, p.point.v
-    denom = m.c * u + m.d * v
-    q = ProjectivePoint(m.a * u + m.b * v, denom)
-    if m.c.is_zero():
+    denom = mul_add(m.c, u, m.d, v)
+    q = ProjectivePoint(mul_add(m.a, u, m.b, v), denom)
+    if not m.c_sign:
         return LiftedPoint(p.wind, q)
     if not p.point.finite:
         return LiftedPoint(p.wind + 1, q)
     # position of u/v relative to the pole -d/c, via sign((c*u + d*v) * c)
-    s = denom.sign() * m.c.sign()
+    s = denom.sign() * m.c_sign
     return LiftedPoint(p.wind + (1 if s > 0 else 0), q)
 
 
-def _cocycle(m1: Moebius, m2: Moebius) -> int:
-    """Integer k with lift0(m1) lift0(m2) = lift0(m1 m2) T1^k.
+def _cocycle(m1: Moebius, m2: Moebius, prod: Moebius) -> int:
+    """Integer k with lift0(m1) lift0(m2) = lift0(m1 m2) T1^k, where
+    ``prod`` is the matrix product m1 * m2.
 
     Follow infinity at level 0: lift0(m2) raises it to a2/c2 at level 1
     when c2 != 0, and lift0(m1) raises that point once more exactly when
     it lies at or right of the pole -d1/c1, while lift0(m1 m2) raises
     infinity once when its lower-left entry c1 a2 + d1 c2 is nonzero.
-    That entry is taken before sign canonicalization, which may negate it.
+    That entry is the product's c as built, before sign canonicalization
+    negated it when ``prod.flipped``.
     """
-    s1, s2 = m1.c.sign(), m2.c.sign()
+    s1, s2 = m1.c_sign, m2.c_sign
     if not (s1 and s2):
         return 0
-    return 1 if (m1.c * m2.a + m1.d * m2.c).sign() * s1 * s2 >= 0 else 0
+    raw = -prod.c_sign if prod.flipped else prod.c_sign
+    return 1 if raw * s1 * s2 >= 0 else 0
 
 
 class LiftedMoebius:
@@ -223,13 +241,13 @@ class LiftedMoebius:
             return LiftedMoebius(other.matrix, self.wind + other.wind)
         if other.matrix.is_identity():
             return LiftedMoebius(self.matrix, self.wind + other.wind)
-        k = _cocycle(self.matrix, other.matrix)
-        return LiftedMoebius(self.matrix * other.matrix,
-                             k + self.wind + other.wind)
+        prod = self.matrix * other.matrix
+        k = _cocycle(self.matrix, other.matrix, prod)
+        return LiftedMoebius(prod, k + self.wind + other.wind)
 
     def inverse(self) -> "LiftedMoebius":
         # lift0(m) lift0(m^-1) = T1 when m moves infinity, else identity
-        k = 0 if self.matrix.c.is_zero() else 1
+        k = 1 if self.matrix.c_sign else 0
         return LiftedMoebius(self.matrix.inverse(), -k - self.wind)
 
     def __pow__(self, e: int) -> "LiftedMoebius":

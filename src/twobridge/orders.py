@@ -94,7 +94,7 @@ class G1Realization:
     """
 
     __slots__ = ("b1", "n", "field", "a_lift", "b_lift", "h_lift", "mu_lift",
-                 "test_points", "_gen_lifts")
+                 "test_points", "_powers")
 
     def __init__(self, b1: int, field: NumberField | None = None):
         if b1 < 1:
@@ -136,21 +136,32 @@ class G1Realization:
             LiftedPoint(0, ProjectivePoint(-f.one, f.one)),
             LiftedPoint(0, infinity(f)),
         )
-        a_inv = self.a_lift.inverse()
-        b_inv = self.b_lift.inverse()
-        self._gen_lifts = {"a": (self.a_lift, a_inv),
-                           "b": (self.b_lift, b_inv)}
+        # g~^r for 0 <= r < order(g); g~^order = h~ was checked above
+        self._powers = {}
+        for gen, g, order in (("a", self.a_lift, 2), ("b", self.b_lift, n)):
+            table = [LiftedMoebius.translation(f, 0)]
+            for _ in range(1, order):
+                table.append(table[-1] * g)
+            self._powers[gen] = tuple(table)
 
     def lifted(self, w: Word) -> LiftedMoebius:
-        """The lifted transformation represented by a word over {a, b}."""
+        """The lifted transformation represented by a word over {a, b}.
+
+        A syllable g^e is g~^(e mod order) from the power table times
+        h~^(e div order); h~ = T1^(2*b1-1) is central, so its winding is
+        added once at the end."""
         acc = LiftedMoebius.translation(self.field, 0)
+        wraps = 0
         for gen, e in w.syllables:
-            pair = self._gen_lifts.get(gen)
-            if pair is None:
+            table = self._powers.get(gen)
+            if table is None:
                 raise ParseError(
                     "G1 words use generators a, b only, got %r" % gen)
-            acc = acc * (pair[0] if e > 0 else pair[1]) ** abs(e)
-        return acc
+            q, r = divmod(e, len(table))
+            wraps += q
+            if r:
+                acc = acc * table[r]
+        return LiftedMoebius(acc.matrix, acc.wind + wraps * self.h_lift.wind)
 
     def decide(self, g: LiftedMoebius, points=None) -> tuple[Sign, dict]:
         """Sign of a lifted element by its first moved test point.

@@ -2,6 +2,8 @@
 helpers that only the tests need."""
 
 from twobridge.groups import Word
+from twobridge.lifted import LiftedMoebius, LiftedPoint, boundary_zero, \
+    lift0_apply
 
 
 def letters_of(w):
@@ -88,3 +90,69 @@ def pattern_by_products(signer, c) -> dict:
     c_inv = c_lift.inverse()
     return {v: real.decide(c_lift * g * c_inv)[0]
             for v, g in zip(signer.box, signer._lifts)}
+
+
+def cocycle_by_evaluation(m1, m2, prod) -> int:
+    """The reference cocycle: the level difference of lift0(m1) lift0(m2)
+    and lift0(prod), prod = m1 m2, at the point 0 of level 0, whose
+    projections must agree."""
+    p = LiftedPoint(0, boundary_zero(m1.field))
+    z1 = lift0_apply(m1, lift0_apply(m2, p))
+    z2 = lift0_apply(prod, p)
+    assert z1.point == z2.point
+    return z1.wind - z2.wind
+
+
+def reference_sign(e) -> int:
+    """Exact sign by interval Horner evaluation on the Sturm-certified
+    interval, bisecting until zero is excluded: the refinement used before
+    the integer filter, kept here as the reference."""
+    if e.is_zero():
+        return 0
+    psi = e.field.psi
+    lo, hi = e.field._certify_interval()
+    while True:
+        if lo == hi:
+            v = sum(c * lo ** i for i, c in enumerate(e.coeffs))
+            return (v > 0) - (v < 0)
+        mn = mx = e.coeffs[-1]
+        for c in reversed(e.coeffs[:-1]):
+            cands = (mn * lo, mn * hi, mx * lo, mx * hi)
+            mn, mx = min(cands) + c, max(cands) + c
+        if mn > 0:
+            return 1
+        if mx < 0:
+            return -1
+        mid = (lo + hi) / 2
+        s = sum(c * mid ** i for i, c in enumerate(psi))
+        if s == 0:
+            lo = hi = mid
+        elif s < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def moebius_product_entrywise(m1, m2) -> tuple[tuple, bool]:
+    """The product m1 m2 by eight ring products through ``FieldElement``,
+    its determinant checked the same way: (canonical entries (a, b, c, d),
+    whether canonicalization negated the entries as built)."""
+    entries = (m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
+               m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
+    a, b, c, d = entries
+    assert a * d - b * c == m1.field.one
+    lead = next(s for s in (e.sign() for e in entries) if s)
+    if lead < 0:
+        entries = tuple(-e for e in entries)
+    return entries, lead < 0
+
+
+def lifted_by_powers(real, w) -> LiftedMoebius:
+    """The lift of a G1 word, each syllable g^e formed by square and
+    multiply from the generator's lift or its inverse."""
+    gens = {"a": real.a_lift, "b": real.b_lift}
+    acc = LiftedMoebius.translation(real.field, 0)
+    for gen, e in w.syllables:
+        g = gens[gen] if e > 0 else gens[gen].inverse()
+        acc = acc * g ** abs(e)
+    return acc

@@ -1,5 +1,6 @@
 """CLI tests: golden JSON documents, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -264,6 +265,35 @@ def test_certify_deterministic_output(capsys):
     cli.main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+# sha256 of the stdout of `certify --check all` at the benchmark's
+# certify-reps budget.  Changes to the arithmetic under the g1 path (the
+# ring kernel, the lifted product, word lifting) must leave every byte of
+# these documents as it was.
+CERTIFY_REPS_DIGESTS = {
+    (3, 4): "fb8b3d810f9985c29dbe60ee61ce6f50"
+            "19217ed173c7e476d8c2922408f14dba",
+    (3, -4): "d6e9034bc64f2eea24270f8f442b8051"
+             "75e056644941912694ce20762a9801dd",
+    (5, 4): "615c8684e81cda265db6ffe7724ae54f"
+            "1e60aa64b3bd58d0c5886b33b78438b0",
+    (7, -6): "80388a9cef5d1452df752319f55d6591"
+             "2c475d2a5d3cc465051cb10e62858eed",
+}
+
+
+def test_certify_reps_budget_reports_pinned(capsys):
+    got = {}
+    for c1, c2 in CERTIFY_REPS_DIGESTS:
+        argv = ["certify", "--c1", str(c1), "--c2", str(c2), "--check",
+                "all", "--radius", "3", "--conj-len", "2",
+                "--peripheral-box", "2", "--samples", "300", "--members",
+                "10", "--seed", "0"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        got[c1, c2] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == CERTIFY_REPS_DIGESTS
 
 
 def test_out_file_writes_copy(capsys, tmp_path):

@@ -6,12 +6,12 @@ from twobridge import lifted
 from twobridge.certify import ball
 from twobridge.errors import InternalCheckFailed
 from twobridge.lifted import (LiftedMoebius, LiftedPoint, Moebius,
-                              ProjectivePoint, boundary_zero, infinity,
-                              lift0_apply, order_n_rotation,
-                              order_two_rotation)
+                              ProjectivePoint, infinity, lift0_apply,
+                              order_n_rotation, order_two_rotation)
 from twobridge.numberfield import real_cyclotomic_field
 from twobridge.orders import G1Realization
-from reference import cover_increasing
+from reference import (cocycle_by_evaluation, cover_increasing,
+                       moebius_product_entrywise)
 
 F5 = real_cyclotomic_field(5)
 
@@ -174,17 +174,6 @@ def test_pow_matches_repeated_product():
 
 # ------------------------------------------------ the sign-only cocycle
 
-def _cocycle_by_evaluation(m1: Moebius, m2: Moebius, prod: Moebius) -> int:
-    """The reference cocycle: the level difference of lift0(m1) lift0(m2)
-    and lift0(prod), prod = m1 m2, at the point 0 of level 0, whose
-    projections must agree."""
-    p = LiftedPoint(0, boundary_zero(m1.field))
-    z1 = lift0_apply(m1, lift0_apply(m2, p))
-    z2 = lift0_apply(prod, p)
-    assert z1.point == z2.point
-    return z1.wind - z2.wind
-
-
 def _ball_lifts(b1: int, radius: int = 3) -> list:
     """Lifts of the G1 ball of the radius, followed by their inverses."""
     real = G1Realization(b1)
@@ -200,11 +189,11 @@ def test_cocycle_matches_evaluation_on_radius_3_balls(b1):
         for h in lifts:
             m2 = h.matrix
             prod = g * h
-            k = _cocycle_by_evaluation(m1, m2, prod.matrix)
-            assert lifted._cocycle(m1, m2) == k
+            k = cocycle_by_evaluation(m1, m2, prod.matrix)
+            assert lifted._cocycle(m1, m2, m1 * m2) == k
             assert prod.wind == k + g.wind + h.wind
         inv = g.inverse()
-        k = _cocycle_by_evaluation(m1, inv.matrix, Moebius.identity(m1.field))
+        k = cocycle_by_evaluation(m1, inv.matrix, Moebius.identity(m1.field))
         assert inv.wind == -k - g.wind
 
 
@@ -229,3 +218,50 @@ def test_composition_never_evaluates_the_action(monkeypatch):
         assert g.inverse() == inv
         assert g ** e == power
     assert [real.lifted(w) for w in words] == before
+
+
+# ----------------------------------------- the fused product and its sign
+
+def _edge_matrices(f) -> list:
+    """Matrices with a = 0 or c = 0, built with either sign."""
+    one, zero, lam = f.one, f.zero, f.lam
+    out = []
+    for a, b, c, d in ((zero, -one, one, zero), (zero, -one, one, lam),
+                       (zero, one, -one, lam * lam),
+                       (one, lam, zero, one), (one, -lam * lam, zero, one),
+                       (one, zero, lam, one), (one, zero, zero, one)):
+        out += [Moebius(f, a, b, c, d), Moebius(f, -a, -b, -c, -d)]
+    return out
+
+
+def _assert_product_matches_entrywise(m1, m2):
+    prod = m1 * m2
+    entries, flipped = moebius_product_entrywise(m1, m2)
+    assert (prod.a, prod.b, prod.c, prod.d) == entries
+    assert prod.flipped == flipped
+    assert prod.c_sign == prod.c.sign()
+
+
+@pytest.mark.parametrize("b1", [1, 2, 3, 4, 5])
+def test_fused_product_matches_entrywise_on_radius_3_balls(b1):
+    matrices = [g.matrix for g in _ball_lifts(b1)]
+    matrices += _edge_matrices(matrices[0].field)
+    for m1 in matrices:
+        assert m1.c_sign == m1.c.sign()
+        for m2 in matrices:
+            _assert_product_matches_entrywise(m1, m2)
+
+
+def test_edge_matrices_are_canonical():
+    for n in (3, 5, 7):
+        f = real_cyclotomic_field(n)
+        edges = _edge_matrices(f)
+        for m, neg in zip(edges[::2], edges[1::2]):
+            assert m == neg and m.c_sign == neg.c_sign == m.c.sign()
+            assert m.flipped != neg.flipped
+            first = next(e for e in (m.a, m.b, m.c, m.d) if not e.is_zero())
+            assert first.sign() > 0
+        assert any(m.a.is_zero() for m in edges)
+        assert any(m.c.is_zero() for m in edges)
+        assert edges[-1].is_identity() and edges[-2].is_identity()
+        assert not any(m.is_identity() for m in edges[:-2])

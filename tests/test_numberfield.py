@@ -7,7 +7,9 @@ import pytest
 from twobridge import numberfield
 from twobridge.errors import ConstructionFailed
 from twobridge.numberfield import (FieldElement, NumberField,
-                                   minimal_polynomial, real_cyclotomic_field)
+                                   minimal_polynomial, mul_add,
+                                   real_cyclotomic_field)
+from reference import reference_sign
 
 # classical minimal polynomials of 2*cos(pi/n), coefficients by degree
 KNOWN = {
@@ -122,8 +124,40 @@ def test_ring_axioms_random():
 
 
 def test_mixed_field_arithmetic_rejected():
-    with pytest.raises(ValueError):
-        real_cyclotomic_field(5).lam + real_cyclotomic_field(7).lam
+    f5, f7 = real_cyclotomic_field(5), real_cyclotomic_field(7)
+    for op in (lambda x, y: x + y, lambda x, y: x - y,
+               lambda x, y: x * y, lambda x, y: x == y,
+               lambda x, y: mul_add(x, x, y, y),
+               lambda x, y: mul_add(x, y, x, x)):
+        with pytest.raises(ValueError):
+            op(f5.lam, f7.lam)
+
+
+def test_operators_coerce_ints_and_equal_fields():
+    f = real_cyclotomic_field(7)
+    twin = NumberField(7)  # equal to f, built apart
+    assert twin is not f and twin == f
+    x = f.lam + 2
+    assert x - 2 == f.lam and 3 * x == x + x + x and x * 3 == 3 * x
+    assert 2 + f.lam == x and x == f.element([2, 1]) and x != 2
+    assert x + twin.lam == f.element([2, 2])
+    assert x * twin.lam == f.lam * f.lam + 2 * f.lam
+    assert mul_add(x, twin.lam, twin.one, x) == x * f.lam + x
+    assert x.__add__("lambda") is NotImplemented
+
+
+def test_mul_add_matches_two_products_and_a_sum():
+    rng = random.Random(43)
+    for n in range(3, 22, 2):
+        f = real_cyclotomic_field(n)
+        for _ in range(40):
+            bits = rng.choice((2, 30, 200))
+            x1, y1, x2, y2 = (f.element([rng.randint(-(1 << bits), 1 << bits)
+                                         for _ in range(f.degree)])
+                              for _ in range(4))
+            assert mul_add(x1, y1, x2, y2) == x1 * y1 + x2 * y2
+            assert mul_add(x1, y1, -x1, y1).is_zero()
+            assert mul_add(x1, f.one, f.zero, y2) == x1
 
 
 def test_corrupted_minpoly_fails_certification():
@@ -190,36 +224,6 @@ def test_element_takes_integer_coordinates_only():
 # the sign filter against the exact reference
 
 
-def _reference_sign(e):
-    """Exact sign by interval Horner evaluation on the Sturm-certified
-    interval, bisecting until zero is excluded: the refinement used before
-    the integer filter, kept here as the reference."""
-    if e.is_zero():
-        return 0
-    psi = e.field.psi
-    lo, hi = e.field._certify_interval()
-    while True:
-        if lo == hi:
-            v = sum(c * lo ** i for i, c in enumerate(e.coeffs))
-            return (v > 0) - (v < 0)
-        mn = mx = e.coeffs[-1]
-        for c in reversed(e.coeffs[:-1]):
-            cands = (mn * lo, mn * hi, mx * lo, mx * hi)
-            mn, mx = min(cands) + c, max(cands) + c
-        if mn > 0:
-            return 1
-        if mx < 0:
-            return -1
-        mid = (lo + hi) / 2
-        s = sum(c * mid ** i for i, c in enumerate(psi))
-        if s == 0:
-            lo = hi = mid
-        elif s < 0:
-            lo = mid
-        else:
-            hi = mid
-
-
 def _count_fallbacks(monkeypatch):
     """Record each rebuilt bound table, one per doubling of K in sign()."""
     calls = []
@@ -263,7 +267,7 @@ def test_filter_matches_reference_on_random_elements():
     for n in range(3, 22, 2):
         f = NumberField(n)
         for e in _random_elements(f, rng, 24):
-            assert e.sign() == _reference_sign(e), (n, e)
+            assert e.sign() == reference_sign(e), (n, e)
 
 
 def test_near_zero_elements_use_the_exact_fallback(monkeypatch):
@@ -275,7 +279,7 @@ def test_near_zero_elements_use_the_exact_fallback(monkeypatch):
         for e in (near, -near, near * (f.lam + 7),
                   q * q * f.lam * f.lam - p * p):
             before = len(fallbacks)
-            assert e.sign() == _reference_sign(e) != 0
+            assert e.sign() == reference_sign(e) != 0
             assert len(fallbacks) == before + 1, (n, e)
         tiny = (10 ** 40 * f.lam + 1) - 10 ** 40 * f.lam
         assert tiny.sign() == 1 and (-tiny).sign() == -1
@@ -290,7 +294,7 @@ def test_elements_within_2_to_the_minus_300_take_two_doublings(monkeypatch):
         near = q * f.lam - p
         for e in (near, near * (f.lam - 3), q * q * f.lam * f.lam - p * p):
             before = len(fallbacks)
-            assert e.sign() == _reference_sign(e) != 0, (n, e)
+            assert e.sign() == reference_sign(e) != 0, (n, e)
             assert len(fallbacks) >= before + 2, (n, e)
             assert (-e).sign() == -e.sign()
         monkeypatch.undo()

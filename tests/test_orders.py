@@ -16,7 +16,7 @@ from twobridge.orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
                               _magnus_first_sign, _schreier_letters,
                               _t_weight, family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
-from reference import magnus_first_sign_stepped
+from reference import lifted_by_powers, magnus_first_sign_stepped
 
 W = Word.parse
 
@@ -108,6 +108,30 @@ def test_realization_word_evaluation_is_homomorphic():
         w2 = random_word(rng, "ab", rng.randrange(0, 5))
         assert real.lifted(w1 * w2) == real.lifted(w1) * real.lifted(w2)
         assert real.lifted(w1.inverse()) == real.lifted(w1).inverse()
+
+
+TABLE_KNOTS = [(3, 4), (3, -4), (5, 4), (7, -6), (9, 4), (11, -6), (-5, 4),
+               (13, 8)]
+
+
+def _power_word(rng, syllables: int, top: int) -> Word:
+    """Alternating a/b syllables with nonzero exponents in [-top, top]."""
+    gen = rng.choice("ab")
+    out = []
+    for _ in range(syllables):
+        e = rng.choice((rng.randint(1, 3), rng.randint(1, top)))
+        out.append((gen, rng.choice((e, -e))))
+        gen = "b" if gen == "a" else "a"
+    return Word(tuple(out))
+
+
+@pytest.mark.parametrize("knot", TABLE_KNOTS)
+def test_table_lift_matches_lift_by_powers(knot):
+    real = g1_realization(knot_params(*knot))
+    rng = random.Random(100 * knot[0] + knot[1])
+    for _ in range(300):
+        w = _power_word(rng, rng.randint(1, 5), 250)
+        assert real.lifted(w) == lifted_by_powers(real, w), w
 
 
 def test_realization_rejects_wrong_field():
