@@ -20,13 +20,14 @@ classical cocycle of the universal cover of PSL(2, R); Ghys, "Groups
 acting on the circle", 2001, section 6).  Composing never evaluates the
 action; only ``apply`` moves points.
 
+A ``Moebius`` is stored exactly as built in SL(2) and stands for its
+class in PSL(2): m and -m are equal, and no representative is chosen.
 A matrix product builds each entry with one fused ``mul_add`` (two
 convolutions, one reduction), and so does the unimodularity check every
 ``Moebius`` passes.  Each ``Moebius`` signs its lower-left entry once, at
-construction, and records whether canonicalization negated it.  Two of
-the cocycle's signs are then the factors' stored ones, and the third is
-the product's own c as built, so a lifted product computes one new sign
-for the cocycle.
+construction, and makes no other sign decision.  Two of the cocycle's
+signs are then the factors' stored ones and the third is the product's,
+so a lifted product computes one new sign.
 All arithmetic is exact over a ``NumberField``.
 """
 
@@ -121,58 +122,50 @@ class LiftedPoint:
 
 
 class Moebius:
-    """A unimodular 2x2 matrix over the field, canonicalized up to sign
-    (first nonzero entry positive); ``lift0_apply`` moves points by it.
+    """A unimodular 2x2 matrix over the field, kept as built and standing
+    for its PSL(2) class; ``lift0_apply`` moves points by it.
 
-    Construction checks unimodularity and signs the lower-left entry once:
-    ``c_sign`` is the sign of the stored c, and ``flipped`` records whether
-    canonicalization negated the matrix, so the entry as built had sign
-    -c_sign when ``flipped``.
+    Construction checks unimodularity and signs the lower-left entry once
+    into ``c_sign``; it makes no other sign decision.  The signs read from
+    a matrix flip together when m -> -m and are only tested for zero or
+    multiplied in pairs, so m and -m act alike.
     """
 
-    __slots__ = ("field", "a", "b", "c", "d", "c_sign", "flipped")
+    __slots__ = ("field", "a", "b", "c", "d", "c_sign")
 
-    def __init__(self, field: NumberField, a, b, c, d):
+    def __init__(self, a, b, c, d):
+        self.field = field = a.field
         if mul_add(a, d, b, -c) != field.one:
             raise InternalCheckFailed("matrix is not unimodular")
-        c_sign = c.sign()
-        # a == 0 forces b*c = -1, so the first nonzero entry is a or b
-        flipped = (a if not a.is_zero() else b).sign() < 0
-        if flipped:
-            a, b, c, d = -a, -b, -c, -d
-            c_sign = -c_sign
-        self.field = field
         self.a, self.b, self.c, self.d = a, b, c, d
-        self.c_sign = c_sign
-        self.flipped = flipped
+        self.c_sign = c.sign()
 
     @classmethod
     def identity(cls, field: NumberField) -> "Moebius":
-        return cls(field, field.one, field.zero, field.zero, field.one)
+        return cls(field.one, field.zero, field.zero, field.one)
 
     def __mul__(self, other: "Moebius") -> "Moebius":
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return Moebius(self.field,
-                       mul_add(a1, a2, b1, c2), mul_add(a1, b2, b1, d2),
+        return Moebius(mul_add(a1, a2, b1, c2), mul_add(a1, b2, b1, d2),
                        mul_add(c1, a2, d1, c2), mul_add(c1, b2, d1, d2))
 
     def inverse(self) -> "Moebius":
-        return Moebius(self.field, self.d, -self.b, -self.c, self.a)
+        return Moebius(self.d, -self.b, -self.c, self.a)
 
     def trace(self) -> FieldElement:
         return self.a + self.d
 
     def is_identity(self) -> bool:
-        one = self.field.one.coeffs
-        return not self.c_sign and self.b.is_zero() and \
-            self.a.coeffs == one and self.d.coeffs == one
+        # b = c = 0 and unimodularity force a = d = +-1
+        return not self.c_sign and self.b.is_zero() and self.a == self.d
 
     def __eq__(self, other):
         if not isinstance(other, Moebius):
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == \
-            (other.a, other.b, other.c, other.d)
+        mine = (self.a, self.b, self.c, self.d)
+        theirs = (other.a, other.b, other.c, other.d)
+        return mine == theirs or mine == tuple(-e for e in theirs)
 
     def __hash__(self):
         raise TypeError("moebius matrices are not hashable")
@@ -202,15 +195,13 @@ def _cocycle(m1: Moebius, m2: Moebius, prod: Moebius) -> int:
     Follow infinity at level 0: lift0(m2) raises it to a2/c2 at level 1
     when c2 != 0, and lift0(m1) raises that point once more exactly when
     it lies at or right of the pole -d1/c1, while lift0(m1 m2) raises
-    infinity once when its lower-left entry c1 a2 + d1 c2 is nonzero.
-    That entry is the product's c as built, before sign canonicalization
-    negated it when ``prod.flipped``.
+    infinity once when its lower-left entry c1 a2 + d1 c2, the product's
+    c, is nonzero.
     """
     s1, s2 = m1.c_sign, m2.c_sign
     if not (s1 and s2):
         return 0
-    raw = -prod.c_sign if prod.flipped else prod.c_sign
-    return 1 if raw * s1 * s2 >= 0 else 0
+    return 1 if prod.c_sign * s1 * s2 >= 0 else 0
 
 
 class LiftedMoebius:
@@ -284,9 +275,9 @@ class LiftedMoebius:
 
 def order_two_rotation(field: NumberField) -> Moebius:
     """S = [[0, -1], [1, 0]]: the half turn about i."""
-    return Moebius(field, field.zero, -field.one, field.one, field.zero)
+    return Moebius(field.zero, -field.one, field.one, field.zero)
 
 
 def order_n_rotation(field: NumberField) -> Moebius:
     """R = [[0, -1], [1, lambda]]: rotation of order n about a vertex."""
-    return Moebius(field, field.zero, -field.one, field.one, field.lam)
+    return Moebius(field.zero, -field.one, field.one, field.lam)

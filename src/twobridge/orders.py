@@ -182,11 +182,8 @@ class G1Realization:
 _G1_CACHE: dict[int, G1Realization] = {}
 
 
-def g1_realization(params: TwoBridgeParams,
-                   _field: NumberField | None = None) -> G1Realization:
+def g1_realization(params: TwoBridgeParams) -> G1Realization:
     """Cached exact realization for the torus-knot piece of a knot."""
-    if _field is not None:
-        return G1Realization(params.b1, _field)
     if params.b1 not in _G1_CACHE:
         _G1_CACHE[params.b1] = G1Realization(params.b1)
     return _G1_CACHE[params.b1]

@@ -1,7 +1,7 @@
 """Slow exact routes that the tests compare the fast paths against, and
 helpers that only the tests need."""
 
-from twobridge.groups import Word
+from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, boundary_zero, \
     lift0_apply
 
@@ -10,6 +10,76 @@ def letters_of(w):
     """The word's (generator, +-1) letters, left to right."""
     return [(g, 1 if e > 0 else -1) for g, e in w.syllables
             for _ in range(abs(e))]
+
+
+def g1_normal_form_by_letters(params, w):
+    """The normal form computed one letter at a time: the reference for
+    the syllable-wise ``g1_normal_form``."""
+    n = 2 * params.b1 + 1
+    stack = []
+    central = 0
+    for g, e in letters_of(w):
+        if g == "a":
+            # a = s(abar), a^-1 = s(abar) h^-1
+            if e < 0:
+                central -= 1
+            if stack and stack[-1][0] == "a":
+                stack.pop()
+                central += 1
+            else:
+                stack.append(("a", 1))
+        else:
+            # b = s(bbar), b^-1 = s(bbar^(n-1)) h^-1
+            j = 1 if e > 0 else n - 1
+            if e < 0:
+                central -= 1
+            if stack and stack[-1][0] == "b":
+                total = stack.pop()[1] + j
+                central += total // n
+                if total % n:
+                    stack.append(("b", total % n))
+            else:
+                stack.append(("b", j))
+    return G1Element(delta=tuple(stack), central=central)
+
+
+def g2_normal_form_by_letters(params, w):
+    """The normal form computed one letter at a time: the reference for
+    the syllable-wise ``g2_normal_form``."""
+    b2 = params.b2
+    beta = abs(b2)
+    letters = []
+    for g, e in letters_of(w):
+        if g == "y":
+            letters.extend([("z", (1 if b2 > 0 else -1) * e)] * beta)
+        else:
+            letters.append((g, e))
+    xpow = sum(e for g, e in letters if g == "x")
+    suffix = 0
+    kernel_letters = []
+    for g, e in reversed(letters):
+        if g == "x":
+            suffix += e
+        else:
+            kernel_letters.append((suffix, e))
+    kernel_letters.reverse()
+    stack = []
+    central = 0
+    for i, e in kernel_letters:
+        sign_i = -1 if i % 2 else 1
+        if e > 0:
+            r = 1
+        else:
+            r = beta - 1
+            central -= sign_i
+        if stack and stack[-1][0] == i:
+            total = stack.pop()[1] + r
+            central += sign_i * (total // beta)
+            if total % beta:
+                stack.append((i, total % beta))
+        else:
+            stack.append((i, r))
+    return G2Element(xpow=xpow, tail=tuple(stack), central=central)
 
 
 def magnus_first_sign_dense(letters, degree: int) -> int:
@@ -133,18 +203,15 @@ def reference_sign(e) -> int:
             hi = mid
 
 
-def moebius_product_entrywise(m1, m2) -> tuple[tuple, bool]:
-    """The product m1 m2 by eight ring products through ``FieldElement``,
-    its determinant checked the same way: (canonical entries (a, b, c, d),
-    whether canonicalization negated the entries as built)."""
+def moebius_product_entrywise(m1, m2) -> tuple:
+    """The entries (a, b, c, d) of the product m1 m2 as built, by eight
+    ring products through ``FieldElement``, its determinant checked the
+    same way."""
     entries = (m1.a * m2.a + m1.b * m2.c, m1.a * m2.b + m1.b * m2.d,
                m1.c * m2.a + m1.d * m2.c, m1.c * m2.b + m1.d * m2.d)
     a, b, c, d = entries
     assert a * d - b * c == m1.field.one
-    lead = next(s for s in (e.sign() for e in entries) if s)
-    if lead < 0:
-        entries = tuple(-e for e in entries)
-    return entries, lead < 0
+    return entries
 
 
 def lifted_by_powers(real, w) -> LiftedMoebius:

@@ -296,6 +296,32 @@ def test_certify_reps_budget_reports_pinned(capsys):
     assert got == CERTIFY_REPS_DIGESTS
 
 
+# sha256 of the stdout of `certify --check all` at the default budget, and
+# of `selftest`, which also runs the five mutation reports.
+DEFAULT_BUDGET_DIGESTS = {
+    (3, 4): "e1c828c9658eaecd3f1f2892cbe4525b"
+            "d6c674147ad66a8e03cc1ccdfae8afae",
+    (7, -6): "381c8c4f5a92e6b85a432c5259668029"
+             "424b115b057e05ba1bba78db0aa19e04",
+    "selftest": "522d6d2ee2a43b237b5a04178fe02e75"
+                "05ca6f556150f98279585fbad416df25",
+}
+
+
+def test_default_budget_reports_pinned(capsys):
+    got = {}
+    for key in DEFAULT_BUDGET_DIGESTS:
+        if key == "selftest":
+            argv = ["selftest"]
+        else:
+            argv = ["certify", "--c1", str(key[0]), "--c2", str(key[1]),
+                    "--check", "all"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        got[key] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == DEFAULT_BUDGET_DIGESTS
+
+
 def test_out_file_writes_copy(capsys, tmp_path):
     target = tmp_path / "info.json"
     code, doc = run_cli(capsys, ["knot-info", "--c1", "3", "--c2", "4",

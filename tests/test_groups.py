@@ -7,7 +7,8 @@ from twobridge.errors import ParseError
 from twobridge.groups import (G1Element, G2Element, W, Word,
                               g1_normal_form, g2_normal_form,
                               peripheral_word, presentations)
-from reference import g1_element_word, g2_element_word, letters_of
+from reference import (g1_element_word, g1_normal_form_by_letters,
+                       g2_element_word, g2_normal_form_by_letters, letters_of)
 
 KNOTS = [knot_params(3, 4), knot_params(3, -4),
          knot_params(5, 4), knot_params(7, -6)]
@@ -163,37 +164,6 @@ def test_g1_homomorphy_and_word_round_trip():
             assert g1_normal_form(k, g1_element_word(n1)) == n1
 
 
-def _g1_normal_form_by_letters(params, w):
-    """The normal form computed one letter at a time: the reference for
-    the syllable-wise ``g1_normal_form``."""
-    n = 2 * params.b1 + 1
-    stack = []
-    central = 0
-    for g, e in letters_of(w):
-        if g == "a":
-            # a = s(abar), a^-1 = s(abar) h^-1
-            if e < 0:
-                central -= 1
-            if stack and stack[-1][0] == "a":
-                stack.pop()
-                central += 1
-            else:
-                stack.append(("a", 1))
-        else:
-            # b = s(bbar), b^-1 = s(bbar^(n-1)) h^-1
-            j = 1 if e > 0 else n - 1
-            if e < 0:
-                central -= 1
-            if stack and stack[-1][0] == "b":
-                total = stack.pop()[1] + j
-                central += total // n
-                if total % n:
-                    stack.append(("b", total % n))
-            else:
-                stack.append(("b", j))
-    return G1Element(delta=tuple(stack), central=central)
-
-
 def test_g1_normal_form_matches_letter_reference():
     rng = random.Random(29)
     for k in KNOTS_8:
@@ -201,7 +171,7 @@ def test_g1_normal_form_matches_letter_reference():
             w = Word(tuple((rng.choice("ab"), rng.choice((-1, 1)) *
                             rng.choice((1, 2, 3, 7, 11, 60, 250)))
                            for _ in range(rng.randint(0, 9))))
-            assert g1_normal_form(k, w) == _g1_normal_form_by_letters(k, w)
+            assert g1_normal_form(k, w) == g1_normal_form_by_letters(k, w)
 
 
 # ---------------------------------------------------------------- G2
@@ -263,45 +233,6 @@ def test_g2_relator_insertion_soundness():
             assert g2_normal_form(k, w2) == g2_normal_form(k, w)
 
 
-def _g2_normal_form_by_letters(params, w):
-    """The normal form computed one letter at a time: the reference for
-    the syllable-wise ``g2_normal_form``."""
-    b2 = params.b2
-    beta = abs(b2)
-    letters = []
-    for g, e in letters_of(w):
-        if g == "y":
-            letters.extend([("z", (1 if b2 > 0 else -1) * e)] * beta)
-        else:
-            letters.append((g, e))
-    xpow = sum(e for g, e in letters if g == "x")
-    suffix = 0
-    kernel_letters = []
-    for g, e in reversed(letters):
-        if g == "x":
-            suffix += e
-        else:
-            kernel_letters.append((suffix, e))
-    kernel_letters.reverse()
-    stack = []
-    central = 0
-    for i, e in kernel_letters:
-        sign_i = -1 if i % 2 else 1
-        if e > 0:
-            r = 1
-        else:
-            r = beta - 1
-            central -= sign_i
-        if stack and stack[-1][0] == i:
-            total = stack.pop()[1] + r
-            central += sign_i * (total // beta)
-            if total % beta:
-                stack.append((i, total % beta))
-        else:
-            stack.append((i, r))
-    return G2Element(xpow=xpow, tail=tuple(stack), central=central)
-
-
 def test_g2_normal_form_matches_letter_reference():
     rng = random.Random(23)
     for k in KNOTS_8:
@@ -309,7 +240,7 @@ def test_g2_normal_form_matches_letter_reference():
             w = Word(tuple((rng.choice("xyz"), rng.choice((-1, 1)) *
                             rng.choice((1, 2, 3, 17, 60, 251)))
                            for _ in range(rng.randint(0, 9))))
-            assert g2_normal_form(k, w) == _g2_normal_form_by_letters(k, w)
+            assert g2_normal_form(k, w) == g2_normal_form_by_letters(k, w)
 
 
 def test_g2_homomorphy_and_word_round_trip():

@@ -61,15 +61,20 @@ def test_points_not_hashable():
 
 def test_moebius_checks_unimodularity():
     with pytest.raises(InternalCheckFailed):
-        Moebius(F5, F5.one, F5.zero, F5.zero, 2 * F5.one)
+        Moebius(F5.one, F5.zero, F5.zero, 2 * F5.one)
     m = Moebius.identity(F5)
     assert m.is_identity() and m.trace() == 2 * F5.one
 
 
-def test_moebius_sign_canonical():
+def _negated(m: Moebius) -> Moebius:
+    """The other SL(2) representative of m's PSL(2) class."""
+    return Moebius(-m.a, -m.b, -m.c, -m.d)
+
+
+def test_moebius_equal_up_to_sign():
     s = order_two_rotation(F5)
-    neg = Moebius(F5, -s.a, -s.b, -s.c, -s.d)
-    assert neg == s
+    assert _negated(s) == s
+    assert _negated(s) != order_n_rotation(F5)
 
 
 def test_rotation_orders():
@@ -104,7 +109,7 @@ def test_lift0_semantics_halfturn():
 
 
 def test_lift0_level_preserving_when_upper_triangular():
-    m = Moebius(F5, F5.one, F5.lam, F5.zero, F5.one)
+    m = Moebius(F5.one, F5.lam, F5.zero, F5.one)
     p = lpt(F5, 4, 100)
     assert lift0_apply(m, p).wind == 4
     assert lift0_apply(m, LiftedPoint(2, infinity(F5))) == \
@@ -230,15 +235,14 @@ def _edge_matrices(f) -> list:
                        (zero, one, -one, lam * lam),
                        (one, lam, zero, one), (one, -lam * lam, zero, one),
                        (one, zero, lam, one), (one, zero, zero, one)):
-        out += [Moebius(f, a, b, c, d), Moebius(f, -a, -b, -c, -d)]
+        out += [Moebius(a, b, c, d), Moebius(-a, -b, -c, -d)]
     return out
 
 
 def _assert_product_matches_entrywise(m1, m2):
     prod = m1 * m2
-    entries, flipped = moebius_product_entrywise(m1, m2)
-    assert (prod.a, prod.b, prod.c, prod.d) == entries
-    assert prod.flipped == flipped
+    assert (prod.a, prod.b, prod.c, prod.d) == \
+        moebius_product_entrywise(m1, m2)
     assert prod.c_sign == prod.c.sign()
 
 
@@ -252,16 +256,33 @@ def test_fused_product_matches_entrywise_on_radius_3_balls(b1):
             _assert_product_matches_entrywise(m1, m2)
 
 
-def test_edge_matrices_are_canonical():
+def test_edge_matrices_stand_for_their_psl2_class():
     for n in (3, 5, 7):
         f = real_cyclotomic_field(n)
         edges = _edge_matrices(f)
         for m, neg in zip(edges[::2], edges[1::2]):
-            assert m == neg and m.c_sign == neg.c_sign == m.c.sign()
-            assert m.flipped != neg.flipped
-            first = next(e for e in (m.a, m.b, m.c, m.d) if not e.is_zero())
-            assert first.sign() > 0
+            assert m == neg
+            assert m.c_sign == -neg.c_sign == m.c.sign()
         assert any(m.a.is_zero() for m in edges)
         assert any(m.c.is_zero() for m in edges)
         assert edges[-1].is_identity() and edges[-2].is_identity()
         assert not any(m.is_identity() for m in edges[:-2])
+    # unimodular and diagonal, but not +-I: lambda^2 = lambda + 1 at n = 5
+    diag = Moebius(F5.lam, F5.zero, F5.zero, F5.lam - 1)
+    assert not diag.is_identity()
+
+
+@pytest.mark.parametrize("b1", [1, 2, 3, 4, 5])
+def test_lifts_do_not_depend_on_matrix_sign(b1):
+    real = G1Realization(b1)
+    lifts = _ball_lifts(b1)
+    for g in lifts:
+        neg = LiftedMoebius(_negated(g.matrix), g.wind)
+        assert real.decide(neg) == real.decide(g)
+        for h in lifts:
+            for x, y, neg_x, neg_y in ((g, h, neg, h), (h, g, h, neg)):
+                prod, flipped = x * y, neg_x * neg_y
+                assert flipped == prod and flipped.wind == prod.wind
+                assert lifted._cocycle(neg_x.matrix, neg_y.matrix,
+                                       flipped.matrix) == \
+                    lifted._cocycle(x.matrix, y.matrix, prod.matrix)

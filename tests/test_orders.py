@@ -12,9 +12,10 @@ from twobridge.errors import ConstructionFailed, InternalCheckFailed, \
 from twobridge.groups import Word, g1_normal_form, g2_normal_form, \
     peripheral_word
 from twobridge.numberfield import real_cyclotomic_field
-from twobridge.orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
-                              _magnus_first_sign, _schreier_letters,
-                              _t_weight, family_is_positive, g1_realization,
+from twobridge.orders import (ConeOracle, G1Realization, OrderFamilySpec,
+                              Sign, Z2Order, _magnus_first_sign,
+                              _schreier_letters, _t_weight,
+                              family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
 from reference import lifted_by_powers, magnus_first_sign_stepped
 
@@ -139,7 +140,7 @@ def test_realization_rejects_wrong_field():
     # construction checks, never pass silently
     p = knot_params(3, 4)  # needs n = 3
     with pytest.raises(ConstructionFailed):
-        g1_realization(p, _field=real_cyclotomic_field(7))
+        G1Realization(p.b1, real_cyclotomic_field(7))
 
 
 def test_realization_rejects_non_generator_letters():
