@@ -134,11 +134,15 @@ class Moebius:
     __slots__ = ("field", "a", "b", "c", "d", "c_sign")
 
     def __init__(self, a, b, c, d):
+        self._store(a, b, c, d)
+        self.c_sign = c.sign()
+
+    def _store(self, a, b, c, d):
+        """Check unimodularity and keep the entries as given."""
         self.field = field = a.field
         if mul_add(a, d, b, -c) != field.one:
             raise InternalCheckFailed("matrix is not unimodular")
         self.a, self.b, self.c, self.d = a, b, c, d
-        self.c_sign = c.sign()
 
     @classmethod
     def identity(cls, field: NumberField) -> "Moebius":
@@ -151,7 +155,12 @@ class Moebius:
                        mul_add(c1, a2, d1, c2), mul_add(c1, b2, d1, d2))
 
     def inverse(self) -> "Moebius":
-        return Moebius(self.d, -self.b, -self.c, self.a)
+        # the lower-left entry -c has the known sign -c_sign, which
+        # __init__ would decide again
+        inv = Moebius.__new__(Moebius)
+        inv._store(self.d, -self.b, -self.c, self.a)
+        inv.c_sign = -self.c_sign
+        return inv
 
     def trace(self) -> FieldElement:
         return self.a + self.d

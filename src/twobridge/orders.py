@@ -94,7 +94,7 @@ class G1Realization:
     """
 
     __slots__ = ("b1", "n", "field", "a_lift", "b_lift", "h_lift", "mu_lift",
-                 "test_points", "_powers")
+                 "test_points", "_powers", "_pairs")
 
     def __init__(self, b1: int, field: NumberField | None = None):
         if b1 < 1:
@@ -136,31 +136,46 @@ class G1Realization:
             LiftedPoint(0, ProjectivePoint(-f.one, f.one)),
             LiftedPoint(0, infinity(f)),
         )
-        # g~^r for 0 <= r < order(g); g~^order = h~ was checked above
-        self._powers = {}
-        for gen, g, order in (("a", self.a_lift, 2), ("b", self.b_lift, n)):
-            table = [LiftedMoebius.translation(f, 0)]
-            for _ in range(1, order):
-                table.append(table[-1] * g)
-            self._powers[gen] = tuple(table)
+        # b~^r and a~ b~^r for 0 <= r < n; b~^n = h~ was checked above
+        powers = [LiftedMoebius.translation(f, 0)]
+        for _ in range(1, n):
+            powers.append(powers[-1] * self.b_lift)
+        self._powers = tuple(powers)
+        self._pairs = tuple(self.a_lift * p for p in powers)
 
     def lifted(self, w: Word) -> LiftedMoebius:
         """The lifted transformation represented by a word over {a, b}.
 
-        A syllable g^e is g~^(e mod order) from the power table times
-        h~^(e div order); h~ = T1^(2*b1-1) is central, so its winding is
-        added once at the end."""
+        A syllable g^e is g~^(e mod order) times h~^(e div order), with
+        order 2 for a and n for b; h~ = T1^(2*b1-1) is central, so its
+        winding is added once at the end.  An odd a-syllable waits for the
+        next b-syllable with a nonzero residue r and enters with it as one
+        table factor a~ b~^r; a second odd a-syllable before that pairs
+        with the waiting one as a~ a~ = h~.  So a word costs one lifted
+        product per such b-syllable, plus one for an a~ still waiting at
+        the end."""
         acc = LiftedMoebius.translation(self.field, 0)
+        n = self.n
         wraps = 0
+        waiting = False  # an odd a-syllable not yet multiplied in
         for gen, e in w.syllables:
-            table = self._powers.get(gen)
-            if table is None:
+            if gen == "a":
+                q, r = divmod(e, 2)
+                if r:
+                    if waiting:
+                        q += 1  # a~ a~ = h~
+                    waiting = not waiting
+            elif gen == "b":
+                q, r = divmod(e, n)
+                if r:
+                    acc = acc * (self._pairs if waiting else self._powers)[r]
+                    waiting = False
+            else:
                 raise ParseError(
                     "G1 words use generators a, b only, got %r" % gen)
-            q, r = divmod(e, len(table))
             wraps += q
-            if r:
-                acc = acc * table[r]
+        if waiting:
+            acc = acc * self.a_lift
         return LiftedMoebius(acc.matrix, acc.wind + wraps * self.h_lift.wind)
 
     def decide(self, g: LiftedMoebius, points=None) -> tuple[Sign, dict]:

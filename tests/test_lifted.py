@@ -8,7 +8,7 @@ from twobridge.errors import InternalCheckFailed
 from twobridge.lifted import (LiftedMoebius, LiftedPoint, Moebius,
                               ProjectivePoint, infinity, lift0_apply,
                               order_n_rotation, order_two_rotation)
-from twobridge.numberfield import real_cyclotomic_field
+from twobridge.numberfield import FieldElement, real_cyclotomic_field
 from twobridge.orders import G1Realization
 from reference import (cocycle_by_evaluation, cover_increasing,
                        moebius_product_entrywise)
@@ -254,6 +254,27 @@ def test_fused_product_matches_entrywise_on_radius_3_balls(b1):
         assert m1.c_sign == m1.c.sign()
         for m2 in matrices:
             _assert_product_matches_entrywise(m1, m2)
+
+
+def test_inverse_reads_its_lower_left_sign(monkeypatch):
+    matrices = [g.matrix for g in _ball_lifts(2)]
+    matrices += _edge_matrices(matrices[0].field)
+    expected = [Moebius(m.d, -m.b, -m.c, m.a) for m in matrices]
+    corrupt = Moebius(F5.one, F5.lam, F5.zero, F5.one)
+    corrupt.d = F5.lam
+
+    def sign(self):
+        raise AssertionError("inverse decided a sign")
+
+    monkeypatch.setattr(FieldElement, "sign", sign)
+    for m, want in zip(matrices, expected):
+        inv = m.inverse()
+        assert (inv.a, inv.b, inv.c, inv.d) == (want.a, want.b, want.c,
+                                                 want.d)
+        assert inv.c_sign == want.c_sign
+    # unimodularity is still checked
+    with pytest.raises(InternalCheckFailed):
+        corrupt.inverse()
 
 
 def test_edge_matrices_stand_for_their_psl2_class():

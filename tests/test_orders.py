@@ -11,6 +11,7 @@ from twobridge.errors import ConstructionFailed, InternalCheckFailed, \
     ParseError
 from twobridge.groups import Word, g1_normal_form, g2_normal_form, \
     peripheral_word
+from twobridge.lifted import Moebius
 from twobridge.numberfield import real_cyclotomic_field
 from twobridge.orders import (ConeOracle, G1Realization, OrderFamilySpec,
                               Sign, Z2Order, _magnus_first_sign,
@@ -126,13 +127,65 @@ def _power_word(rng, syllables: int, top: int) -> Word:
     return Word(tuple(out))
 
 
+def _pairing_words(n: int) -> list:
+    """Words at the edges of the a~ b~^r pairing: central syllables between
+    two a's, a's with no b to pair with, a leading b, a trailing a."""
+    return [W(text.format(n=n)) for text in (
+        "b a^2 b", "a b^{n} a", "a^-1 b^-1 a^-1", "b a b", "b a", "a",
+        "b^{n}", "a^3 b^{n} a^-2 b", "b^-1 a^5", "a b^-{n} a^2 b^2 a^-1")]
+
+
 @pytest.mark.parametrize("knot", TABLE_KNOTS)
 def test_table_lift_matches_lift_by_powers(knot):
     real = g1_realization(knot_params(*knot))
     rng = random.Random(100 * knot[0] + knot[1])
-    for _ in range(300):
-        w = _power_word(rng, rng.randint(1, 5), 250)
+    words = _pairing_words(real.n)
+    words += [_power_word(rng, rng.randint(1, 12), 250) for _ in range(300)]
+    for w in words:
         assert real.lifted(w) == lifted_by_powers(real, w), w
+
+
+def _quotient_reduced_word(rng, n: int, syllables: int) -> Word:
+    """Alternating odd a-syllables and b-syllables with nonzero residue
+    mod n, so no syllable is central and no two merge in G1/<h>."""
+    gen = rng.choice("ab")
+    out = []
+    for _ in range(syllables):
+        if gen == "a":
+            e = 2 * rng.randint(-3, 3) + 1
+        else:
+            e = rng.choice([r for r in range(-2 * n, 2 * n) if r % n])
+        out.append((gen, e))
+        gen = "b" if gen == "a" else "a"
+    return Word(tuple(out))
+
+
+@pytest.mark.parametrize("knot", [(3, 4), (7, -6), (13, 8)])
+def test_lift_costs_one_product_per_b_syllable(knot, monkeypatch):
+    # m table factors cost m - 1 matrix products: the first one starts the
+    # walk from the identity.  The factors are one per b-syllable (a~ b~^r
+    # when an a waits for it) and a~ for an a still waiting at the end.
+    # One product per syllable would cost about twice as many.
+    real = g1_realization(knot_params(*knot))
+    rng = random.Random(7 * knot[0])
+    words = [W("a"), W("b"), W("a b"), W("b a"), W("a b a b a")]
+    words += [_quotient_reduced_word(rng, real.n, rng.randint(1, 12))
+              for _ in range(60)]
+    expected = [lifted_by_powers(real, w) for w in words]
+    calls = []
+    product = Moebius.__mul__
+
+    def counted(m1, m2):
+        calls.append(None)
+        return product(m1, m2)
+
+    monkeypatch.setattr(Moebius, "__mul__", counted)
+    for w, want in zip(words, expected):
+        factors = sum(g == "b" for g, _ in w.syllables) + \
+            (w.syllables[-1][0] == "a")
+        calls.clear()
+        assert real.lifted(w) == want, w
+        assert len(calls) == factors - 1, w
 
 
 def test_realization_rejects_wrong_field():
