@@ -6,7 +6,9 @@ acting on the boundary circle, the action is lifted to the universal cover
 with exact winding bookkeeping, and a word's sign is the direction it moves
 the first test point it does not fix.  The test sequence starts at the
 boundary fixed point of the lifted meridian image, which the construction
-checks exactly.
+checks exactly.  The winding settles most signs first: lift0 sends level L
+into levels L..L+1, so lift0(m) T1^k moves every point up when k >= 1 and
+down when k <= -2, the first test point included.
 
 G2 = <x, y, z | x^-1 y x y, y z^-b2> is ordered by a three-layer
 lexicographic tower:
@@ -80,6 +82,17 @@ def z2_is_positive(order: Z2Order, vec: tuple[int, int]) -> Sign:
 
 # --------------------------------------------------------------------------
 # G1: exact lifted circle action
+
+
+def _winding_sign(low: int, high: int) -> Sign | None:
+    """Sign of every lift0(m) T1^k with low <= k <= high, or None: it sends
+    level L into levels L+k..L+k+1, so every point moves up when low >= 1
+    and down when high <= -2, test point 0 first."""
+    if low >= 1:
+        return Sign.POSITIVE
+    if high <= -2:
+        return Sign.NEGATIVE
+    return None
 
 
 class G1Realization:
@@ -184,7 +197,12 @@ class G1Realization:
         ``points`` replaces the test points by their images m(p_i) under
         an increasing map m of the line: g is then decided as m^-1 g m,
         which moves p_i exactly when g moves m(p_i), in the same direction.
+        A winding k >= 1 or k <= -2 moves every point (``_winding_sign``),
+        so g is then decided at test point 0 without moving one.
         """
+        sign = _winding_sign(g.wind, g.wind)
+        if sign is not None:
+            return sign, {"decided_by": "test-point", "test_point": 0}
         for idx, p in enumerate(self.test_points if points is None
                                 else points):
             c = g.apply(p)._cmp(p)
@@ -213,12 +231,16 @@ def g1_sign_trace(params: TwoBridgeParams, w: Word,
         g1_realization(params)
     trivial = g1_normal_form(params, w).is_identity()
     sign, trace = real.decide(real.lifted(w) if _lift is None else _lift)
+    _check_identity(sign, trivial, w)
+    trace["group"] = "g1"
+    return sign, trace
+
+
+def _check_identity(sign: Sign, trivial: bool, w: Word) -> None:
     if (sign is Sign.IDENTITY) != trivial:
         raise InternalCheckFailed(
             "lifted action and normal form disagree about "
             "the identity for %s" % w)
-    trace["group"] = "g1"
-    return sign, trace
 
 
 # --------------------------------------------------------------------------
@@ -377,17 +399,24 @@ class ConeOracle:
         return self.sign_trace(w)[0]
 
     def product_sign(self, w1: Word, w2: Word) -> Sign:
-        """Sign of w1 w2.  For g1 each factor is lifted once per oracle, so
-        a product costs one lifted product; the normal form of w1 w2 still
-        cross-checks the identity on every call."""
+        """Sign of w1 w2.  For g1 each factor is lifted once per oracle, and
+        the product's winding is k or k + 1 for k the sum of the factors'
+        (the cocycle is 0 or 1), so when ``_winding_sign(k, k + 1)``
+        decides no matrix product is formed; otherwise one lifted product
+        is.  The normal form of w1 w2 cross-checks the identity always."""
         if self.group == "g2":
             return self.is_positive(w1 * w2)
         lifts = self._lifts
         for w in (w1, w2):
             if w not in lifts:
                 lifts[w] = self._realization.lifted(w)
-        return g1_sign_trace(self.params, w1 * w2, self._realization,
-                             lifts[w1] * lifts[w2])[0]
+        w, k = w1 * w2, lifts[w1].wind + lifts[w2].wind
+        sign = _winding_sign(k, k + 1)
+        if sign is None:
+            return g1_sign_trace(self.params, w, self._realization,
+                                 lifts[w1] * lifts[w2])[0]
+        _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
+        return sign
 
     def word_is_identity(self, w: Word) -> bool:
         """Normal-form equality oracle (independent of the sign decision

@@ -4,6 +4,7 @@ helpers that only the tests need."""
 from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, boundary_zero, \
     lift0_apply
+from twobridge.orders import Sign
 
 
 def letters_of(w):
@@ -160,6 +161,18 @@ def pattern_by_products(signer, c) -> dict:
     c_inv = c_lift.inverse()
     return {v: real.decide(c_lift * g * c_inv)[0]
             for v, g in zip(signer.box, signer._lifts)}
+
+
+def decide_by_test_points(real, g, points=None):
+    """Sign and trace of a lifted element by the first test point it moves,
+    moving every point it tries: the reference for ``G1Realization.decide``,
+    which reads most signs from the winding first."""
+    for idx, p in enumerate(real.test_points if points is None else points):
+        c = g.apply(p)._cmp(p)
+        if c:
+            return (Sign.POSITIVE if c > 0 else Sign.NEGATIVE,
+                    {"decided_by": "test-point", "test_point": idx})
+    return Sign.IDENTITY, {"decided_by": "identity"}
 
 
 def cocycle_by_evaluation(m1, m2, prod) -> int:

@@ -16,6 +16,8 @@ from twobridge.certify import (MUTATIONS, CertificateReport, Counterexample,
                                run_mutation_selftests)
 from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import Word
+from twobridge.lifted import Moebius
+from twobridge.numberfield import FieldElement
 from twobridge.orders import ConeOracle, Sign
 from reference import pattern_by_products
 
@@ -299,12 +301,65 @@ def test_product_sign_matches_word_route(group):
     pairs += [(w, Word(((g, -1 if e > 0 else 1),)) * v)
               for w, v in pairs[:60] if w.syllables
               for g, e in w.syllables[-1:]]
+    pairs += [(w1, w2) for w1 in words[:17] for w2 in words[:17]]  # radius 2
+    edges = set()
     for knot in ((3, 4), (7, -6)):
         oracle = ConeOracle(knot_params(*knot), group)
         reference = ConeOracle(knot_params(*knot), group)
+        windings = set()
         for w1, w2 in pairs:
-            assert oracle.product_sign(w1, w2) is \
-                reference.is_positive(w1 * w2), (str(w1), str(w2))
+            s = oracle.product_sign(w1, w2)
+            assert s is reference.is_positive(w1 * w2), (str(w1), str(w2))
+            if group == "g1":
+                k = _factor_winding(oracle, w1, w2)
+                windings.add(max(-3, min(1, k)))
+                edges.add((k, s))
+        if group == "g1":
+            # k >= 1 and k <= -3 are decided by the winding, -2..0 are not
+            assert windings == {1, 0, -1, -2, -3}, knot
+    if group == "g1":
+        # the undecided edges hold products of the sign the winding would
+        # have guessed wrongly
+        assert {(-2, Sign.POSITIVE), (0, Sign.NEGATIVE)} <= edges
+
+
+def _factor_winding(oracle, w1, w2) -> int:
+    """k = wind(lift w1) + wind(lift w2): the product's winding is k or
+    k + 1."""
+    return oracle._lifts[w1].wind + oracle._lifts[w2].wind
+
+
+def _winding_decided_pairs(oracle, words):
+    """The pairs of ``words`` whose factor windings decide the product."""
+    for w in words:
+        oracle._lifts[w] = oracle._realization.lifted(w)
+    return [(w1, w2) for w1 in words for w2 in words
+            if not -3 < _factor_winding(oracle, w1, w2) < 1]
+
+
+def test_product_decided_by_winding_multiplies_and_signs_nothing(
+        monkeypatch):
+    oracle = ConeOracle(knot_params(7, -6), "g1")
+    reference = ConeOracle(knot_params(7, -6), "g1")
+    pairs = _winding_decided_pairs(oracle, ball(("a", "b"), 2))
+    expected = [reference.is_positive(w1 * w2) for w1, w2 in pairs]
+    assert {Sign.POSITIVE, Sign.NEGATIVE} <= set(expected)
+    calls = []
+    product, sign = Moebius.__mul__, FieldElement.sign
+
+    def counted_product(m1, m2):
+        calls.append("mul")
+        return product(m1, m2)
+
+    def counted_sign(e):
+        calls.append("sign")
+        return sign(e)
+
+    monkeypatch.setattr(Moebius, "__mul__", counted_product)
+    monkeypatch.setattr(FieldElement, "sign", counted_sign)
+    for (w1, w2), want in zip(pairs, expected):
+        assert oracle.product_sign(w1, w2) is want, (str(w1), str(w2))
+    assert calls == []
 
 
 def test_product_sign_keeps_the_identity_cross_check():
@@ -313,6 +368,28 @@ def test_product_sign_keeps_the_identity_cross_check():
     oracle._lifts[a] = oracle._realization.lifted(b.inverse())  # a stale lift
     with pytest.raises(InternalCheckFailed):
         oracle.product_sign(a, b)
+
+
+def test_winding_decided_product_keeps_the_identity_cross_check(
+        monkeypatch):
+    import twobridge.orders as orders_mod
+
+    class FakeTrivial:
+        @staticmethod
+        def is_identity():
+            return True
+
+    oracle = ConeOracle(knot_params(3, 4), "g1")
+    pairs = _winding_decided_pairs(oracle, ball(("a", "b"), 3))
+    up = next(p for p in pairs if _factor_winding(oracle, *p) >= 1)
+    down = next(p for p in pairs if _factor_winding(oracle, *p) <= -3)
+    assert oracle.product_sign(*up) is Sign.POSITIVE
+    assert oracle.product_sign(*down) is Sign.NEGATIVE
+    monkeypatch.setattr(orders_mod, "g1_normal_form",
+                        lambda params, w: FakeTrivial())
+    for w1, w2 in (up, down):
+        with pytest.raises(InternalCheckFailed):
+            oracle.product_sign(w1, w2)
 
 
 def test_semigroup_only_word_corruption_detected():

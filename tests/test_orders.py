@@ -6,6 +6,7 @@ import time
 import pytest
 
 from twobridge import orders
+from twobridge.certify import ball
 from twobridge.cfrac import knot_params
 from twobridge.errors import ConstructionFailed, InternalCheckFailed, \
     ParseError
@@ -18,7 +19,8 @@ from twobridge.orders import (ConeOracle, G1Realization, OrderFamilySpec,
                               _schreier_letters, _t_weight,
                               family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
-from reference import lifted_by_powers, magnus_first_sign_stepped
+from reference import (decide_by_test_points, lifted_by_powers,
+                       magnus_first_sign_stepped)
 
 W = Word.parse
 
@@ -202,6 +204,30 @@ def test_realization_rejects_non_generator_letters():
         g1_realization(p).lifted(W("x"))
     with pytest.raises(ParseError):
         ConeOracle(p, "g1").is_positive(W("a x"))
+
+
+# one knot per b1 = 1..5
+DECIDE_KNOTS = [(3, 4), (5, 4), (7, -6), (9, 4), (11, -6)]
+
+
+@pytest.mark.parametrize("knot", DECIDE_KNOTS)
+def test_decide_matches_test_point_reference(knot):
+    # the winding prefilter must return the sign and trace of the point
+    # route, at the fixed test points and at points moved by c^-1
+    real = g1_realization(knot_params(*knot))
+    lifts = [real.lifted(w) for w in ball(("a", "b"), 3)]
+    lifts += [g.inverse() for g in lifts]
+    point_sets = [None] + [
+        [real.lifted(c).inverse().apply(p) for p in real.test_points]
+        for c in ball(("a", "b"), 2)]
+    windings = set()
+    for g in lifts:
+        windings.add(max(-2, min(1, g.wind)))
+        for points in point_sets:
+            assert real.decide(g, points) == \
+                decide_by_test_points(real, g, points), (g, points)
+    # k >= 1 and k <= -2 take the winding route, 0 and -1 the point route
+    assert windings == {1, 0, -1, -2}
 
 
 # --------------------------------------------------------------------------
