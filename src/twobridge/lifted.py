@@ -57,7 +57,7 @@ class ProjectivePoint:
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
-        return (self.u * other.v - other.u * self.v).is_zero()
+        return mul_add(self.u, other.v, -other.u, self.v).is_zero()
 
     def __hash__(self):
         raise TypeError("projective points are not hashable")
@@ -65,7 +65,7 @@ class ProjectivePoint:
     def cmp_finite(self, other: "ProjectivePoint") -> int:
         """Order of two finite points as extended reals u/v."""
         assert self.finite and other.finite
-        return (self.u * other.v - other.u * self.v).sign()
+        return mul_add(self.u, other.v, -other.u, self.v).sign()
 
     def __repr__(self):
         if not self.finite:

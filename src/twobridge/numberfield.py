@@ -22,9 +22,14 @@ interval below 2^-(K+8), rebuilds the table and tests again.  Nothing is
 written to the field: a field is immutable after construction, so every
 sign is independent of the queries made before it.
 
-``mul_add(x1, y1, x2, y2)`` is the fused kernel for x1*y1 + x2*y2: both
-convolutions run into one buffer, which is reduced by the minimal
-polynomial once.  A 2x2 matrix product over the ring is four of them:
+``mul_add(x1, y1, x2, y2)`` is the fused product x1*y1 + x2*y2, reduced
+by the minimal polynomial once.  Each ring generates its kernel at
+construction from its degree and the reduction rows of lambda^k,
+k >= degree: straight-line source that names every convolution term and
+folds the reduction into the returned coordinates.  It is compiled once
+with ``exec``, as ``collections.namedtuple`` does, and has no loop and no
+zero test.  ``x * y`` runs the same kernel with a zero second pair.  A
+2x2 matrix product over the ring is four of them:
 
 >>> f = real_cyclotomic_field(5)
 >>> mul_add(f.lam, f.lam, f.one, -f.lam) == f.one   # lambda^2 - lambda
@@ -38,7 +43,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import ceil, cos, floor, pi
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import ConstructionFailed
 
@@ -208,6 +213,41 @@ def _bound_table(degree: int, lo: Fraction, hi: Fraction, bits: int) \
 
 
 # --------------------------------------------------------------------------
+# the product kernel, generated per ring
+
+
+def _compile_mul_add(n: int, degree: int, reduction) -> Callable:
+    """The straight-line kernel (x, y, u, v) -> coordinates of x*y + u*v
+    for coordinate tuples of length ``degree``: every convolution term
+    written out, and each coefficient of lambda^k, k >= degree, folded
+    into the returned tuple through its ``reduction`` row.  The source
+    holds only names and integers; it is compiled once per ring."""
+    d = degree
+
+    def conv(k):
+        return " + ".join("%s%d*%s%d" % (p, i, q, k - i)
+                          for p, q in ("xy", "uv")
+                          for i in range(max(0, k - d + 1), min(k, d - 1) + 1))
+
+    lines = ["def mul_add(x, y, u, v):"]
+    lines += ["    %s, = %s" % (", ".join("%s%d" % (v, i) for i in range(d)), v)
+              for v in "xyuv"]
+    lines += ["    c%d = %s" % (k, conv(k))
+              for k, row in enumerate(reduction, d) if row]
+    coords = [conv(i) for i in range(d)]
+    for k, row in enumerate(reduction, d):
+        for i, r in row:
+            coords[i] += " %s %sc%d" % ("-" if r < 0 else "+",
+                                       "" if abs(r) == 1 else "%d*" % abs(r),
+                                       k)
+    lines.append("    return (%s,)" % ", ".join(coords))
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<mul_add kernel, n=%d>" % n, "exec"),
+         namespace)
+    return namespace["mul_add"]
+
+
+# --------------------------------------------------------------------------
 # the ring
 
 
@@ -252,6 +292,7 @@ class NumberField:
         self._reduction = tuple(
             tuple((i, r) for i, r in enumerate(table[k]) if r)
             for k in range(d, 2 * d - 1))
+        self._mul_add = _compile_mul_add(n, d, self._reduction)
         self._interval = _narrowed(self.psi, *self._certify_interval(),
                                    _FILTER_BITS)
         self._bounds = _bound_table(d, *self._interval, _FILTER_BITS)
@@ -357,7 +398,10 @@ class FieldElement:
             other = self._coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return _sum_of_products(self.field, ((self.coeffs, other.coeffs),))
+        field = self.field
+        zero = field.zero.coeffs
+        return FieldElement(field, field._mul_add(self.coeffs, other.coeffs,
+                                                  zero, zero))
 
     __rmul__ = __mul__
 
@@ -416,30 +460,7 @@ class FieldElement:
 
 
 # --------------------------------------------------------------------------
-# the product kernel
-
-
-def _sum_of_products(field: NumberField, pairs) -> FieldElement:
-    """The sum of x*y over the (x, y) coordinate pairs: every convolution
-    runs into one buffer, which is reduced to the power basis once."""
-    d = field.degree
-    conv = [0] * (2 * d - 1)
-    for xs, ys in pairs:
-        i = 0
-        for a in xs:
-            if a:
-                k = i
-                for c in ys:
-                    conv[k] += a * c
-                    k += 1
-            i += 1
-    out = conv[:d]
-    for k, row in enumerate(field._reduction, d):
-        c = conv[k]
-        if c:
-            for i, r in row:
-                out[i] += c * r
-    return FieldElement(field, tuple(out))
+# the fused product
 
 
 def mul_add(x1: FieldElement, y1: FieldElement,
@@ -449,5 +470,5 @@ def mul_add(x1: FieldElement, y1: FieldElement,
     if not (y1.field is field and x2.field is field and y2.field is field):
         for e in (y1, x2, y2):
             x1._coerce(e)  # a foreign element raises ValueError
-    return _sum_of_products(field, ((x1.coeffs, y1.coeffs),
-                                    (x2.coeffs, y2.coeffs)))
+    return FieldElement(field, field._mul_add(x1.coeffs, y1.coeffs,
+                                              x2.coeffs, y2.coeffs))

@@ -4,6 +4,7 @@ helpers that only the tests need."""
 from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, boundary_zero, \
     lift0_apply
+from twobridge.numberfield import FieldElement
 from twobridge.orders import Sign
 
 
@@ -236,3 +237,28 @@ def lifted_by_powers(real, w) -> LiftedMoebius:
         g = gens[gen] if e > 0 else gens[gen].inverse()
         acc = acc * g ** abs(e)
     return acc
+
+
+def sum_of_products_by_loop(field, pairs) -> FieldElement:
+    """The sum of x*y over the (x, y) coordinate pairs: every convolution
+    runs into one buffer, which is reduced to the power basis once by the
+    field's reduction rows.  The loop that the compiled ``mul_add`` kernel
+    replaced, kept as its reference."""
+    d = field.degree
+    conv = [0] * (2 * d - 1)
+    for xs, ys in pairs:
+        i = 0
+        for a in xs:
+            if a:
+                k = i
+                for c in ys:
+                    conv[k] += a * c
+                    k += 1
+            i += 1
+    out = conv[:d]
+    for k, row in enumerate(field._reduction, d):
+        c = conv[k]
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return FieldElement(field, tuple(out))

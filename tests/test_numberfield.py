@@ -9,7 +9,7 @@ from twobridge.errors import ConstructionFailed
 from twobridge.numberfield import (FieldElement, NumberField,
                                    minimal_polynomial, mul_add,
                                    real_cyclotomic_field)
-from reference import reference_sign
+from reference import reference_sign, sum_of_products_by_loop
 
 # classical minimal polynomials of 2*cos(pi/n), coefficients by degree
 KNOWN = {
@@ -158,6 +158,43 @@ def test_mul_add_matches_two_products_and_a_sum():
             assert mul_add(x1, y1, x2, y2) == x1 * y1 + x2 * y2
             assert mul_add(x1, y1, -x1, y1).is_zero()
             assert mul_add(x1, f.one, f.zero, y2) == x1
+
+
+def _kernel_cases(f, rng) -> list:
+    """(x, y, u, v) operands for the product kernel: random coordinates
+    up to +-2^200, the zero and unit vectors, and aliased operands."""
+    d = f.degree
+    big = 1 << 200
+    rand = lambda: f.element([rng.randint(-big, big) for _ in range(d)])
+    units = [f.element([0] * i + [1]) for i in range(d)]
+    x, y = rand(), rand()
+    cases = [(rand(), rand(), rand(), rand()) for _ in range(8)]
+    cases += [(x, x, x, x), (x, y, y, x), (x, x, -x, x), (x, y, -y, x),
+              (f.zero, x, f.zero, y), (x, f.zero, y, f.zero),
+              (f.one, x, y, f.one), (f.zero, f.zero, f.zero, f.zero)]
+    # every product of two unit vectors at low degree; at high degree
+    # each unit vector times the first and the last, which reaches every
+    # row of the reduction
+    index_pairs = [(i, j) for i in range(d)
+                   for j in (range(d) if d <= 10 else (0, d - 1))]
+    for i, j in index_pairs:
+        cases += [(units[i], units[j], f.zero, f.zero),
+                  (f.zero, f.zero, units[i], units[j]),
+                  (units[i], units[j], units[j], x)]
+    return cases
+
+
+@pytest.mark.parametrize("n", list(range(3, 22, 2)) + [61, 101])
+def test_kernel_matches_loop_reference(n):
+    rng = random.Random(47 + n)
+    f = real_cyclotomic_field(n)
+    for x, y, u, v in _kernel_cases(f, rng):
+        fused = mul_add(x, y, u, v)
+        assert fused == sum_of_products_by_loop(f, ((x.coeffs, y.coeffs),
+                                                    (u.coeffs, v.coeffs)))
+        assert all(type(c) is int for c in fused.coeffs)
+        assert x * y == sum_of_products_by_loop(f, ((x.coeffs, y.coeffs),))
+        assert u * v == sum_of_products_by_loop(f, ((u.coeffs, v.coeffs),))
 
 
 def test_corrupted_minpoly_fails_certification():

@@ -1,15 +1,22 @@
 """Property tests of the fast paths against their slow exact routes, run
 when Hypothesis is installed."""
 
+from functools import lru_cache
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from twobridge import numberfield  # noqa: E402
 from twobridge.cfrac import knot_params  # noqa: E402
-from twobridge.groups import Word  # noqa: E402
+from twobridge.groups import Word, g1_normal_form, g2_normal_form  # noqa: E402
+from twobridge.numberfield import mul_add, real_cyclotomic_field  # noqa: E402
 from twobridge.orders import ConeOracle, g1_realization  # noqa: E402
-from reference import decide_by_test_points, lifted_by_powers  # noqa: E402
+from reference import (decide_by_test_points,  # noqa: E402
+                       g1_normal_form_by_letters, g2_normal_form_by_letters,
+                       lifted_by_powers, moebius_product_entrywise,
+                       reference_sign, sum_of_products_by_loop)
 from test_orders import TABLE_KNOTS  # noqa: E402
 
 # small exponents make central and cancelling syllables common, large ones
@@ -18,6 +25,19 @@ g1_words = st.lists(
     st.tuples(st.sampled_from("ab"),
               st.one_of(st.integers(-4, 4), st.integers(-300, 300))),
     max_size=12).map(lambda sylls: Word(tuple(sylls)))
+
+
+def letter_words(alphabet: str):
+    """Words over ``alphabet`` with exponents in -30..30: the letter
+    references walk every letter, so the exponents stay small."""
+    return st.lists(st.tuples(st.sampled_from(alphabet),
+                              st.integers(-30, 30)),
+                    max_size=10).map(lambda sylls: Word(tuple(sylls)))
+
+
+# coordinates: small ones make zeros and cancellation common
+coordinates = st.one_of(st.integers(-2, 2), st.integers(-2 ** 200, 2 ** 200))
+odd_n = st.sampled_from(range(3, 22, 2))
 
 # derandomized and without an example database, so every run checks the
 # same examples and writes no files
@@ -56,3 +76,69 @@ def test_product_sign_matches_test_point_reference(knot, w1, w2):
     want = decide_by_test_points(oracle._realization,
                                  oracle._realization.lifted(w1 * w2))[0]
     assert oracle.product_sign(w1, w2) is want
+
+
+@st.composite
+def field_elements(draw, count):
+    """``count`` elements of one ring Z[2 cos(pi/n)], odd n in 3..21."""
+    f = real_cyclotomic_field(draw(odd_n))
+    coords = st.lists(coordinates, min_size=f.degree, max_size=f.degree)
+    return [f.element(draw(coords)) for _ in range(count)]
+
+
+@settings(PROPERTY, max_examples=80)
+@given(ops=field_elements(4))
+def test_kernel_matches_loop_reference(ops):
+    x, y, u, v = ops
+    f = x.field
+    assert mul_add(x, y, u, v) == sum_of_products_by_loop(
+        f, ((x.coeffs, y.coeffs), (u.coeffs, v.coeffs)))
+    assert x * y == sum_of_products_by_loop(f, ((x.coeffs, y.coeffs),))
+    # aliased operands
+    assert mul_add(x, x, u, u) == sum_of_products_by_loop(
+        f, ((x.coeffs, x.coeffs), (u.coeffs, u.coeffs)))
+
+
+@settings(PROPERTY, max_examples=80)
+@given(knot=st.sampled_from(TABLE_KNOTS), w1=g1_words, w2=g1_words)
+def test_moebius_product_matches_entrywise_reference(knot, w1, w2):
+    real = g1_realization(knot_params(*knot))
+    m1, m2 = real.lifted(w1).matrix, real.lifted(w2).matrix
+    prod = m1 * m2
+    assert (prod.a, prod.b, prod.c, prod.d) == \
+        moebius_product_entrywise(m1, m2)
+
+
+@lru_cache(maxsize=None)
+def _near_zero(n, bits):
+    """q*lambda - p within about 2^-bits of zero in Z[2 cos(pi/n)]."""
+    f = real_cyclotomic_field(n)
+    lo, hi = numberfield._narrowed(f.psi, *f._interval, 2 * bits + 8)
+    pq = ((lo + hi) / 2).limit_denominator(1 << bits)
+    return pq.denominator * f.lam - pq.numerator
+
+
+# the reference bisects with fractions, slowly for elements near zero
+@settings(PROPERTY, max_examples=60)
+@given(ops=field_elements(1), bits=st.sampled_from((0, 40, 140)))
+def test_sign_matches_reference_sign(ops, bits):
+    x, = ops
+    if bits:
+        # at 140 bits the value is below the filter's 2^-128 relative to
+        # its coordinates, so sign() doubles K
+        x = _near_zero(x.field.n, bits) * x
+    assert x.sign() == reference_sign(x)
+
+
+@PROPERTY
+@given(knot=st.sampled_from(TABLE_KNOTS), w=letter_words("ab"))
+def test_g1_normal_form_matches_letter_reference(knot, w):
+    params = knot_params(*knot)
+    assert g1_normal_form(params, w) == g1_normal_form_by_letters(params, w)
+
+
+@PROPERTY
+@given(knot=st.sampled_from(TABLE_KNOTS), w=letter_words("xyz"))
+def test_g2_normal_form_matches_letter_reference(knot, w):
+    params = knot_params(*knot)
+    assert g2_normal_form(params, w) == g2_normal_form_by_letters(params, w)
