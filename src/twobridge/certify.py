@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass, field
 
 from .cfrac import TwoBridgeParams
 from .errors import InternalCheckFailed, ParseError
-from .groups import Word, peripheral_word
+from .groups import Word, g2_inverse, g2_product, peripheral_word
 from .lifted import LiftedMoebius
 from .orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
                      family_is_positive, g1_realization, z2_is_positive)
@@ -148,9 +148,16 @@ def ball(alphabet, radius: int) -> list[Word]:
     out = [Word()]
     layer = [()]
     for _ in range(radius):
-        layer = [w + ((g, e),) for w in layer for g, e in steps
-                 if not w or w[-1] != (g, -e)]
-        out.extend(Word(ls) for ls in layer)
+        longer = []
+        for w in layer:
+            g0, e0 = w[-1] if w else (None, 0)
+            for g, e in steps:
+                if g != g0:
+                    longer.append(w + ((g, e),))
+                elif (e0 > 0) == (e > 0):
+                    longer.append(w[:-1] + ((g, e0 + e),))
+        layer = longer
+        out.extend(Word._of(ls) for ls in layer)
     return out
 
 
@@ -235,7 +242,8 @@ class _Signer:
     """``pattern(c)`` maps the box to the signs of mu^r h^s (G1) or
     y^r (z x^2)^s (G2) in the member conjugated by c: for G1 by deciding
     cached lifted transformations at the test points moved by c^-1, for G2
-    through ``family_is_positive``."""
+    by signing nf(c) f nf(c)^-1 for the cached normal form f of each box
+    word, multiplied by ``g2_product``."""
 
     def __init__(self, params: TwoBridgeParams, group: str, bound: int,
                  _corrupt=None):
@@ -252,7 +260,8 @@ class _Signer:
                            LiftedMoebius.translation(real.field, s * wind)
                            for r, s in self.box]
         else:
-            self._words = [peripheral_word(params, "g2", r, s)
+            self._forms = [self.oracle.form(peripheral_word(params, "g2",
+                                                            r, s))
                            for r, s in self.box]
 
     def pattern(self, c: Word) -> dict:
@@ -263,9 +272,12 @@ class _Signer:
             points = [c_inv.apply(p) for p in self._real.test_points]
             signs = [self._real.decide(g, points)[0] for g in self._lifts]
         else:
-            spec = OrderFamilySpec("g2", c)
-            signs = [family_is_positive(self.oracle, spec, w)
-                     for w in self._words]
+            params, oracle = self.params, self.oracle
+            c_nf = oracle.form(c)
+            c_inv = g2_inverse(params, c_nf)
+            signs = [oracle.sign_trace(g2_product(
+                params, g2_product(params, c_nf, f), c_inv))[0]
+                for f in self._forms]
         if self._corrupt is not None:
             signs = [self._corrupt(c, r, s, got)
                      for (r, s), got in zip(self.box, signs)]

@@ -33,7 +33,8 @@ from enum import Enum
 
 from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
-from .groups import G2Element, Word, g1_normal_form, g2_normal_form
+from .groups import (G2Element, Word, g1_normal_form, g2_normal_form,
+                     g2_product)
 from .lifted import (LiftedMoebius, LiftedPoint, ProjectivePoint,
                      boundary_zero, infinity, order_n_rotation,
                      order_two_rotation)
@@ -344,9 +345,11 @@ def _magnus_first_sign(letters, max_degree: int) -> tuple[int, int]:
     return 0, max_degree
 
 
-def g2_sign_trace(params: TwoBridgeParams, w: Word) -> tuple[Sign, dict]:
+def g2_sign_trace(params: TwoBridgeParams,
+                  w: Word | G2Element) -> tuple[Sign, dict]:
+    """Sign of a word, or of an element given by its normal form."""
     beta = abs(params.b2)
-    nf = g2_normal_form(params, w)
+    nf = w if isinstance(w, G2Element) else g2_normal_form(params, w)
     if nf.xpow:
         return _sign_of_int(nf.xpow), {
             "group": "g2", "decided_by": "layer-1-pi", "pi": nf.xpow}
@@ -387,25 +390,38 @@ class ConeOracle:
         self.params = params
         self.group = group
         self._realization = g1_realization(params) if group == "g1" else None
-        # g1: the lift of every factor product_sign has seen
+        # g1: the lift of every factor product_sign has seen; g2: the
+        # normal form of every word the oracle has been asked about
         self._lifts: dict[Word, LiftedMoebius] = {}
+        self._forms: dict[Word, G2Element] = {}
 
-    def sign_trace(self, w: Word) -> tuple[Sign, dict]:
+    def sign_trace(self, w: Word | G2Element) -> tuple[Sign, dict]:
+        """Sign and trace of a word; for g2 also of a normal form."""
         if self.group == "g1":
             return g1_sign_trace(self.params, w, self._realization)
         return g2_sign_trace(self.params, w)
 
     def is_positive(self, w: Word) -> Sign:
-        return self.sign_trace(w)[0]
+        return self.sign_trace(self.form(w) if self.group == "g2" else w)[0]
+
+    def form(self, w: Word) -> G2Element:
+        """The g2 normal form of w, computed once per oracle."""
+        nf = self._forms.get(w)
+        if nf is None:
+            nf = self._forms[w] = g2_normal_form(self.params, w)
+        return nf
 
     def product_sign(self, w1: Word, w2: Word) -> Sign:
-        """Sign of w1 w2.  For g1 each factor is lifted once per oracle, and
-        the product's winding is k or k + 1 for k the sum of the factors'
-        (the cocycle is 0 or 1), so when ``_winding_sign(k, k + 1)``
-        decides no matrix product is formed; otherwise one lifted product
-        is.  The normal form of w1 w2 cross-checks the identity always."""
+        """Sign of w1 w2 from the lift (g1) or the normal form (g2) of
+        each factor, computed once per oracle.  For g2 the product of the
+        two forms, by ``g2_product``, is signed.  For g1 the product's
+        winding is k or k + 1 for k the sum of the factors' (the cocycle
+        is 0 or 1), so when ``_winding_sign(k, k + 1)`` decides no matrix
+        product is formed; otherwise one lifted product is.  The normal
+        form of w1 w2 cross-checks the g1 identity always."""
         if self.group == "g2":
-            return self.is_positive(w1 * w2)
+            return self.sign_trace(g2_product(self.params, self.form(w1),
+                                              self.form(w2)))[0]
         lifts = self._lifts
         for w in (w1, w2):
             if w not in lifts:
@@ -423,7 +439,7 @@ class ConeOracle:
         for g1; the same total normal form for g2)."""
         if self.group == "g1":
             return g1_normal_form(self.params, w).is_identity()
-        return g2_normal_form(self.params, w).is_identity()
+        return self.form(w).is_identity()
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,12 @@ def letters_of(w):
             for _ in range(abs(e))]
 
 
+def word_product_by_reduce(w1, w2):
+    """The product by free reduction of the whole concatenation: the
+    reference for ``Word.__mul__``, which reduces only at the seam."""
+    return Word(w1.syllables + w2.syllables)
+
+
 def g1_normal_form_by_letters(params, w):
     """The normal form computed one letter at a time: the reference for
     the syllable-wise ``g1_normal_form``."""

@@ -15,10 +15,11 @@ from twobridge.certify import (MUTATIONS, CertificateReport, Counterexample,
                                overall_verdict, run_checks,
                                run_mutation_selftests)
 from twobridge.errors import InternalCheckFailed, ParseError
-from twobridge.groups import Word
+from twobridge.groups import Word, peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import FieldElement
-from twobridge.orders import ConeOracle, Sign
+from twobridge.orders import (ConeOracle, OrderFamilySpec, Sign,
+                              family_is_positive)
 from reference import pattern_by_products
 
 SMALL = SampleBudget(ball_radius=3, conjugator_length=2, peripheral_bound=2,
@@ -65,6 +66,14 @@ def test_ball_enumeration():
     assert len(words) == 485
     assert len({str(w) for w in words}) == 485
     assert len(ball(("x", "z"), 5)) == 485
+    assert ball(("a", "b"), 2)[5:9] == [Word((("a", 2),)),
+                                        Word((("a", 1), ("b", 1))),
+                                        Word((("a", 1), ("b", -1))),
+                                        Word((("a", -2),))]
+    # ball words and their inverses are built reduced, not reduced after
+    for w in words + ball(("x", "y", "z"), 3):
+        for v in (w, w.inverse()):
+            assert Word(v.syllables).syllables == v.syllables
 
 
 def test_report_verdict_logic():
@@ -289,6 +298,19 @@ def test_g1_pattern_matches_conjugated_products(c1, c2):
     signer._lifts = [signer._real.lifted(w) for w in signer.box]
     for c in conjugators:
         assert signer.pattern(c) == pattern_by_products(signer, c), str(c)
+
+
+@pytest.mark.parametrize("c1,c2", [(3, 4), (3, -4), (7, -6), (5, 8)])
+def test_g2_pattern_matches_family_word_route(c1, c2):
+    # b2 = 2, -2, -3, 4: beta = 2 with both signs, an odd beta, beta = 4
+    params = knot_params(c1, c2)
+    signer = _Signer(params, "g2", 2)
+    words = [peripheral_word(params, "g2", r, s) for r, s in signer.box]
+    for c in ball(("x", "y", "z"), 3):
+        spec = OrderFamilySpec("g2", c)
+        assert signer.pattern(c) == {
+            v: family_is_positive(signer.oracle, spec, w)
+            for v, w in zip(signer.box, words)}, str(c)
 
 
 @pytest.mark.parametrize("group", ["g1", "g2"])

@@ -149,6 +149,19 @@ def test_order_sign_parse_error_exit_3(capsys):
     assert doc["error"]["code"] == "ParseError"
 
 
+@pytest.mark.parametrize("word", ["x^1_0", "z x^\u0663", "y^-\u0661"])
+def test_order_sign_malformed_exponent_exit_3(capsys, word):
+    code, doc = run_cli(capsys, ["order-sign", "--group", "g2",
+                                 "--c1", "3", "--c2", "4", word])
+    assert code == 3
+    assert doc["error"]["code"] == "ParseError"
+    code, doc = run_cli(capsys, ["order-sign", "--group", "g2",
+                                 "--c1", "3", "--c2", "4",
+                                 "--conjugator", word, "x"])
+    assert code == 3
+    assert doc["error"]["code"] == "ParseError"
+
+
 def test_internal_check_failed_exit_4(capsys, monkeypatch):
     def explode(params, group):
         raise InternalCheckFailed("synthetic")
@@ -301,6 +314,10 @@ def test_certify_reps_budget_reports_pinned(capsys):
 DEFAULT_BUDGET_DIGESTS = {
     (3, 4): "e1c828c9658eaecd3f1f2892cbe4525b"
             "d6c674147ad66a8e03cc1ccdfae8afae",
+    (3, -4): "d6c47394179533f906fa4f3a0bda5146"
+             "e6ddd083c24339886ee067ee2510a0e6",
+    (5, 4): "d5114fbb67a4956531887e7eed43f9f9"
+            "2e3bf5f8d8d77c0497ffcbe0fb3df74e",
     (7, -6): "381c8c4f5a92e6b85a432c5259668029"
              "424b115b057e05ba1bba78db0aa19e04",
     "selftest": "522d6d2ee2a43b237b5a04178fe02e75"

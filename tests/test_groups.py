@@ -5,10 +5,11 @@ import pytest
 from twobridge.cfrac import knot_params
 from twobridge.errors import ParseError
 from twobridge.groups import (G1Element, G2Element, W, Word,
-                              g1_normal_form, g2_normal_form,
-                              peripheral_word, presentations)
+                              g1_normal_form, g2_inverse, g2_normal_form,
+                              g2_product, peripheral_word, presentations)
 from reference import (g1_element_word, g1_normal_form_by_letters,
-                       g2_element_word, g2_normal_form_by_letters, letters_of)
+                       g2_element_word, g2_normal_form_by_letters, letters_of,
+                       word_product_by_reduce)
 
 KNOTS = [knot_params(3, 4), knot_params(3, -4),
          knot_params(5, 4), knot_params(7, -6)]
@@ -50,11 +51,48 @@ def test_word_parse_errors():
             W(bad)
 
 
+def test_word_parse_takes_only_ascii_decimal_exponents():
+    # int() alone would read these as x^10, x^3, x^3 and x^-2
+    for bad in ("x^1_0", "x^\u0663", "x^\uff13", "x^-\u0662", "x^+-1",
+                "x^--1", "x^-", "x^+", "x^1e3", "x^0x1"):
+        with pytest.raises(ParseError):
+            W(bad)
+    assert W("x^+3") == W("x^3") == W("x^003")
+    assert W("x^-12 z^0") == Word((("x", -12),))
+
+
 def test_free_reduction():
     assert W("a a^-1").syllables == ()
     assert (W("a") * W("b b^-1") * W("a")).syllables == (("a", 2),)
     assert (W("b^2") * W("b^3")).syllables == (("b", 5),)
     assert W("a b b^-1 a") == W("a^2")
+
+
+def _seam_pairs(rng, alphabet, count):
+    """(w1, w2) pairs where w2 starts by undoing a suffix of w1, so the
+    seam cancels whole syllables and then may merge one more."""
+    pairs = [(W("a b a^-1"), W("a b^-1")), (W("a b^2"), W("b^-2 a^-1 b")),
+             (W("a^3 b"), W("b^-1 a^-3")), (W("b^-1 a"), W("a^-1 b^2 a"))]
+    for _ in range(count):
+        w1 = random_word(rng, alphabet)
+        w2 = random_word(rng, alphabet)
+        cut = rng.randint(0, len(w1.syllables))
+        undo = Word(w1.syllables[cut:]).inverse()
+        pairs += [(w1, w1.inverse()), (w1, w2),
+                  (w1, word_product_by_reduce(undo, w2))]
+    return pairs
+
+
+def test_word_product_matches_reduce_reference():
+    rng = random.Random(31)
+    for w1, w2 in _seam_pairs(rng, ("a", "b"), 400) + \
+            _seam_pairs(rng, ("x", "y", "z"), 400):
+        got = w1 * w2
+        assert got.syllables == word_product_by_reduce(w1, w2).syllables
+        assert Word(got.syllables).syllables == got.syllables
+    assert (W("a b a^-1") * W("a b^-1")).syllables == (("a", 1),)
+    w = W("x^3 z^-2 y x^-1")
+    assert (w * w.inverse()).syllables == ()
 
 
 def test_word_algebra():
@@ -255,6 +293,58 @@ def test_g2_homomorphy_and_word_round_trip():
                 k, g2_element_word(k, n1) * g2_element_word(k, n2))
             assert direct == via
             assert g2_normal_form(k, g2_element_word(k, n1)) == n1
+
+
+def _g2_words(rng, count):
+    """Random words over x, y, z with small exponents (cancellation) and
+    large ones (wrapping modulo beta many times)."""
+    return [Word(tuple((rng.choice("xyz"), rng.choice((-1, 1)) *
+                        rng.choice((1, 1, 2, 3, 7, 60)))
+                       for _ in range(rng.randint(0, 7))))
+            for _ in range(count)]
+
+
+def test_g2_product_and_inverse_match_concatenated_words():
+    rng = random.Random(41)
+    one = G2Element(0, (), 0)
+    for k in KNOTS_8 + [knot_params(5, 8), knot_params(-5, 4)]:
+        words = _g2_words(rng, 150)
+        pairs = list(zip(words, words[1:]))
+        # seams that cancel whole syllables: w2 undoes a suffix of w1
+        pairs += [(w1, word_product_by_reduce(
+            Word(w1.syllables[rng.randint(0, len(w1.syllables)):]).inverse(),
+            w2)) for w1, w2 in pairs[:100]]
+        pairs += [(w, w.inverse()) for w in words[:30]]
+        pairs += [(W("y"), W("y^%d" % e)) for e in (-3, -1, 1, 2, 5)]
+        for w1, w2 in pairs:
+            e1, e2 = g2_normal_form(k, w1), g2_normal_form(k, w2)
+            assert g2_product(k, e1, e2) == g2_normal_form(
+                k, word_product_by_reduce(w1, w2)), (str(w1), str(w2))
+            inv = g2_inverse(k, e1)
+            assert inv == g2_normal_form(k, w1.inverse()), str(w1)
+            assert g2_product(k, e1, inv) == one == g2_product(k, inv, e1)
+            assert g2_product(k, e1, one) == e1 == g2_product(k, one, e1)
+
+
+def test_g2_product_carries_at_the_seam():
+    k = knot_params(3, 4)  # beta = 2
+    z, zi = G2Element(0, ((0, 1),), 0), G2Element(0, ((1, 1),), 0)
+    assert g2_product(k, z, z) == G2Element(0, (), 1)  # z_0^2 = w0
+    assert g2_product(k, zi, zi) == G2Element(0, (), -1)  # z_1^2 = w0^-1
+    # z_0 z_1 times z_1 z_0: the seam merges twice, carrying -1 then +1
+    e = G2Element(0, ((0, 1), (1, 1)), 0)
+    assert g2_product(k, e, g2_inverse(k, e)).is_identity()
+    assert g2_product(k, e, G2Element(0, ((1, 1), (0, 1)), 0)) == \
+        G2Element(0, (), 0)
+    # x^-1 z_0 x = z_1 and x w0 x^-1 = w0^-1: an odd shift flips w0
+    x = G2Element(1, (), 0)
+    assert g2_product(k, G2Element(0, ((0, 1),), 2), x) == \
+        G2Element(1, ((1, 1),), -2)
+    assert g2_inverse(k, G2Element(1, ((0, 1),), 2)) == \
+        g2_normal_form(k, W("z^-4 z^-1 x^-1"))
+    km = knot_params(3, -4)  # b2 < 0: y = z^2 w0^-2 = w0^-1
+    y = g2_normal_form(km, W("y"))
+    assert g2_product(km, y, g2_normal_form(km, W("z^2"))).is_identity()
 
 
 # ------------------------------------------------- peripheral subgroups

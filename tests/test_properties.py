@@ -8,15 +8,19 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from twobridge import numberfield  # noqa: E402
+from twobridge import lifted, numberfield  # noqa: E402
 from twobridge.cfrac import knot_params  # noqa: E402
-from twobridge.groups import Word, g1_normal_form, g2_normal_form  # noqa: E402
+from twobridge.groups import (Word, g1_normal_form, g2_inverse,  # noqa: E402
+                              g2_normal_form, g2_product)
 from twobridge.numberfield import mul_add, real_cyclotomic_field  # noqa: E402
-from twobridge.orders import ConeOracle, g1_realization  # noqa: E402
-from reference import (decide_by_test_points,  # noqa: E402
-                       g1_normal_form_by_letters, g2_normal_form_by_letters,
-                       lifted_by_powers, moebius_product_entrywise,
-                       reference_sign, sum_of_products_by_loop)
+from twobridge.orders import (ConeOracle, _magnus_first_sign,  # noqa: E402
+                              g1_realization)
+from reference import (cocycle_by_evaluation,  # noqa: E402
+                       decide_by_test_points, g1_normal_form_by_letters,
+                       g2_normal_form_by_letters, lifted_by_powers,
+                       magnus_first_sign_stepped, moebius_product_entrywise,
+                       reference_sign, sum_of_products_by_loop,
+                       word_product_by_reduce)
 from test_orders import TABLE_KNOTS  # noqa: E402
 
 # small exponents make central and cancelling syllables common, large ones
@@ -25,6 +29,12 @@ g1_words = st.lists(
     st.tuples(st.sampled_from("ab"),
               st.one_of(st.integers(-4, 4), st.integers(-300, 300))),
     max_size=12).map(lambda sylls: Word(tuple(sylls)))
+
+
+g2_words = st.lists(
+    st.tuples(st.sampled_from("xyz"),
+              st.one_of(st.integers(-4, 4), st.integers(-300, 300))),
+    max_size=10).map(lambda sylls: Word(tuple(sylls)))
 
 
 def letter_words(alphabet: str):
@@ -142,3 +152,52 @@ def test_g1_normal_form_matches_letter_reference(knot, w):
 def test_g2_normal_form_matches_letter_reference(knot, w):
     params = knot_params(*knot)
     assert g2_normal_form(params, w) == g2_normal_form_by_letters(params, w)
+
+
+@PROPERTY
+@given(knot=st.sampled_from(TABLE_KNOTS), w1=g2_words, w2=g2_words,
+       w3=g2_words, cut=st.integers(0, 10))
+def test_g2_group_law_matches_concatenated_words(knot, w1, w2, w3, cut):
+    params = knot_params(*knot)
+    # w2 starts by undoing a suffix of w1, so whole syllables cancel
+    w2 = word_product_by_reduce(Word(w1.syllables[cut:]).inverse(), w2)
+    e1, e2, e3 = (g2_normal_form(params, w) for w in (w1, w2, w3))
+    e12 = g2_product(params, e1, e2)
+    assert e12 == g2_normal_form(params, word_product_by_reduce(w1, w2))
+    assert g2_inverse(params, e1) == g2_normal_form(params, w1.inverse())
+    assert g2_product(params, e12, e3) == \
+        g2_product(params, e1, g2_product(params, e2, e3))
+
+
+@PROPERTY
+@given(knot=st.sampled_from(TABLE_KNOTS), w1=g1_words, w2=g1_words)
+def test_cocycle_matches_evaluation_reference(knot, w1, w2):
+    real = g1_realization(knot_params(*knot))
+    m1, m2 = real.lifted(w1).matrix, real.lifted(w2).matrix
+    prod = m1 * m2
+    assert lifted._cocycle(m1, m2, prod) == \
+        cocycle_by_evaluation(m1, m2, prod)
+
+
+@st.composite
+def kernel_letters(draw):
+    """A nonempty freely reduced word over four Schreier-basis tokens."""
+    tokens = [(1, 1, 0), (1, 1, 1), (1, -1, 2), (2, 2, 0)]
+    word = []
+    for t, e in draw(st.lists(st.tuples(st.sampled_from(tokens),
+                                        st.sampled_from((1, -1))),
+                              min_size=1, max_size=10)):
+        if word and word[-1] == (t, -e):
+            word.pop()
+        else:
+            word.append((t, e))
+    hypothesis.assume(word)
+    return word
+
+
+@PROPERTY
+@given(word=kernel_letters())
+def test_sparse_magnus_matches_stepped_dense_reference(word):
+    syllables = 1 + sum(t1 != t2 for (t1, _), (t2, _) in zip(word, word[1:]))
+    assert _magnus_first_sign(word, syllables) == \
+        magnus_first_sign_stepped(word, syllables)
