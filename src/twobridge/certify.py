@@ -27,9 +27,10 @@ any counterexample localizes an implementation defect.
 
 The three peripheral checks compare sign patterns: one signer per piece
 maps each (r, s) of the peripheral box to the sign of mu^r h^s in a
-conjugated family member.  Its ``_corrupt(c, r, s, sign)`` argument is the
-one injection seam for the mutation self-tests, which prove that corrupted
-patterns are detected, never silently certified.
+conjugated family member.  It holds the box and asks a cone oracle, which
+alone represents elements, for the signs.  Its ``_corrupt(c, r, s, sign)``
+argument is the one injection seam for the mutation self-tests, which
+prove that corrupted patterns are detected, never silently certified.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from dataclasses import asdict, dataclass, field
 
 from .cfrac import TwoBridgeParams
 from .errors import InternalCheckFailed, ParseError
-from .groups import Word, g2_inverse, g2_product, peripheral_word
-from .lifted import LiftedMoebius
+from .groups import Word, peripheral_word
 from .orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
-                     family_is_positive, g1_realization, z2_is_positive)
+                     family_is_positive, z2_is_positive)
 
 BALL_ALPHABETS = {"g1": ("a", "b"), "g2": ("x", "z")}
 
@@ -240,10 +240,8 @@ def audit_cone(oracle, budget: SampleBudget) -> CertificateReport:
 
 class _Signer:
     """``pattern(c)`` maps the box to the signs of mu^r h^s (G1) or
-    y^r (z x^2)^s (G2) in the member conjugated by c: for G1 by deciding
-    cached lifted transformations at the test points moved by c^-1, for G2
-    by signing nf(c) f nf(c)^-1 for the cached normal form f of each box
-    word, multiplied by ``g2_product``."""
+    y^r (z x^2)^s (G2) in the member conjugated by c, asked of one cone
+    oracle for the oracle's element of each box word."""
 
     def __init__(self, params: TwoBridgeParams, group: str, bound: int,
                  _corrupt=None):
@@ -253,31 +251,12 @@ class _Signer:
         span = range(-bound, bound + 1)
         self.box = [(r, s) for r in span for s in span]
         self._corrupt = _corrupt
-        if group == "g1":
-            real = self._real = g1_realization(params)
-            wind = 2 * params.b1 - 1
-            self._lifts = [real.mu_lift ** r *
-                           LiftedMoebius.translation(real.field, s * wind)
-                           for r, s in self.box]
-        else:
-            self._forms = [self.oracle.form(peripheral_word(params, "g2",
-                                                            r, s))
-                           for r, s in self.box]
+        self._elements = [
+            self.oracle.element(peripheral_word(params, group, r, s))
+            for r, s in self.box]
 
     def pattern(self, c: Word) -> dict:
-        if self.group == "g1":
-            # c^-1 is an increasing map of the line, so c g c^-1 moves the
-            # test point p_i as g moves c^-1(p_i): move the points instead
-            c_inv = self._real.lifted(c).inverse()
-            points = [c_inv.apply(p) for p in self._real.test_points]
-            signs = [self._real.decide(g, points)[0] for g in self._lifts]
-        else:
-            params, oracle = self.params, self.oracle
-            c_nf = oracle.form(c)
-            c_inv = g2_inverse(params, c_nf)
-            signs = [oracle.sign_trace(g2_product(
-                params, g2_product(params, c_nf, f), c_inv))[0]
-                for f in self._forms]
+        signs = self.oracle.conjugate_signs(c, self._elements)
         if self._corrupt is not None:
             signs = [self._corrupt(c, r, s, got)
                      for (r, s), got in zip(self.box, signs)]

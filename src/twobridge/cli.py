@@ -6,7 +6,8 @@ Every subcommand prints a single JSON document on standard output (pass
 ``{"error": {"code", "message"}}`` and exit nonzero:
 
 * 2 - the knot is outside the supported family (``OutOfFamily``)
-* 3 - malformed word, flag value or budget (``ParseError``)
+* 3 - malformed word, flag value or budget, or an ``--out`` file that
+  cannot be written (``ParseError``); nothing runs
 * 4 - an exact internal cross-check failed (``InternalCheckFailed``,
   including construction failures); this always indicates a bug
 * 64 - command-line usage error
@@ -25,6 +26,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import ExitStack
 
 from .alexander import (alexander_poly, alexander_poly_from_pq, evaluate,
                         is_monic, lspace_surgery_verdict,
@@ -34,7 +36,7 @@ from .certify import (CHECK_NAMES, SampleBudget, overall_verdict,
 from .cfrac import knot_info, knot_params
 from .errors import (ConstructionFailed, InternalCheckFailed, OutOfFamily,
                      ParseError)
-from .groups import Word, presentations
+from .groups import Word, parse_int, presentations
 from .numberfield import NumberField
 from .orders import (ConeOracle, G1Realization, OrderFamilySpec,
                      family_sign_trace)
@@ -54,8 +56,8 @@ class _Parser(argparse.ArgumentParser):
 def _default_seed() -> int:
     raw = os.environ.get("TWOBRIDGE_SEED", "")
     try:
-        return int(raw) if raw else 0
-    except ValueError:
+        return parse_int(raw) if raw else 0
+    except ParseError:
         raise ParseError("TWOBRIDGE_SEED must be an integer, got %r" % raw)
 
 
@@ -66,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def knot_flags(sp):
-        sp.add_argument("--c1", type=int, required=True,
+        sp.add_argument("--c1", type=parse_int, required=True,
                         help="odd coefficient, |c1| > 2")
-        sp.add_argument("--c2", type=int, required=True,
+        sp.add_argument("--c2", type=parse_int, required=True,
                         help="even coefficient, |c2| > 2")
 
     def out_flag(sp):
@@ -105,17 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run certification checks; exit 0 iff "
                              "Certified")
     knot_flags(sp)
-    sp.add_argument("--radius", type=int, default=5,
+    sp.add_argument("--radius", type=parse_int, default=5,
                     help="ball radius for cone audits (default 5)")
-    sp.add_argument("--conj-len", type=int, default=4,
+    sp.add_argument("--conj-len", type=parse_int, default=4,
                     help="conjugator length bound (default 4)")
-    sp.add_argument("--peripheral-box", type=int, default=5,
+    sp.add_argument("--peripheral-box", type=parse_int, default=5,
                     help="bound on |r|, |s| (default 5)")
-    sp.add_argument("--samples", type=int, default=10000,
+    sp.add_argument("--samples", type=parse_int, default=10000,
                     help="semigroup sample count (default 10000)")
-    sp.add_argument("--members", type=int, default=200,
+    sp.add_argument("--members", type=parse_int, default=200,
                     help="family members sampled (default 200)")
-    sp.add_argument("--seed", type=int, default=None,
+    sp.add_argument("--seed", type=parse_int, default=None,
                     help="sampling seed (default: TWOBRIDGE_SEED or 0)")
     sp.add_argument("--check", choices=CHECK_NAMES + ("all",),
                     default="all")
@@ -306,27 +308,33 @@ _ERROR_CODES = (
 )
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=False)
-    print(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _open_out(path: str):
+    """The --out file, opened before the subcommand runs, so that a path
+    that cannot be written exits 3 with nothing run."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError("cannot write --out file: %s" % exc) from None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        payload, code = _DISPATCH[args.command](args)
-    except tuple(exc for exc, _, _ in _ERROR_CODES) as exc:
-        for exc_type, name, code in _ERROR_CODES:
-            if isinstance(exc, exc_type):
-                _emit({"schema_version": SCHEMA_VERSION,
-                       "error": {"code": name, "message": str(exc)}},
-                      getattr(args, "out", None))
-                return code
-        raise  # unreachable
-    _emit(payload, getattr(args, "out", None))
+    out_path = getattr(args, "out", None)
+    with ExitStack() as stack:
+        out = None
+        try:
+            if out_path:
+                out = stack.enter_context(_open_out(out_path))
+            payload, code = _DISPATCH[args.command](args)
+        except tuple(exc for exc, _, _ in _ERROR_CODES) as exc:
+            name, code = next((name, code) for exc_type, name, code
+                              in _ERROR_CODES if isinstance(exc, exc_type))
+            payload = {"schema_version": SCHEMA_VERSION,
+                       "error": {"code": name, "message": str(exc)}}
+        text = json.dumps(payload, indent=2, sort_keys=False)
+        print(text)
+        if out is not None:
+            out.write(text + "\n")
     return code
 
 

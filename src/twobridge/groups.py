@@ -22,6 +22,15 @@ from .cfrac import TwoBridgeParams
 from .errors import ParseError
 
 
+def parse_int(text: str) -> int:
+    """An optional sign, then ASCII digits: int() would also take "1_0",
+    surrounding whitespace and non-ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError("not an integer: %r" % (text,))
+    return int(text)
+
+
 class Word:
     """A freely reduced word over named generators.
 
@@ -53,15 +62,10 @@ class Word:
             name, caret, exp = token.partition("^")
             if not name or name.startswith("^"):
                 raise ParseError("bad word token %r" % token)
-            if caret:
-                # an optional sign and ASCII digits only: int() would also
-                # take "1_0" and non-ASCII digits
-                digits = exp[1:] if exp[:1] in ("+", "-") else exp
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ParseError("bad exponent in token %r" % token)
-                e = int(exp)
-            else:
-                e = 1
+            try:
+                e = parse_int(exp) if caret else 1
+            except ParseError:
+                raise ParseError("bad exponent in token %r" % token) from None
             if not name.isalnum():
                 raise ParseError("bad generator name %r" % token)
             syllables.append((name, e))

@@ -59,9 +59,6 @@ class ProjectivePoint:
             return NotImplemented
         return mul_add(self.u, other.v, -other.u, self.v).is_zero()
 
-    def __hash__(self):
-        raise TypeError("projective points are not hashable")
-
     def cmp_finite(self, other: "ProjectivePoint") -> int:
         """Order of two finite points as extended reals u/v."""
         assert self.finite and other.finite
@@ -113,9 +110,6 @@ class LiftedPoint:
         if not isinstance(other, LiftedPoint):
             return NotImplemented
         return self._cmp(other) == 0
-
-    def __hash__(self):
-        raise TypeError("lifted points are not hashable")
 
     def __repr__(self):
         return "(%d, %r)" % (self.wind, self.point)
@@ -175,9 +169,6 @@ class Moebius:
         mine = (self.a, self.b, self.c, self.d)
         theirs = (other.a, other.b, other.c, other.d)
         return mine == theirs or mine == tuple(-e for e in theirs)
-
-    def __hash__(self):
-        raise TypeError("moebius matrices are not hashable")
 
     def __repr__(self):
         return "[[%r, %r], [%r, %r]]" % (self.a, self.b, self.c, self.d)
@@ -270,9 +261,6 @@ class LiftedMoebius:
         if not isinstance(other, LiftedMoebius):
             return NotImplemented
         return self.wind == other.wind and self.matrix == other.matrix
-
-    def __hash__(self):
-        raise TypeError("lifted moebius maps are not hashable")
 
     def __repr__(self):
         return "LiftedMoebius(%r, wind=%d)" % (self.matrix, self.wind)

@@ -33,8 +33,8 @@ from enum import Enum
 
 from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
-from .groups import (G2Element, Word, g1_normal_form, g2_normal_form,
-                     g2_product)
+from .groups import (G2Element, Word, g1_normal_form, g2_inverse,
+                     g2_normal_form, g2_product)
 from .lifted import (LiftedMoebius, LiftedPoint, ProjectivePoint,
                      boundary_zero, infinity, order_n_rotation,
                      order_two_rotation)
@@ -223,15 +223,12 @@ def g1_realization(params: TwoBridgeParams) -> G1Realization:
     return _G1_CACHE[params.b1]
 
 
-def g1_sign_trace(params: TwoBridgeParams, w: Word,
-                  _realization: G1Realization | None = None,
-                  _lift: LiftedMoebius | None = None) -> tuple[Sign, dict]:
-    """Sign of w from its lift (``_lift`` if already known), cross-checked
-    against the normal form's verdict about the identity."""
-    real = _realization if _realization is not None else \
-        g1_realization(params)
+def g1_sign_trace(params: TwoBridgeParams, w: Word) -> tuple[Sign, dict]:
+    """Sign of w from its lift, cross-checked against the normal form's
+    verdict about the identity."""
+    real = g1_realization(params)
     trivial = g1_normal_form(params, w).is_identity()
-    sign, trace = real.decide(real.lifted(w) if _lift is None else _lift)
+    sign, trace = real.decide(real.lifted(w))
     _check_identity(sign, trivial, w)
     trace["group"] = "g1"
     return sign, trace
@@ -382,7 +379,10 @@ def g2_sign_trace(params: TwoBridgeParams,
 
 
 class ConeOracle:
-    """Total sign oracle for one piece group ("g1" or "g2")."""
+    """Total sign oracle for one piece group ("g1" or "g2").  It alone
+    represents elements: the lift (g1) or normal form (g2) of w is built
+    once, by ``element(w)``, and read by every other sign it gives for w
+    except ``sign_trace``'s, which keeps the word route."""
 
     def __init__(self, params: TwoBridgeParams, group: str):
         if group not in ("g1", "g2"):
@@ -390,56 +390,72 @@ class ConeOracle:
         self.params = params
         self.group = group
         self._realization = g1_realization(params) if group == "g1" else None
-        # g1: the lift of every factor product_sign has seen; g2: the
-        # normal form of every word the oracle has been asked about
-        self._lifts: dict[Word, LiftedMoebius] = {}
-        self._forms: dict[Word, G2Element] = {}
+        self._elements: dict[Word, LiftedMoebius | G2Element] = {}
 
-    def sign_trace(self, w: Word | G2Element) -> tuple[Sign, dict]:
-        """Sign and trace of a word; for g2 also of a normal form."""
+    def element(self, w: Word) -> LiftedMoebius | G2Element:
+        """The lift (g1) or normal form (g2) of w, computed once."""
+        e = self._elements.get(w)
+        if e is None:
+            e = self._elements[w] = (
+                self._realization.lifted(w) if self.group == "g1"
+                else g2_normal_form(self.params, w))
+        return e
+
+    def sign_trace(self, w: Word) -> tuple[Sign, dict]:
+        """Sign and trace of a word by the word route."""
         if self.group == "g1":
-            return g1_sign_trace(self.params, w, self._realization)
+            return g1_sign_trace(self.params, w)
         return g2_sign_trace(self.params, w)
 
     def is_positive(self, w: Word) -> Sign:
-        return self.sign_trace(self.form(w) if self.group == "g2" else w)[0]
-
-    def form(self, w: Word) -> G2Element:
-        """The g2 normal form of w, computed once per oracle."""
-        nf = self._forms.get(w)
-        if nf is None:
-            nf = self._forms[w] = g2_normal_form(self.params, w)
-        return nf
-
-    def product_sign(self, w1: Word, w2: Word) -> Sign:
-        """Sign of w1 w2 from the lift (g1) or the normal form (g2) of
-        each factor, computed once per oracle.  For g2 the product of the
-        two forms, by ``g2_product``, is signed.  For g1 the product's
-        winding is k or k + 1 for k the sum of the factors' (the cocycle
-        is 0 or 1), so when ``_winding_sign(k, k + 1)`` decides no matrix
-        product is formed; otherwise one lifted product is.  The normal
-        form of w1 w2 cross-checks the g1 identity always."""
         if self.group == "g2":
-            return self.sign_trace(g2_product(self.params, self.form(w1),
-                                              self.form(w2)))[0]
-        lifts = self._lifts
-        for w in (w1, w2):
-            if w not in lifts:
-                lifts[w] = self._realization.lifted(w)
-        w, k = w1 * w2, lifts[w1].wind + lifts[w2].wind
-        sign = _winding_sign(k, k + 1)
-        if sign is None:
-            return g1_sign_trace(self.params, w, self._realization,
-                                 lifts[w1] * lifts[w2])[0]
+            return g2_sign_trace(self.params, self.element(w))[0]
+        sign = self._realization.decide(self.element(w))[0]
         _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
         return sign
+
+    def product_sign(self, w1: Word, w2: Word) -> Sign:
+        """Sign of w1 w2 from the elements of its factors.  For g2 the
+        product of the two forms, by ``g2_product``, is signed.  For g1
+        the product's winding is k or k + 1 for k the sum of the factors'
+        (the cocycle is 0 or 1), so when ``_winding_sign(k, k + 1)``
+        decides no matrix product is formed; otherwise one lifted product
+        is.  The normal form of w1 w2 cross-checks the g1 identity
+        always."""
+        e1, e2 = self.element(w1), self.element(w2)
+        if self.group == "g2":
+            return g2_sign_trace(self.params,
+                                 g2_product(self.params, e1, e2))[0]
+        w, k = w1 * w2, e1.wind + e2.wind
+        sign = _winding_sign(k, k + 1)
+        if sign is None:
+            sign = self._realization.decide(e1 * e2)[0]
+        _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
+        return sign
+
+    def conjugate_signs(self, c: Word, elements) -> list[Sign]:
+        """Signs of c e c^-1 for each element e of this oracle.  For g1,
+        c^-1 is an increasing map of the line, so c e c^-1 moves the test
+        point p_i as e moves c^-1(p_i): the points move once instead.  For
+        g2, nf(c) e nf(c)^-1 is signed, multiplied by ``g2_product``."""
+        if self.group == "g1":
+            real = self._realization
+            c_inv = self.element(c).inverse()
+            points = [c_inv.apply(p) for p in real.test_points]
+            return [real.decide(e, points)[0] for e in elements]
+        params = self.params
+        c_nf = self.element(c)
+        c_inv = g2_inverse(params, c_nf)
+        return [g2_sign_trace(params, g2_product(
+            params, g2_product(params, c_nf, e), c_inv))[0]
+            for e in elements]
 
     def word_is_identity(self, w: Word) -> bool:
         """Normal-form equality oracle (independent of the sign decision
         for g1; the same total normal form for g2)."""
         if self.group == "g1":
             return g1_normal_form(self.params, w).is_identity()
-        return self.form(w).is_identity()
+        return self.element(w).is_identity()
 
 
 @dataclass(frozen=True)

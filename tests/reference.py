@@ -163,11 +163,11 @@ def pattern_by_products(signer, c) -> dict:
     """The G1 peripheral pattern of the member conjugated by c, deciding
     each box element g as the lifted product c g c^-1 at the fixed test
     points; the reference for ``_Signer.pattern``."""
-    real = signer._real
+    real = signer.oracle._realization
     c_lift = real.lifted(c)
     c_inv = c_lift.inverse()
     return {v: real.decide(c_lift * g * c_inv)[0]
-            for v, g in zip(signer.box, signer._lifts)}
+            for v, g in zip(signer.box, signer._elements)}
 
 
 def decide_by_test_points(real, g, points=None):

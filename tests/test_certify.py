@@ -3,13 +3,15 @@
 import hashlib
 import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from twobridge.cfrac import knot_params
-from twobridge.certify import (MUTATIONS, CertificateReport, Counterexample,
-                               SampleBudget, _CorruptedOracle, _Signer,
-                               _sample_conjugators, audit_cone, ball,
+from twobridge.certify import (BALL_ALPHABETS, MUTATIONS, CertificateReport,
+                               Counterexample, SampleBudget, _CorruptedOracle,
+                               _Signer, _sample_conjugators, audit_cone, ball,
                                certify_compatibility, check_navas_law,
                                check_restriction_law, mutation_reports,
                                overall_verdict, run_checks,
@@ -18,8 +20,8 @@ from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import Word, peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import FieldElement
-from twobridge.orders import (ConeOracle, OrderFamilySpec, Sign,
-                              family_is_positive)
+from twobridge.orders import (ConeOracle, G1Realization, OrderFamilySpec,
+                              Sign, family_is_positive)
 from reference import pattern_by_products
 
 SMALL = SampleBudget(ball_radius=3, conjugator_length=2, peripheral_bound=2,
@@ -295,7 +297,8 @@ def test_g1_pattern_matches_conjugated_products(c1, c2):
     # every conjugate of mu is positive and h is central, so the box is
     # signed alike in every member; words of length 4 are not
     signer.box = ball(("a", "b"), 4)[len(conjugators):]
-    signer._lifts = [signer._real.lifted(w) for w in signer.box]
+    signer._elements = [signer.oracle._realization.lifted(w)
+                        for w in signer.box]
     for c in conjugators:
         assert signer.pattern(c) == pattern_by_products(signer, c), str(c)
 
@@ -348,13 +351,13 @@ def test_product_sign_matches_word_route(group):
 def _factor_winding(oracle, w1, w2) -> int:
     """k = wind(lift w1) + wind(lift w2): the product's winding is k or
     k + 1."""
-    return oracle._lifts[w1].wind + oracle._lifts[w2].wind
+    return oracle._elements[w1].wind + oracle._elements[w2].wind
 
 
 def _winding_decided_pairs(oracle, words):
     """The pairs of ``words`` whose factor windings decide the product."""
     for w in words:
-        oracle._lifts[w] = oracle._realization.lifted(w)
+        oracle._elements[w] = oracle._realization.lifted(w)
     return [(w1, w2) for w1 in words for w2 in words
             if not -3 < _factor_winding(oracle, w1, w2) < 1]
 
@@ -387,9 +390,49 @@ def test_product_decided_by_winding_multiplies_and_signs_nothing(
 def test_product_sign_keeps_the_identity_cross_check():
     oracle = ConeOracle(knot_params(3, 4), "g1")
     a, b = Word((("a", 1),)), Word((("b", 1),))
-    oracle._lifts[a] = oracle._realization.lifted(b.inverse())  # a stale lift
+    # a stale lift
+    oracle._elements[a] = oracle._realization.lifted(b.inverse())
     with pytest.raises(InternalCheckFailed):
         oracle.product_sign(a, b)
+
+
+def test_is_positive_keeps_the_identity_cross_check():
+    oracle = ConeOracle(knot_params(3, 4), "g1")
+    a = Word((("a", 1),))
+    oracle._elements[a] = oracle._realization.lifted(Word())  # a stale lift
+    with pytest.raises(InternalCheckFailed):
+        oracle.is_positive(a)
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_cone_audit_builds_each_element_once(group, monkeypatch):
+    import twobridge.orders as orders_mod
+    built = []
+    lifted, normal_form = G1Realization.lifted, orders_mod.g2_normal_form
+
+    def counted_lift(real, w):
+        built.append(w)
+        return lifted(real, w)
+
+    def counted_form(params, w):
+        built.append(w)
+        return normal_form(params, w)
+
+    monkeypatch.setattr(G1Realization, "lifted", counted_lift)
+    monkeypatch.setattr(orders_mod, "g2_normal_form", counted_form)
+    budget = SampleBudget(ball_radius=3, semigroup_samples=300)
+    rep = audit_cone(ConeOracle(knot_params(3, 4), group), budget)
+    assert rep.verdict == "Certified"
+    # the ball's words, each once: products are formed from the factors
+    assert Counter(built) == Counter(ball(BALL_ALPHABETS[group], 3))
+
+
+def test_readme_quick_start_prints_certified(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "Certified\n"
 
 
 def test_winding_decided_product_keeps_the_identity_cross_check(

@@ -347,6 +347,54 @@ def test_out_file_writes_copy(capsys, tmp_path):
     assert json.loads(target.read_text()) == doc
 
 
+def test_unwritable_out_exits_3_and_runs_nothing(capsys, monkeypatch,
+                                                 tmp_path):
+    def fail(*args):
+        raise AssertionError("the subcommand ran")
+
+    monkeypatch.setattr(cli, "knot_params", fail)
+    target = str(tmp_path / "missing" / "f.json")
+    for command in ("knot-info", "certify"):
+        code, doc = run_cli(capsys, [command, "--c1", "3", "--c2", "4",
+                                     "--out", target])
+        assert code == 3 and doc["error"]["code"] == "ParseError"
+        assert "missing" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["knot-info", "--c1", "1_1", "--c2", "4"],
+    ["knot-info", "--c1", "3", "--c2", "\u0664"],
+    ["certify", "--c1", "3", "--c2", "4", "--radius", "\u0663"],
+    ["certify", "--c1", "3", "--c2", "4", "--seed", "1_0"],
+    ["certify", "--c1", "3", "--c2", "4", "--radius", " 3"],
+])
+def test_integer_flags_take_a_sign_and_ascii_digits(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(argv)
+    assert exc_info.value.code == 64
+
+
+@pytest.mark.parametrize("raw", ["1_0", "\u0663", "abc", "3.0"])
+def test_seed_variable_takes_a_sign_and_ascii_digits(capsys, monkeypatch,
+                                                     raw):
+    monkeypatch.setenv("TWOBRIDGE_SEED", raw)
+    code, doc = run_cli(capsys, ["certify", "--c1", "3", "--c2", "4",
+                                 "--check", "cone"])
+    assert code == 3 and doc["error"]["code"] == "ParseError"
+
+
+def test_signed_integers_accepted(capsys, monkeypatch):
+    code, doc = run_cli(capsys, ["knot-info", "--c1", "3", "--c2", "-4"])
+    assert code == 0 and doc["c2"] == -4
+    argv = ["certify", "--c1", "3", "--c2", "4", "--radius", "2",
+            "--samples", "20", "--check", "cone"]
+    code, doc = run_cli(capsys, argv + ["--seed", "+3"])
+    assert code == 0 and doc["budget"]["seed"] == 3
+    monkeypatch.setenv("TWOBRIDGE_SEED", "-2")
+    code, doc = run_cli(capsys, argv)
+    assert code == 0 and doc["budget"]["seed"] == -2
+
+
 def test_selftest_passes(capsys):
     code, doc = run_cli(capsys, ["selftest"])
     assert code == 0

@@ -6,7 +6,8 @@ from twobridge.cfrac import knot_params
 from twobridge.errors import ParseError
 from twobridge.groups import (G1Element, G2Element, W, Word,
                               g1_normal_form, g2_inverse, g2_normal_form,
-                              g2_product, peripheral_word, presentations)
+                              g2_product, parse_int, peripheral_word,
+                              presentations)
 from reference import (g1_element_word, g1_normal_form_by_letters,
                        g2_element_word, g2_normal_form_by_letters, letters_of,
                        word_product_by_reduce)
@@ -59,6 +60,14 @@ def test_word_parse_takes_only_ascii_decimal_exponents():
             W(bad)
     assert W("x^+3") == W("x^3") == W("x^003")
     assert W("x^-12 z^0") == Word((("x", -12),))
+
+
+def test_parse_int_takes_a_sign_and_ascii_digits():
+    for bad in ("1_0", "\u0663", "-\u0661", " 3", "3 ", "", "+", "+-1",
+                "0x1", "1e3"):
+        with pytest.raises(ParseError):
+            parse_int(bad)
+    assert [parse_int(t) for t in ("-4", "+3", "007", "0")] == [-4, 3, 7, 0]
 
 
 def test_free_reduction():

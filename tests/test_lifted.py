@@ -55,6 +55,9 @@ def test_points_not_hashable():
         hash(pt(F5, 0))
     with pytest.raises(TypeError):
         hash(lpt(F5, 0, 0))
+    for m in (Moebius.identity(F5), LiftedMoebius.translation(F5, 1)):
+        with pytest.raises(TypeError):
+            hash(m)
 
 
 # --------------------------------------------------------------- matrices
