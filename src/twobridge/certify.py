@@ -25,12 +25,12 @@ peripheral boxes); seeded sampling covers the rest.  A Refuted verdict is
 never repaired automatically: the laws hold in the intended semantics, so
 any counterexample localizes an implementation defect.
 
-The three peripheral checks compare sign patterns: one signer per piece
-maps each (r, s) of the peripheral box to the sign of mu^r h^s in a
-conjugated family member.  It holds the box and asks a cone oracle, which
-alone represents elements, for the signs.  Its ``_corrupt(c, r, s, sign)``
-argument is the one injection seam for the mutation self-tests, which
-prove that corrupted patterns are detected, never silently certified.
+Each check asks the cone oracles it is given, which alone represent
+elements; ``run_checks`` builds one per piece group for every check.  The
+peripheral checks compare sign patterns, mapping each (r, s) of the box to
+the sign of mu^r h^s (or its G2 image) in a conjugated family member.  The
+mutation self-tests corrupt signs through ``_CorruptedOracle``, the one
+injection seam, and prove that each corruption is detected.
 """
 
 from __future__ import annotations
@@ -238,44 +238,30 @@ def audit_cone(oracle, budget: SampleBudget) -> CertificateReport:
 # peripheral sign patterns, and the sign law in conjugated G1 orders
 
 
-class _Signer:
-    """``pattern(c)`` maps the box to the signs of mu^r h^s (G1) or
-    y^r (z x^2)^s (G2) in the member conjugated by c, asked of one cone
-    oracle for the oracle's element of each box word."""
+def _box(params: TwoBridgeParams, group: str, bound: int) -> dict:
+    """mu^r h^s (g1) or y^r (z x^2)^s (g2) for each |r|, |s| <= bound."""
+    span = range(-bound, bound + 1)
+    return {(r, s): peripheral_word(params, group, r, s)
+            for r in span for s in span}
 
-    def __init__(self, params: TwoBridgeParams, group: str, bound: int,
-                 _corrupt=None):
-        self.params = params
-        self.group = group
-        self.oracle = ConeOracle(params, group)
-        span = range(-bound, bound + 1)
-        self.box = [(r, s) for r in span for s in span]
-        self._corrupt = _corrupt
-        self._elements = [
-            self.oracle.element(peripheral_word(params, group, r, s))
-            for r, s in self.box]
 
-    def pattern(self, c: Word) -> dict:
-        signs = self.oracle.conjugate_signs(c, self._elements)
-        if self._corrupt is not None:
-            signs = [self._corrupt(c, r, s, got)
-                     for (r, s), got in zip(self.box, signs)]
-        return dict(zip(self.box, signs))
+def _pattern(oracle, box: dict, c: Word) -> dict:
+    """The sign of each box word in the member conjugated by c."""
+    return dict(zip(box, oracle.conjugate_signs(c, box.values())))
 
-    def cross_check(self, report: CertificateReport, c: Word,
-                    pattern: dict, vectors) -> None:
-        """The pattern agrees with the plain word-route family oracle."""
-        spec = OrderFamilySpec(self.group, c)
-        for r, s in vectors:
-            via_words = family_is_positive(
-                self.oracle, spec, peripheral_word(self.params, self.group,
-                                                   r, s))
-            ok = via_words is pattern[(r, s)]
-            report.record("word-route-agreement", ok,
-                          None if ok else Counterexample(
-                              report.check, (str(c),), (via_words.label,),
-                              note="word route disagrees at (r,s)=(%d,%d)"
-                                   % (r, s)))
+
+def _cross_check(report: CertificateReport, oracle, box: dict, c: Word,
+                 pattern: dict, vectors) -> None:
+    """The pattern agrees with the plain word-route family oracle."""
+    spec = OrderFamilySpec(oracle.group, c)
+    for r, s in vectors:
+        via_words = family_is_positive(oracle, spec, box[(r, s)])
+        ok = via_words is pattern[(r, s)]
+        report.record("word-route-agreement", ok,
+                      None if ok else Counterexample(
+                          report.check, (str(c),), (via_words.label,),
+                          note="word route disagrees at (r,s)=(%d,%d)"
+                               % (r, s)))
 
 
 def _variant_for(mu_sign: Sign) -> Z2Order:
@@ -284,17 +270,17 @@ def _variant_for(mu_sign: Sign) -> Z2Order:
         else Z2Order.MINUS_FIRST
 
 
-def check_navas_law(params: TwoBridgeParams, budget: SampleBudget,
-                    _corrupt=None) -> CertificateReport:
+def check_navas_law(g1, budget: SampleBudget) -> CertificateReport:
     """Exhaustive over conjugators up to the length bound: in the member
     conjugated by c, sign(mu^r h^s) is Positive iff s > 0, Negative iff
     s < 0, and for s = 0 follows sign(r) times the member sign of mu."""
+    params = g1.params
     report = CertificateReport("navas", (params.c1, params.c2), budget)
     with _surfaced(report):
-        signer = _Signer(params, "g1", budget.peripheral_bound, _corrupt)
+        box = _box(params, "g1", budget.peripheral_bound)
         conjugators = ball(("a", "b"), budget.conjugator_length)
         for idx, c in enumerate(conjugators):
-            pattern = signer.pattern(c)
+            pattern = _pattern(g1, box, c)
             mu_sign = pattern[(1, 0)]
             if mu_sign is Sign.IDENTITY:
                 report.record("mu-nontrivial", False, Counterexample(
@@ -311,15 +297,13 @@ def check_navas_law(params: TwoBridgeParams, budget: SampleBudget,
                 ok = got is expected
                 report.record("peripheral-law", ok,
                               None if ok else Counterexample(
-                                  "navas",
-                                  (str(peripheral_word(params, "g1", r, s)),),
-                                  (got.label,),
+                                  "navas", (str(box[(r, s)]),), (got.label,),
                                   member="conjugator %r" % str(c),
                                   note="expected %s at (r,s)=(%d,%d)"
                                        % (expected.label, r, s)))
             if idx % 40 == 0:
-                signer.cross_check(report, c, pattern,
-                                   ((1, 0), (0, 1), (-1, -1)))
+                _cross_check(report, g1, box, c, pattern,
+                             ((1, 0), (0, 1), (-1, -1)))
     return report
 
 
@@ -337,8 +321,7 @@ def _variant_of(pattern: dict) -> Z2Order | None:
     return None
 
 
-def check_restriction_law(params: TwoBridgeParams, budget: SampleBudget,
-                          _corrupt=None) -> CertificateReport:
+def check_restriction_law(g2, budget: SampleBudget) -> CertificateReport:
     """Every sampled G2 family member restricts to exactly one of the two
     lattice orders on the peripheral subgroup; both orders occur.
 
@@ -347,16 +330,17 @@ def check_restriction_law(params: TwoBridgeParams, budget: SampleBudget,
     the two lattice orders (conjugation by x inverts y, flipping the tie
     direction at s = 0).
     """
+    params = g2.params
     report = CertificateReport("restriction", (params.c1, params.c2), budget)
     with _surfaced(report):
-        signer = _Signer(params, "g2", budget.peripheral_bound, _corrupt)
+        box = _box(params, "g2", budget.peripheral_bound)
         rng = _rng_for(budget, "restriction", params)
         conjugators = _sample_conjugators(
             rng, ("x", "y", "z"), budget.conjugator_length,
             budget.member_samples, forced=(Word(), Word((("x", 1),))))
         witnessed = set()
         for c in conjugators:
-            pattern = signer.pattern(c)
+            pattern = _pattern(g2, box, c)
             variant = _variant_of(pattern)
             if variant is not None:
                 witnessed.add(variant)
@@ -367,7 +351,7 @@ def check_restriction_law(params: TwoBridgeParams, budget: SampleBudget,
                                for o in Z2Order)), None)
             report.record("exactly-one-variant", False, Counterexample(
                 "restriction",
-                (str(peripheral_word(params, "g2", *bad)) if bad else "",),
+                (str(box[bad]) if bad else "",),
                 (pattern[bad].label if bad else "",),
                 member="conjugator %r" % str(c),
                 note="restriction matches neither lattice order"))
@@ -384,30 +368,30 @@ def check_restriction_law(params: TwoBridgeParams, budget: SampleBudget,
 # compatibility across the gluing
 
 
-def certify_compatibility(params: TwoBridgeParams, budget: SampleBudget,
-                          _corrupt=None) -> CertificateReport:
+def certify_compatibility(g1, g2, budget: SampleBudget) -> CertificateReport:
     """For each sampled conjugate of the base G1 order: read off the sign
     of mu, select the G2 member whose peripheral restriction starts with
     +1 in the mu-direction exactly when mu is positive, and verify that
     peripheral signs then agree across the gluing mu -> y, h -> z x^2 on
-    the whole sampled box.  ``_corrupt`` acts on the G2 (image) side."""
+    the whole sampled box."""
+    params = g1.params
     report = CertificateReport("compatibility", (params.c1, params.c2),
                                budget)
     with _surfaced(report):
-        g1 = _Signer(params, "g1", budget.peripheral_bound)
-        g2 = _Signer(params, "g2", budget.peripheral_bound, _corrupt)
+        box1 = _box(params, "g1", budget.peripheral_bound)
+        box2 = _box(params, "g2", budget.peripheral_bound)
         # the two candidate G2 members, computed once and keyed by the
         # lattice order they restrict to (the first one wins)
         candidates = {}
         for d in (Word(), Word((("x", 1),))):
-            image = g2.pattern(d)
+            image = _pattern(g2, box2, d)
             candidates.setdefault(_variant_of(image), (d, image))
         rng = _rng_for(budget, "compatibility", params)
         conjugators = _sample_conjugators(
             rng, ("a", "b"), 2 * budget.conjugator_length,
             budget.member_samples, forced=(Word(),))
         for idx, c in enumerate(conjugators):
-            pattern = g1.pattern(c)
+            pattern = _pattern(g1, box1, c)
             match = candidates.get(_variant_for(pattern[(1, 0)]))
             if match is None:
                 report.record("member-selection", False, Counterexample(
@@ -424,15 +408,14 @@ def certify_compatibility(params: TwoBridgeParams, budget: SampleBudget,
                 report.record("peripheral-sign-match", ok,
                               None if ok else Counterexample(
                                   "compatibility",
-                                  (str(peripheral_word(params, "g1", r, s)),
-                                   str(peripheral_word(params, "g2", r, s))),
+                                  (str(box1[(r, s)]), str(box2[(r, s)])),
                                   (s1.label, s2.label),
                                   member="G1 conjugator %r, G2 member %r"
                                          % (str(c), str(d)),
                                   note="signs disagree at (r,s)=(%d,%d)"
                                        % (r, s)))
             if idx % 50 == 0:
-                g1.cross_check(report, c, pattern, ((1, 0), (0, 1)))
+                _cross_check(report, g1, box1, c, pattern, ((1, 0), (0, 1)))
     return report
 
 
@@ -459,16 +442,18 @@ def run_checks(params: TwoBridgeParams, budget: SampleBudget,
             raise ParseError("%s cannot sample %d distinct members: only %d "
                              "reduced conjugators have length <= %d"
                              % (check, budget.member_samples, have, max_len))
+    g1 = ConeOracle(params, "g1") if which != "restrict" else None
+    g2 = ConeOracle(params, "g2") if which != "navas" else None
     reports = []
     if which in ("cone", "all"):
-        reports.append(audit_cone(ConeOracle(params, "g1"), budget))
-        reports.append(audit_cone(ConeOracle(params, "g2"), budget))
+        reports.append(audit_cone(g1, budget))
+        reports.append(audit_cone(g2, budget))
     if which in ("navas", "all"):
-        reports.append(check_navas_law(params, budget))
+        reports.append(check_navas_law(g1, budget))
     if which in ("restrict", "all"):
-        reports.append(check_restriction_law(params, budget))
+        reports.append(check_restriction_law(g2, budget))
     if which in ("compat", "all"):
-        reports.append(certify_compatibility(params, budget))
+        reports.append(certify_compatibility(g1, g2, budget))
     return reports
 
 
@@ -479,22 +464,28 @@ def overall_verdict(reports) -> str:
 
 
 class _CorruptedOracle:
-    """Wrap a cone oracle, overriding the sign of chosen words."""
+    """Wrap a cone oracle, passing each sign it gives for a word w in the
+    member conjugated by c (c = 1 for base queries) through
+    ``override(c, w, sign)``.  ``sign_trace``, the word route, and
+    ``word_is_identity`` pass through uncorrupted."""
 
     def __init__(self, base: ConeOracle, override):
         self.base = base
         self.params = base.params
         self.group = base.group
         self._override = override
+        self.sign_trace = base.sign_trace
+        self.word_is_identity = base.word_is_identity
 
     def is_positive(self, w: Word) -> Sign:
-        return self._override(w, self.base.is_positive(w))
+        return self._override(Word(), w, self.base.is_positive(w))
 
     def product_sign(self, w1: Word, w2: Word) -> Sign:
-        return self._override(w1 * w2, self.base.product_sign(w1, w2))
+        return self._override(Word(), w1 * w2, self.base.product_sign(w1, w2))
 
-    def word_is_identity(self, w: Word) -> bool:
-        return self.base.word_is_identity(w)
+    def conjugate_signs(self, c: Word, words) -> list[Sign]:
+        return [self._override(c, w, sign) for w, sign in
+                zip(words, self.base.conjugate_signs(c, words))]
 
 
 MUTATIONS = ("cone-sign-flip", "cone-identity-positive",
@@ -510,31 +501,32 @@ SELFTEST_BUDGET = SampleBudget(ball_radius=3, conjugator_length=2,
 def mutation_reports(params: TwoBridgeParams,
                      budget: SampleBudget = SELFTEST_BUDGET) -> dict:
     """The report of each check run under one of five distinct corruptions
-    injected at the oracle seams, keyed by the names in MUTATIONS."""
+    injected through ``_CorruptedOracle``, keyed by the names in
+    MUTATIONS."""
+    g1, g2 = ConeOracle(params, "g1"), ConeOracle(params, "g2")
     target = Word((("a", 1),))
-    flipped_a = _CorruptedOracle(
-        ConeOracle(params, "g1"),
-        lambda w, s: s.flipped() if w == target else s)
-    identity_positive = _CorruptedOracle(
-        ConeOracle(params, "g2"),
-        lambda w, s: Sign.POSITIVE if s is Sign.IDENTITY else s)
-    base = _Signer(params, "g2", budget.peripheral_bound).pattern(Word())
+    negative_side = {w for (r, s), w in _box(
+        params, "g1", budget.peripheral_bound).items() if s < 0}
     return {
-        "cone-sign-flip": audit_cone(flipped_a, budget),
-        "cone-identity-positive": audit_cone(identity_positive, budget),
-        "navas-negative-side-flip": check_navas_law(
-            params, budget,
-            _corrupt=lambda c, r, s, sign: sign.flipped() if s < 0 else sign),
+        "cone-sign-flip": audit_cone(_CorruptedOracle(
+            g1, lambda c, w, s: s.flipped() if w == target else s), budget),
+        "cone-identity-positive": audit_cone(_CorruptedOracle(
+            g2, lambda c, w, s: Sign.POSITIVE if s is Sign.IDENTITY else s),
+            budget),
+        "navas-negative-side-flip": check_navas_law(_CorruptedOracle(
+            g1, lambda c, w, s: s.flipped() if w in negative_side else s),
+            budget),
         "restriction-conjugation-dropped": check_restriction_law(
-            params, budget, _corrupt=lambda c, r, s, sign: base[(r, s)]),
+            _CorruptedOracle(g2, lambda c, w, s: g2.is_positive(w)), budget),
         "compatibility-image-reversed": certify_compatibility(
-            params, budget, _corrupt=lambda d, r, s, sign: sign.flipped()),
+            g1, _CorruptedOracle(g2, lambda c, w, s: s.flipped()), budget),
     }
 
 
 def run_mutation_selftests(params: TwoBridgeParams,
                            budget: SampleBudget = SELFTEST_BUDGET) -> dict:
-    """Inject five distinct corruptions at the oracle seams and report,
-    for each, whether the harness detected it (verdict not Certified)."""
+    """Inject five distinct corruptions through ``_CorruptedOracle`` and
+    report, for each, whether the harness detected it (verdict not
+    Certified)."""
     reports = mutation_reports(params, budget)
     return {name: reports[name].verdict != "Certified" for name in MUTATIONS}

@@ -206,7 +206,8 @@ def g1_normal_form(params: TwoBridgeParams, w: Word) -> G1Element:
     n = 2 * params.b1 + 1
     bad = w.generators() - {"a", "b"}
     if bad:
-        raise ParseError("G1 words use generators a, b only, got %s" % bad)
+        raise ParseError("G1 words use generators a, b only, got %s"
+                         % ", ".join(sorted(bad)))
     # a^e = a^(e mod 2) h^(e div 2) and b^e = b^(e mod n) h^(e div n),
     # merged with an equal generator left on the stack
     stack = []
@@ -244,7 +245,8 @@ def g2_normal_form(params: TwoBridgeParams, w: Word) -> G2Element:
     beta = abs(b2)
     bad = w.generators() - {"x", "y", "z"}
     if bad:
-        raise ParseError("G2 words use generators x, y, z only, got %s" % bad)
+        raise ParseError("G2 words use generators x, y, z only, got %s"
+                         % ", ".join(sorted(bad)))
     # w = x^xpow * prod z_i^k over its z- and y-syllables (y^e = z^(b2*e)),
     # where i is the x-exponent sum strictly to the right of the syllable.
     # In K, z_i^k = z_i^(k mod beta) * w0^((-1)^i * (k div beta)).

@@ -4,11 +4,13 @@ G1 = <a, b | a^2 = b^(2*b1+1)> is ordered dynamically: the quotient by the
 center is realized as the rotation subgroup of a Hecke-type triangle group
 acting on the boundary circle, the action is lifted to the universal cover
 with exact winding bookkeeping, and a word's sign is the direction it moves
-the first test point it does not fix.  The test sequence starts at the
-boundary fixed point of the lifted meridian image, which the construction
-checks exactly.  The winding settles most signs first: lift0 sends level L
-into levels L..L+1, so lift0(m) T1^k moves every point up when k >= 1 and
-down when k <= -2, the first test point included.
+the first of two test points it does not fix.  Point 0 is the boundary
+fixed point of the lifted meridian mu~, which the construction checks
+exactly; its stabilizer is <mu~>, and mu~^r moves point 1 = [1:1] for
+r != 0, so the two points separate every element.  The winding settles
+most signs first: lift0 sends level L into levels L..L+1, so lift0(m) T1^k
+moves every point up when k >= 1 and down when k <= -2, test point 0
+included.
 
 G2 = <x, y, z | x^-1 y x y, y z^-b2> is ordered by a three-layer
 lexicographic tower:
@@ -36,8 +38,7 @@ from .errors import ConstructionFailed, InternalCheckFailed, ParseError
 from .groups import (G2Element, Word, g1_normal_form, g2_inverse,
                      g2_normal_form, g2_product)
 from .lifted import (LiftedMoebius, LiftedPoint, ProjectivePoint,
-                     boundary_zero, infinity, order_n_rotation,
-                     order_two_rotation)
+                     boundary_zero, order_n_rotation, order_two_rotation)
 from .numberfield import NumberField, real_cyclotomic_field
 
 
@@ -144,12 +145,7 @@ class G1Realization:
         if self.mu_lift.apply(p0) != p0:
             raise ConstructionFailed(
                 "lifted meridian does not fix its boundary fixed point")
-        self.test_points = (
-            p0,
-            LiftedPoint(0, ProjectivePoint(f.one, f.one)),
-            LiftedPoint(0, ProjectivePoint(-f.one, f.one)),
-            LiftedPoint(0, infinity(f)),
-        )
+        self.test_points = (p0, LiftedPoint(0, ProjectivePoint(f.one, f.one)))
         # b~^r and a~ b~^r for 0 <= r < n; b~^n = h~ was checked above
         powers = [LiftedMoebius.translation(f, 0)]
         for _ in range(1, n):
@@ -382,7 +378,14 @@ class ConeOracle:
     """Total sign oracle for one piece group ("g1" or "g2").  It alone
     represents elements: the lift (g1) or normal form (g2) of w is built
     once, by ``element(w)``, and read by every other sign it gives for w
-    except ``sign_trace``'s, which keeps the word route."""
+    except ``sign_trace``'s, which keeps the word route.
+
+    On g1, ``is_positive``, ``product_sign`` and ``sign_trace`` check their
+    identity verdict against the word's G1 normal form, which is computed
+    without the lift, and raise InternalCheckFailed on disagreement;
+    ``conjugate_signs`` is not checked.  On g2 every sign, the identity
+    included, is read from the normal form, as is ``word_is_identity``, so
+    no g2 answer has an independent check."""
 
     def __init__(self, params: TwoBridgeParams, group: str):
         if group not in ("g1", "g2"):
@@ -433,22 +436,24 @@ class ConeOracle:
         _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
         return sign
 
-    def conjugate_signs(self, c: Word, elements) -> list[Sign]:
-        """Signs of c e c^-1 for each element e of this oracle.  For g1,
-        c^-1 is an increasing map of the line, so c e c^-1 moves the test
-        point p_i as e moves c^-1(p_i): the points move once instead.  For
-        g2, nf(c) e nf(c)^-1 is signed, multiplied by ``g2_product``."""
+    def conjugate_signs(self, c: Word, words) -> list[Sign]:
+        """Signs of c w c^-1 for each word w, from the elements of c and w.
+        For g1, c^-1 is an increasing map of the line, so c w c^-1 moves
+        the test point p_i as w moves c^-1(p_i): the points move once
+        instead.  For g2, nf(c) nf(w) nf(c)^-1 is signed, multiplied by
+        ``g2_product``."""
+        element = self.element
         if self.group == "g1":
             real = self._realization
-            c_inv = self.element(c).inverse()
+            c_inv = element(c).inverse()
             points = [c_inv.apply(p) for p in real.test_points]
-            return [real.decide(e, points)[0] for e in elements]
+            return [real.decide(element(w), points)[0] for w in words]
         params = self.params
-        c_nf = self.element(c)
+        c_nf = element(c)
         c_inv = g2_inverse(params, c_nf)
         return [g2_sign_trace(params, g2_product(
-            params, g2_product(params, c_nf, e), c_inv))[0]
-            for e in elements]
+            params, g2_product(params, c_nf, element(w)), c_inv))[0]
+            for w in words]
 
     def word_is_identity(self, w: Word) -> bool:
         """Normal-form equality oracle (independent of the sign decision

@@ -2,8 +2,8 @@
 helpers that only the tests need."""
 
 from twobridge.groups import G1Element, G2Element, Word
-from twobridge.lifted import LiftedMoebius, LiftedPoint, boundary_zero, \
-    lift0_apply
+from twobridge.lifted import (LiftedMoebius, LiftedPoint, ProjectivePoint,
+                              boundary_zero, infinity, lift0_apply)
 from twobridge.numberfield import FieldElement
 from twobridge.orders import Sign
 
@@ -159,22 +159,34 @@ def g2_element_word(params, elem) -> Word:
     return Word(tuple(syllables))
 
 
-def pattern_by_products(signer, c) -> dict:
-    """The G1 peripheral pattern of the member conjugated by c, deciding
-    each box element g as the lifted product c g c^-1 at the fixed test
-    points; the reference for ``_Signer.pattern``."""
-    real = signer.oracle._realization
+def pattern_by_products(oracle, box, c) -> dict:
+    """The G1 pattern of the member conjugated by c, deciding each box
+    word w as the lifted product c w c^-1 at the fixed test points; the
+    reference for ``certify._pattern``."""
+    real = oracle._realization
     c_lift = real.lifted(c)
     c_inv = c_lift.inverse()
-    return {v: real.decide(c_lift * g * c_inv)[0]
-            for v, g in zip(signer.box, signer._elements)}
+    return {v: real.decide(c_lift * real.lifted(w) * c_inv)[0]
+            for v, w in box.items()}
+
+
+def four_test_points(field):
+    """The fixed point 0 of the lifted meridian, [1:1], [-1:1] and
+    infinity, all at level 0: the test points of the reference route."""
+    return (LiftedPoint(0, boundary_zero(field)),
+            LiftedPoint(0, ProjectivePoint(field.one, field.one)),
+            LiftedPoint(0, ProjectivePoint(-field.one, field.one)),
+            LiftedPoint(0, infinity(field)))
 
 
 def decide_by_test_points(real, g, points=None):
     """Sign and trace of a lifted element by the first test point it moves,
-    moving every point it tries: the reference for ``G1Realization.decide``,
-    which reads most signs from the winding first."""
-    for idx, p in enumerate(real.test_points if points is None else points):
+    moving every point it tries, by default the four of
+    ``four_test_points``: the reference for ``G1Realization.decide``,
+    which reads most signs from the winding first and tries two points."""
+    if points is None:
+        points = four_test_points(real.field)
+    for idx, p in enumerate(points):
         c = g.apply(p)._cmp(p)
         if c:
             return (Sign.POSITIVE if c > 0 else Sign.NEGATIVE,

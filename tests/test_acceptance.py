@@ -152,7 +152,7 @@ def test_criterion_5_navas_law():
         for c1, c2 in REPRESENTATIVES:
             params = knot_params(c1, c2)
             knot_start = time.time()
-            report = check_navas_law(params, FULL_BUDGET)
+            report = check_navas_law(ConeOracle(params, "g1"), FULL_BUDGET)
             assert report.verdict == "Certified", report.as_dict()
             assert report.counts["mu-nontrivial"]["passes"] == 161
             assert report.counts["peripheral-law"]["passes"] == 161 * 120
@@ -165,7 +165,8 @@ def test_criterion_6_restriction_law():
         for c1, c2 in REPRESENTATIVES:
             params = knot_params(c1, c2)
             knot_start = time.time()
-            report = check_restriction_law(params, FULL_BUDGET)
+            report = check_restriction_law(ConeOracle(params, "g2"),
+                                           FULL_BUDGET)
             assert report.verdict == "Certified", report.as_dict()
             assert report.counts["exactly-one-variant"]["passes"] == 200
             assert report.counts["both-variants-witnessed"]["passes"] == 1
@@ -178,7 +179,9 @@ def test_criterion_7_compatibility():
         for c1, c2 in REPRESENTATIVES:
             params = knot_params(c1, c2)
             knot_start = time.time()
-            report = certify_compatibility(params, FULL_BUDGET)
+            report = certify_compatibility(ConeOracle(params, "g1"),
+                                           ConeOracle(params, "g2"),
+                                           FULL_BUDGET)
             assert report.verdict == "Certified", report.as_dict()
             assert report.counts["member-selection"]["passes"] == 200
             assert report.counts["peripheral-sign-match"]["passes"] == \

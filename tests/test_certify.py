@@ -10,8 +10,9 @@ import pytest
 
 from twobridge.cfrac import knot_params
 from twobridge.certify import (BALL_ALPHABETS, MUTATIONS, CertificateReport,
-                               Counterexample, SampleBudget, _CorruptedOracle,
-                               _Signer, _sample_conjugators, audit_cone, ball,
+                               Counterexample, SampleBudget, _box,
+                               _CorruptedOracle, _pattern, _sample_conjugators,
+                               audit_cone, ball,
                                certify_compatibility, check_navas_law,
                                check_restriction_law, mutation_reports,
                                overall_verdict, run_checks,
@@ -113,7 +114,7 @@ def test_audit_cone_detects_sign_flip():
     target = Word((("a", 1),))
     corrupted = _CorruptedOracle(
         ConeOracle(p, "g1"),
-        lambda w, s: s.flipped() if w == target else s)
+        lambda c, w, s: s.flipped() if w == target else s)
     rep = audit_cone(corrupted, SMALL)
     assert rep.verdict == "Refuted"
     assert any("a" in ce.words for ce in rep.counterexamples)
@@ -142,30 +143,38 @@ def test_internal_check_failed_propagates_from_every_check(monkeypatch):
 
     p = knot_params(3, 4)
 
-    class Failing:
-        params = p
-        group = "g1"
-
-        def is_positive(self, w):
-            raise InternalCheckFailed("synthetic cross-check failure")
-
-    with pytest.raises(InternalCheckFailed):
-        audit_cone(Failing(), SMALL)
-
     def fail(*args, **kwargs):
         raise InternalCheckFailed("synthetic cross-check failure")
 
-    monkeypatch.setattr(certify_mod, "family_is_positive", fail)
-    monkeypatch.setattr(certify_mod, "_Signer", fail)
-    for check in (check_navas_law, check_restriction_law,
-                  certify_compatibility):
+    class Failing:
+        params = p
+
+        def __init__(self, group):
+            self.group = group
+
+        is_positive = product_sign = conjugate_signs = sign_trace = fail
+
+    g1, g2 = Failing("g1"), Failing("g2")
+    runs = (lambda: audit_cone(g1, SMALL), lambda: audit_cone(g2, SMALL),
+            lambda: check_navas_law(g1, SMALL),
+            lambda: check_restriction_law(g2, SMALL),
+            lambda: certify_compatibility(g1, g2, SMALL),
+            lambda: certify_compatibility(ConeOracle(p, "g1"), g2, SMALL))
+    for run in runs:
         with pytest.raises(InternalCheckFailed):
-            check(p, SMALL)
+            run()
+    # a failure on the word route alone propagates as well
+    monkeypatch.setattr(certify_mod, "family_is_positive", fail)
+    g1, g2 = ConeOracle(p, "g1"), ConeOracle(p, "g2")
+    for run in (lambda: check_navas_law(g1, SMALL),
+                lambda: certify_compatibility(g1, g2, SMALL)):
+        with pytest.raises(InternalCheckFailed):
+            run()
 
 
 def test_navas_law_small_budget():
     p = knot_params(3, 4)
-    rep = check_navas_law(p, SMALL)
+    rep = check_navas_law(ConeOracle(p, "g1"), SMALL)
     assert rep.verdict == "Certified"
     # 17 conjugators (two-letter ball, radius 2) x 24 nonzero box points
     assert rep.counts["mu-nontrivial"] == {"passes": 17, "failures": 0}
@@ -176,7 +185,7 @@ def test_navas_law_small_budget():
 def test_restriction_law_small_budget():
     for c in [(3, 4), (3, -4)]:
         p = knot_params(*c)
-        rep = check_restriction_law(p, SMALL)
+        rep = check_restriction_law(ConeOracle(p, "g2"), SMALL)
         assert rep.verdict == "Certified"
         assert rep.counts["exactly-one-variant"] == {"passes": 10,
                                                      "failures": 0}
@@ -187,7 +196,8 @@ def test_restriction_law_small_budget():
 def test_compatibility_small_budget():
     for c in [(3, 4), (7, -6)]:
         p = knot_params(*c)
-        rep = certify_compatibility(p, SMALL)
+        rep = certify_compatibility(ConeOracle(p, "g1"), ConeOracle(p, "g2"),
+                                    SMALL)
         assert rep.verdict == "Certified"
         assert rep.counts["member-selection"] == {"passes": 10,
                                                   "failures": 0}
@@ -240,6 +250,26 @@ def test_run_checks_all_and_overall():
         run_checks(p, SMALL, "everything")
 
 
+@pytest.mark.parametrize("which,groups", [("all", ["g1", "g2"]),
+                                          ("cone", ["g1", "g2"]),
+                                          ("navas", ["g1"]),
+                                          ("restrict", ["g2"]),
+                                          ("compat", ["g1", "g2"])])
+def test_run_checks_builds_one_oracle_per_group(which, groups, monkeypatch):
+    import twobridge.certify as certify_mod
+    built = []
+
+    class Counted(ConeOracle):
+        def __init__(self, params, group):
+            built.append(group)
+            super().__init__(params, group)
+
+    monkeypatch.setattr(certify_mod, "ConeOracle", Counted)
+    reports = run_checks(knot_params(3, 4), SMALL, which)
+    assert overall_verdict(reports) == "Certified"
+    assert sorted(built) == groups
+
+
 def test_overall_verdict_precedence():
     budget = SMALL
     ok = CertificateReport("navas", (3, 4), budget)
@@ -278,7 +308,7 @@ def test_mutation_selftests_all_detected():
 def test_counterexamples_capped_but_counted():
     p = knot_params(3, 4)
     corrupted = _CorruptedOracle(ConeOracle(p, "g1"),
-                                 lambda w, s: Sign.POSITIVE)
+                                 lambda c, w, s: Sign.POSITIVE)
     rep = audit_cone(corrupted, SMALL)
     assert rep.verdict == "Refuted"
     assert len(rep.counterexamples) <= 20
@@ -290,30 +320,32 @@ def test_counterexamples_capped_but_counted():
 
 @pytest.mark.parametrize("c1,c2", [(3, 4), (5, 4), (7, -6)])  # b1 = 1, 2, 3
 def test_g1_pattern_matches_conjugated_products(c1, c2):
-    signer = _Signer(knot_params(c1, c2), "g1", 2)
+    oracle = ConeOracle(knot_params(c1, c2), "g1")
+    box = _box(oracle.params, "g1", 2)
     conjugators = ball(("a", "b"), 3)
     for c in conjugators:
-        assert signer.pattern(c) == pattern_by_products(signer, c), str(c)
+        assert _pattern(oracle, box, c) == \
+            pattern_by_products(oracle, box, c), str(c)
     # every conjugate of mu is positive and h is central, so the box is
     # signed alike in every member; words of length 4 are not
-    signer.box = ball(("a", "b"), 4)[len(conjugators):]
-    signer._elements = [signer.oracle._realization.lifted(w)
-                        for w in signer.box]
+    box = {w: w for w in ball(("a", "b"), 4)[len(conjugators):]}
     for c in conjugators:
-        assert signer.pattern(c) == pattern_by_products(signer, c), str(c)
+        assert _pattern(oracle, box, c) == \
+            pattern_by_products(oracle, box, c), str(c)
 
 
 @pytest.mark.parametrize("c1,c2", [(3, 4), (3, -4), (7, -6), (5, 8)])
 def test_g2_pattern_matches_family_word_route(c1, c2):
     # b2 = 2, -2, -3, 4: beta = 2 with both signs, an odd beta, beta = 4
     params = knot_params(c1, c2)
-    signer = _Signer(params, "g2", 2)
-    words = [peripheral_word(params, "g2", r, s) for r, s in signer.box]
+    oracle = ConeOracle(params, "g2")
+    box = _box(params, "g2", 2)
+    assert box[(1, -1)] == peripheral_word(params, "g2", 1, -1)
     for c in ball(("x", "y", "z"), 3):
         spec = OrderFamilySpec("g2", c)
-        assert signer.pattern(c) == {
-            v: family_is_positive(signer.oracle, spec, w)
-            for v, w in zip(signer.box, words)}, str(c)
+        assert _pattern(oracle, box, c) == {
+            v: family_is_positive(oracle, spec, w)
+            for v, w in box.items()}, str(c)
 
 
 @pytest.mark.parametrize("group", ["g1", "g2"])
@@ -464,11 +496,11 @@ def test_semigroup_only_word_corruption_detected():
     p = knot_params(3, 4)
     seen = []
     audit_cone(_CorruptedOracle(ConeOracle(p, "g1"),
-                                lambda w, s: seen.append(w) or s), SMALL)
+                                lambda c, w, s: seen.append(w) or s), SMALL)
     target = next(w for w in seen if len(w) > SMALL.ball_radius)
     rep = audit_cone(_CorruptedOracle(
-        ConeOracle(p, "g1"), lambda w, s: s.flipped() if w == target else s),
-        SMALL)
+        ConeOracle(p, "g1"),
+        lambda c, w, s: s.flipped() if w == target else s), SMALL)
     assert rep.verdict == "Refuted"
     assert rep.counts["semigroup"]["failures"] >= 1
     assert rep.counts["trichotomy"]["failures"] == 0
@@ -516,3 +548,6 @@ def test_mutation_reports_unchanged(knot):
         rep.as_dict(), sort_keys=True).encode()).hexdigest()
         for name, rep in reports.items()}
     assert got == MUTATION_REPORT_DIGESTS[knot]
+    # the word route bypasses the corrupted conjugate signs and sees them
+    navas = reports["navas-negative-side-flip"].counts
+    assert navas["word-route-agreement"]["failures"] > 0

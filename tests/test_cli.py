@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +151,24 @@ def test_order_sign_parse_error_exit_3(capsys):
                                  "--c1", "3", "--c2", "4", "q v"])
     assert code == 3
     assert doc["error"]["code"] == "ParseError"
+
+
+def test_rejected_generators_error_is_independent_of_the_hash_seed():
+    # the message names the rejected generators sorted, not in set order,
+    # which would change with the interpreter's string hash seed
+    argv = [sys.executable, "-m", "twobridge", "order-sign", "--c1", "3",
+            "--c2", "4", "--group", "g2", "b a"]
+    src = str(Path(cli.__file__).parent.parent)
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["error"] == {
+        "code": "ParseError",
+        "message": "G2 words use generators x, y, z only, got a, b"}
 
 
 @pytest.mark.parametrize("word", ["x^1_0", "z x^\u0663", "y^-\u0661"])

@@ -19,8 +19,8 @@ from twobridge.orders import (ConeOracle, G1Realization, OrderFamilySpec,
                               _schreier_letters, _t_weight,
                               family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
-from reference import (decide_by_test_points, lifted_by_powers,
-                       magnus_first_sign_stepped)
+from reference import (decide_by_test_points, four_test_points,
+                       lifted_by_powers, magnus_first_sign_stepped)
 
 W = Word.parse
 
@@ -97,8 +97,11 @@ def test_realization_identities():
         mu = real.mu_lift
         tr = mu.matrix.trace()
         assert (tr * tr - tr.field.element([4])).is_zero()
-        p0 = real.test_points[0]
+        p0, p1 = real.test_points
         assert mu.apply(p0) == p0
+        # the stabilizer of p0 is <mu~>, whose powers all move p1
+        for r in (1, 2, 5, -1, -3):
+            assert (mu ** r).apply(p1) != p1
         # the realization (hence the number field work) is cached per b1
         assert g1_realization(p) is real
 
@@ -212,20 +215,24 @@ DECIDE_KNOTS = [(3, 4), (5, 4), (7, -6), (9, 4), (11, -6)]
 
 @pytest.mark.parametrize("knot", DECIDE_KNOTS)
 def test_decide_matches_test_point_reference(knot):
-    # the winding prefilter must return the sign and trace of the point
-    # route, at the fixed test points and at points moved by c^-1
+    # the winding prefilter on two test points must return the sign and
+    # trace of the point route on four, at the fixed test points and at
+    # points moved by c^-1
     real = g1_realization(knot_params(*knot))
     lifts = [real.lifted(w) for w in ball(("a", "b"), 3)]
     lifts += [g.inverse() for g in lifts]
-    point_sets = [None] + [
-        [real.lifted(c).inverse().apply(p) for p in real.test_points]
-        for c in ball(("a", "b"), 2)]
+    point_sets = [(None, None)]
+    for c in ball(("a", "b"), 2):
+        c_inv = real.lifted(c).inverse()
+        point_sets.append(tuple(
+            [c_inv.apply(p) for p in points]
+            for points in (real.test_points, four_test_points(real.field))))
     windings = set()
     for g in lifts:
         windings.add(max(-2, min(1, g.wind)))
-        for points in point_sets:
+        for points, reference_points in point_sets:
             assert real.decide(g, points) == \
-                decide_by_test_points(real, g, points), (g, points)
+                decide_by_test_points(real, g, reference_points), (g, points)
     # k >= 1 and k <= -2 take the winding route, 0 and -1 the point route
     assert windings == {1, 0, -1, -2}
 
