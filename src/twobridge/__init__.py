@@ -11,5 +11,5 @@ from .certify import (SampleBudget, audit_cone,  # noqa: F401
                       run_mutation_selftests)
 from .cfrac import knot_info, knot_params  # noqa: F401
 from .groups import Word, presentations  # noqa: F401
-from .orders import (ConeOracle, OrderFamilySpec, Sign,  # noqa: F401
-                     Z2Order, family_is_positive, z2_is_positive)
+from .orders import (ConeOracle, Sign, Z2Order,  # noqa: F401
+                     family_is_positive, z2_is_positive)

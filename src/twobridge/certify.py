@@ -42,8 +42,8 @@ from dataclasses import asdict, dataclass, field
 from .cfrac import TwoBridgeParams
 from .errors import InternalCheckFailed, ParseError
 from .groups import Word, peripheral_word
-from .orders import (ConeOracle, OrderFamilySpec, Sign, Z2Order,
-                     family_is_positive, z2_is_positive)
+from .orders import (ConeOracle, Sign, Z2Order, family_is_positive,
+                     z2_is_positive)
 
 BALL_ALPHABETS = {"g1": ("a", "b"), "g2": ("x", "z")}
 
@@ -253,9 +253,8 @@ def _pattern(oracle, box: dict, c: Word) -> dict:
 def _cross_check(report: CertificateReport, oracle, box: dict, c: Word,
                  pattern: dict, vectors) -> None:
     """The pattern agrees with the plain word-route family oracle."""
-    spec = OrderFamilySpec(oracle.group, c)
     for r, s in vectors:
-        via_words = family_is_positive(oracle, spec, box[(r, s)])
+        via_words = family_is_positive(oracle, c, box[(r, s)])
         ok = via_words is pattern[(r, s)]
         report.record("word-route-agreement", ok,
                       None if ok else Counterexample(
@@ -498,11 +497,11 @@ SELFTEST_BUDGET = SampleBudget(ball_radius=3, conjugator_length=2,
                                member_samples=8, seed=0)
 
 
-def mutation_reports(params: TwoBridgeParams,
-                     budget: SampleBudget = SELFTEST_BUDGET) -> dict:
-    """The report of each check run under one of five distinct corruptions
-    injected through ``_CorruptedOracle``, keyed by the names in
-    MUTATIONS."""
+def mutation_reports(params: TwoBridgeParams) -> dict:
+    """The report of each check run at SELFTEST_BUDGET under one of five
+    distinct corruptions injected through ``_CorruptedOracle``, keyed by
+    the names in MUTATIONS."""
+    budget = SELFTEST_BUDGET
     g1, g2 = ConeOracle(params, "g1"), ConeOracle(params, "g2")
     target = Word((("a", 1),))
     negative_side = {w for (r, s), w in _box(
@@ -523,10 +522,9 @@ def mutation_reports(params: TwoBridgeParams,
     }
 
 
-def run_mutation_selftests(params: TwoBridgeParams,
-                           budget: SampleBudget = SELFTEST_BUDGET) -> dict:
+def run_mutation_selftests(params: TwoBridgeParams) -> dict:
     """Inject five distinct corruptions through ``_CorruptedOracle`` and
     report, for each, whether the harness detected it (verdict not
     Certified)."""
-    reports = mutation_reports(params, budget)
+    reports = mutation_reports(params)
     return {name: reports[name].verdict != "Certified" for name in MUTATIONS}

@@ -38,8 +38,7 @@ from .errors import (ConstructionFailed, InternalCheckFailed, OutOfFamily,
                      ParseError)
 from .groups import Word, parse_int, presentations
 from .numberfield import NumberField
-from .orders import (ConeOracle, G1Realization, OrderFamilySpec,
-                     family_sign_trace)
+from .orders import ConeOracle, G1Realization, family_sign_trace
 
 SCHEMA_VERSION = 1
 
@@ -98,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="conjugating word for the family member "
                          "(default: identity)")
     sp.add_argument("--reversed", action="store_true",
-                    help="use the reversed member")
+                    help="flip the member's sign: the reversed order")
     sp.add_argument("word", help="word in the group's generators, e.g. "
                                  "'b^-1 a'")
     out_flag(sp)
@@ -132,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------
-# subcommand bodies; each returns (payload, exit_code)
+# subcommand bodies; each returns (payload, exit_code), and main puts
+# schema_version and the command name in front of the payload
 
 
 def _poly_payload(poly) -> dict:
@@ -145,8 +145,7 @@ def _poly_payload(poly) -> dict:
 
 def _cmd_knot_info(args):
     params = knot_params(args.c1, args.c2)
-    payload = {"schema_version": SCHEMA_VERSION, "command": "knot-info"}
-    payload.update(knot_info(params))
+    payload = knot_info(params)
     payload["alexander"] = _poly_payload(alexander_poly(params))
     payload["lspace"] = lspace_surgery_verdict(params).as_dict()
     return payload, 0
@@ -156,8 +155,6 @@ def _cmd_presentation(args):
     params = knot_params(args.c1, args.c2)
     p1, p2, pm, glue = presentations(params)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "presentation",
         "c1": params.c1,
         "c2": params.c2,
         "g1": p1.as_dict(),
@@ -174,12 +171,11 @@ def _cmd_order_sign(args):
     params = knot_params(args.c1, args.c2)
     word = Word.parse(args.word)
     conjugator = Word.parse(args.conjugator)
-    sign, trace = family_sign_trace(
-        ConeOracle(params, args.group),
-        OrderFamilySpec(args.group, conjugator, args.reversed), word)
+    sign, trace = family_sign_trace(ConeOracle(params, args.group),
+                                    conjugator, word)
+    if args.reversed:
+        sign = sign.flipped()
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "order-sign",
         "c1": params.c1,
         "c2": params.c2,
         "group": args.group,
@@ -204,8 +200,6 @@ def _cmd_certify(args):
     reports = run_checks(params, budget, args.check)
     verdict = overall_verdict(reports)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "certify",
         "c1": params.c1,
         "c2": params.c2,
         "check": args.check,
@@ -284,13 +278,7 @@ def _selftest_results() -> list[dict]:
 def _cmd_selftest(args):
     results = _selftest_results()
     passed = all(r["passed"] for r in results)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "selftest",
-        "results": results,
-        "passed": passed,
-    }
-    return payload, 0 if passed else 1
+    return {"results": results, "passed": passed}, 0 if passed else 1
 
 
 _DISPATCH = {
@@ -323,15 +311,16 @@ def main(argv=None) -> int:
     with ExitStack() as stack:
         out = None
         try:
-            if out_path:
+            if out_path is not None:
                 out = stack.enter_context(_open_out(out_path))
-            payload, code = _DISPATCH[args.command](args)
+            body, code = _DISPATCH[args.command](args)
+            payload = {"command": args.command, **body}
         except tuple(exc for exc, _, _ in _ERROR_CODES) as exc:
             name, code = next((name, code) for exc_type, name, code
                               in _ERROR_CODES if isinstance(exc, exc_type))
-            payload = {"schema_version": SCHEMA_VERSION,
-                       "error": {"code": name, "message": str(exc)}}
-        text = json.dumps(payload, indent=2, sort_keys=False)
+            payload = {"error": {"code": name, "message": str(exc)}}
+        text = json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                          indent=2, sort_keys=False)
         print(text)
         if out is not None:
             out.write(text + "\n")

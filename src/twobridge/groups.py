@@ -153,30 +153,25 @@ class GluingMap:
     mu_image: Word
     h_image: Word
 
-    def apply(self, r: int, s: int) -> Word:
-        """Image y^r (z x^2)^s of mu^r h^s."""
-        return self.mu_image ** r * self.h_image ** s
-
 
 def presentations(params: TwoBridgeParams):
     """(P1, P2, PM, gluing) for the knot's surgery pieces."""
-    b1, b2 = params.b1, params.b2
-    p1 = Presentation(("a", "b"),
-                      (W("a a b^%d" % (-(2 * b1 + 1))),))
-    p2 = Presentation(("x", "y", "z"),
-                      (W("x^-1 y x y"), W("y z^%d" % (-b2))))
-    mu = W("b^%d a" % (-b1))
-    h = W("a a")
-    pm = Presentation(
-        ("x", "y", "z", "a", "b"),
-        (W("x^-1 y x y"), W("y z^%d" % (-b2)), W("a a b^%d" % (-(2 * b1 + 1))),
-         mu * W("y^-1"), h * W("x^-2 z^-1")))
-    glue = GluingMap(mu=mu, h=h, mu_image=W("y"), h_image=W("z x x"))
-    return p1, p2, pm, glue
+    g1_rels = (W("a a b^%d" % (-(2 * params.b1 + 1))),)
+    g2_rels = (W("x^-1 y x y"), W("y z^%d" % (-params.b2)))
+    glue = GluingMap(mu=peripheral_word(params, "g1", 1, 0),
+                     h=peripheral_word(params, "g1", 0, 1),
+                     mu_image=peripheral_word(params, "g2", 1, 0),
+                     h_image=peripheral_word(params, "g2", 0, 1))
+    pm = Presentation(("x", "y", "z", "a", "b"), g2_rels + g1_rels + (
+        glue.mu * glue.mu_image.inverse(), glue.h * glue.h_image.inverse()))
+    return (Presentation(("a", "b"), g1_rels),
+            Presentation(("x", "y", "z"), g2_rels), pm, glue)
 
 
 def peripheral_word(params: TwoBridgeParams, side: str, r: int, s: int) -> Word:
-    """mu^r h^s (side "g1") or y^r (z x^2)^s (side "g2")."""
+    """mu^r h^s (side "g1") or y^r (z x^2)^s (side "g2"), where
+    mu = b^-b1 a and h = a^2.  These bases are spelled only here;
+    ``presentations`` builds the gluing from them."""
     if side == "g1":
         mu = W("b^%d a" % (-params.b1))
         return mu ** r * W("a a") ** s

@@ -24,13 +24,14 @@ lexicographic tower:
   and the search stops at the least degree with a nonzero coefficient,
   which is at most the syllable count of the reduced word.
 
-Both oracles are total and exact.  Conjugated and reversed variants of the
-base orders form the normal families used by the certification harness.
+Both oracles are total and exact.  Their conjugates form the normal
+families used by the certification harness; a family member is named by
+its conjugator c alone, and w is positive in it when c w c^-1 is positive
+in the base order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .cfrac import TwoBridgeParams
@@ -39,7 +40,7 @@ from .groups import (G2Element, Word, g1_normal_form, g2_inverse,
                      g2_normal_form, g2_product)
 from .lifted import (LiftedMoebius, LiftedPoint, ProjectivePoint,
                      boundary_zero, order_n_rotation, order_two_rotation)
-from .numberfield import NumberField, real_cyclotomic_field
+from .numberfield import real_cyclotomic_field
 
 
 class Sign(Enum):
@@ -111,13 +112,12 @@ class G1Realization:
     __slots__ = ("b1", "n", "field", "a_lift", "b_lift", "h_lift", "mu_lift",
                  "test_points", "_powers", "_pairs")
 
-    def __init__(self, b1: int, field: NumberField | None = None):
+    def __init__(self, b1: int):
         if b1 < 1:
             raise ValueError("b1 must be >= 1, got %r" % (b1,))
         self.b1 = b1
         self.n = n = 2 * b1 + 1
-        self.field = f = field if field is not None else \
-            real_cyclotomic_field(n)
+        self.field = f = real_cyclotomic_field(n)
         s = order_two_rotation(f)
         r = order_n_rotation(f)
         if not (LiftedMoebius.lift0(r) ** n).matrix.is_identity():
@@ -463,33 +463,16 @@ class ConeOracle:
         return self.element(w).is_identity()
 
 
-@dataclass(frozen=True)
-class OrderFamilySpec:
-    """A member of the normal family generated by a base cone: the cone is
-    conjugated by ``conjugator`` (w positive iff base sign of c w c^-1 is
-    Positive) and optionally reversed (Negative instead).
+def family_sign_trace(oracle: ConeOracle, c: Word,
+                      w: Word) -> tuple[Sign, dict]:
+    """Sign of w in the family member with conjugator c: the base sign of
+    c w c^-1, with the base oracle's trace of that word.
 
     With the convention used here, the member with conjugator c is the
     base order conjugated by c^-1 in the usual action g(P) = g P g^-1.
     """
-
-    oracle_id: str  # "g1" | "g2"
-    conjugator: Word
-    reversed: bool = False
+    return oracle.sign_trace(c * w * c.inverse())
 
 
-def family_sign_trace(oracle: ConeOracle, spec: OrderFamilySpec,
-                      w: Word) -> tuple[Sign, dict]:
-    """Sign of w in the family member, with the base oracle's trace of
-    the conjugated word c w c^-1."""
-    if spec.oracle_id != oracle.group:
-        raise ValueError("family spec for %r applied to oracle %r"
-                         % (spec.oracle_id, oracle.group))
-    sign, trace = oracle.sign_trace(
-        spec.conjugator * w * spec.conjugator.inverse())
-    return (sign.flipped() if spec.reversed else sign), trace
-
-
-def family_is_positive(oracle: ConeOracle, spec: OrderFamilySpec,
-                       w: Word) -> Sign:
-    return family_sign_trace(oracle, spec, w)[0]
+def family_is_positive(oracle: ConeOracle, c: Word, w: Word) -> Sign:
+    return family_sign_trace(oracle, c, w)[0]

@@ -21,8 +21,8 @@ from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import Word, peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import FieldElement
-from twobridge.orders import (ConeOracle, G1Realization, OrderFamilySpec,
-                              Sign, family_is_positive)
+from twobridge.orders import (ConeOracle, G1Realization, Sign,
+                              family_is_positive)
 from reference import pattern_by_products
 
 SMALL = SampleBudget(ball_radius=3, conjugator_length=2, peripheral_bound=2,
@@ -342,9 +342,8 @@ def test_g2_pattern_matches_family_word_route(c1, c2):
     box = _box(params, "g2", 2)
     assert box[(1, -1)] == peripheral_word(params, "g2", 1, -1)
     for c in ball(("x", "y", "z"), 3):
-        spec = OrderFamilySpec("g2", c)
         assert _pattern(oracle, box, c) == {
-            v: family_is_positive(oracle, spec, w)
+            v: family_is_positive(oracle, c, w)
             for v, w in box.items()}, str(c)
 
 

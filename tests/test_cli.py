@@ -361,6 +361,70 @@ def test_default_budget_reports_pinned(capsys):
     assert got == DEFAULT_BUDGET_DIGESTS
 
 
+# (exit code, sha256 of stdout) of the smaller subcommands: knot-info,
+# presentation, and order-sign on both groups for a base member, a
+# conjugated one, a reversed one, the identity and a rejected word.
+CLI_DOCUMENT_DIGESTS = {
+    ("knot-info", "--c1", "3", "--c2", "4"):
+        (0, "c21efce7ede55c53046d8089ffa16d55"
+            "fb4dc631e1485e3449f2e6e068c0f21a"),
+    ("knot-info", "--c1", "-5", "--c2", "6"):
+        (0, "e7e35ad548cdf0aac6efd753f329df19"
+            "01dfe3b757242597383246299358b061"),
+    ("presentation", "--c1", "3", "--c2", "4"):
+        (0, "fd0e9750baaa43390cd6daaa47ac063e"
+            "8c1a2960e5a60e3c2cec19e7c8628a87"),
+    ("presentation", "--c1", "7", "--c2", "-6"):
+        (0, "e6895d6c0063a992c15b7fd0ce700c45"
+            "0ce547652aa9dab75e2563b1818ee2a8"),
+    ("order-sign", "--c1", "3", "--c2", "4", "--group", "g1", "b^-1 a"):
+        (0, "05691a4b2eb804086a8cab3530b32f4d"
+            "42c08c9757e3ff018362de0208612439"),
+    ("order-sign", "--c1", "3", "--c2", "4", "--group", "g1", "--conjugator",
+     "a b", "b^-1 a"):
+        (0, "f895794b4cc7c4406fd95f68d6409340"
+            "a55b6d0913d93c0ecdd298c00fc5d9b0"),
+    ("order-sign", "--c1", "3", "--c2", "4", "--group", "g1", "--conjugator",
+     "b", "--reversed", "a b^-2"):
+        (0, "9b1490fda9f24c6e110a2644faf40aca"
+            "5bae58e6516d9251955ba4302f638a97"),
+    ("order-sign", "--c1", "3", "--c2", "4", "--group", "g1", "--conjugator",
+     "a", "a^2 b^-3"):
+        (0, "31ea9a310e313e6138bd73312941c1ce"
+            "f10ed186b5e4d1319fb9204e1191ce0c"),
+    ("order-sign", "--c1", "3", "--c2", "4", "--group", "g1", "x y"):
+        (3, "5172a065bf4fc3df6b5ce2025b780e41"
+            "48ae668e96f5027fc093c593ad3c34b9"),
+    ("order-sign", "--c1", "7", "--c2", "-6", "--group", "g2", "z x^-1 z"):
+        (0, "5d29223641a314891659127f13d69383"
+            "0db18f649080033056dac35518bf4b7a"),
+    ("order-sign", "--c1", "7", "--c2", "-6", "--group", "g2", "--conjugator",
+     "x z", "y"):
+        (0, "4b4e5d67ca1adf513cee34ff9ad5af34"
+            "cf2edf774eafd392b285a3d94821c409"),
+    ("order-sign", "--c1", "7", "--c2", "-6", "--group", "g2", "--conjugator",
+     "x", "--reversed", "z x^-1 z x z^-1 x^-1 z^-1 x"):
+        (0, "4487cadab87a5c67fd8a873a6b9686cc"
+            "ddda54053f5cd4cbe8debe5e6196eec3"),
+    ("order-sign", "--c1", "7", "--c2", "-6", "--group", "g2", "--reversed",
+     "y z^3"):
+        (0, "8b477f9dcc0316c1b1481ac8cbf5c050"
+            "358892b22dda382c68772823f20b3018"),
+    ("order-sign", "--c1", "7", "--c2", "-6", "--group", "g2", "b a"):
+        (3, "112fd64213a5e9004acd0c42bb8e10e9"
+            "d597cd5110217989ca58714a969e367d"),
+}
+
+
+def test_cli_documents_pinned(capsys):
+    got = {}
+    for argv in CLI_DOCUMENT_DIGESTS:
+        code = cli.main(list(argv))
+        out = capsys.readouterr().out
+        got[argv] = (code, hashlib.sha256(out.encode()).hexdigest())
+    assert got == CLI_DOCUMENT_DIGESTS
+
+
 def test_out_file_writes_copy(capsys, tmp_path):
     target = tmp_path / "info.json"
     code, doc = run_cli(capsys, ["knot-info", "--c1", "3", "--c2", "4",
@@ -375,12 +439,13 @@ def test_unwritable_out_exits_3_and_runs_nothing(capsys, monkeypatch,
         raise AssertionError("the subcommand ran")
 
     monkeypatch.setattr(cli, "knot_params", fail)
-    target = str(tmp_path / "missing" / "f.json")
-    for command in ("knot-info", "certify"):
-        code, doc = run_cli(capsys, [command, "--c1", "3", "--c2", "4",
-                                     "--out", target])
-        assert code == 3 and doc["error"]["code"] == "ParseError"
-        assert "missing" in doc["error"]["message"]
+    missing = str(tmp_path / "missing" / "f.json")
+    for target, named in ((missing, "missing"), ("", "''")):
+        for command in ("knot-info", "certify"):
+            code, doc = run_cli(capsys, [command, "--c1", "3", "--c2", "4",
+                                         "--out", target])
+            assert code == 3 and doc["error"]["code"] == "ParseError"
+            assert named in doc["error"]["message"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -375,5 +375,5 @@ def test_gluing_consistency():
         _, _, _, glue = presentations(k)
         assert g2_normal_form(k, glue.mu_image) == g2_normal_form(k, W("y"))
         assert g2_normal_form(k, glue.h_image) == g2_normal_form(k, W("z x x"))
-        assert g2_normal_form(k, glue.apply(2, -1)) == \
+        assert g2_normal_form(k, peripheral_word(k, "g2", 2, -1)) == \
             g2_normal_form(k, W("y y x^-2 z^-1"))

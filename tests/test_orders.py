@@ -14,10 +14,9 @@ from twobridge.groups import Word, g1_normal_form, g2_normal_form, \
     peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import real_cyclotomic_field
-from twobridge.orders import (ConeOracle, G1Realization, OrderFamilySpec,
-                              Sign, Z2Order, _magnus_first_sign,
-                              _schreier_letters, _t_weight,
-                              family_is_positive, g1_realization,
+from twobridge.orders import (ConeOracle, G1Realization, Sign, Z2Order,
+                              _magnus_first_sign, _schreier_letters,
+                              _t_weight, family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
 from reference import (decide_by_test_points, four_test_points,
                        lifted_by_powers, magnus_first_sign_stepped)
@@ -193,12 +192,14 @@ def test_lift_costs_one_product_per_b_syllable(knot, monkeypatch):
         assert len(calls) == factors - 1, w
 
 
-def test_realization_rejects_wrong_field():
+def test_realization_rejects_wrong_field(monkeypatch):
     # a genuine field for the wrong rotation order must fail the exact
     # construction checks, never pass silently
     p = knot_params(3, 4)  # needs n = 3
+    monkeypatch.setattr(orders, "real_cyclotomic_field",
+                        lambda n: real_cyclotomic_field(7))
     with pytest.raises(ConstructionFailed):
-        G1Realization(p.b1, real_cyclotomic_field(7))
+        G1Realization(p.b1)
 
 
 def test_realization_rejects_non_generator_letters():
@@ -569,22 +570,24 @@ def test_undecided_magnus_answer_raises(monkeypatch):
 # order families
 
 
-def test_family_base_and_reversed():
+def test_family_base_member_is_the_base_order():
+    # the member with the trivial conjugator signs every word as the base
+    # oracle does; reversal is a CLI flag, tested through order-sign
     p = knot_params(3, 4)
     o1 = ConeOracle(p, "g1")
-    base = OrderFamilySpec("g1", W(""))
-    rev = OrderFamilySpec("g1", W(""), reversed=True)
     mu = meridian(p)
-    assert family_is_positive(o1, base, mu) is Sign.POSITIVE
-    assert family_is_positive(o1, rev, mu) is Sign.NEGATIVE
-    assert family_is_positive(o1, rev, W("")) is Sign.IDENTITY
+    assert family_is_positive(o1, W(""), mu) is Sign.POSITIVE
+    assert family_is_positive(o1, W(""), mu.inverse()) is Sign.NEGATIVE
+    assert family_is_positive(o1, W(""), W("")) is Sign.IDENTITY
+    for w in ball(("a", "b"), 3):
+        assert family_is_positive(o1, W(""), w) is o1.is_positive(w)
 
 
-def test_family_oracle_mismatch():
+def test_family_conjugator_outside_the_group_raises():
     p = knot_params(3, 4)
-    o2 = ConeOracle(p, "g2")
-    with pytest.raises(ValueError):
-        family_is_positive(o2, OrderFamilySpec("g1", W("")), W("y"))
+    for group, c, w in (("g2", W("a"), W("y")), ("g1", W("x"), W("a"))):
+        with pytest.raises(ParseError):
+            family_is_positive(ConeOracle(p, group), c, w)
 
 
 def test_family_members_are_left_orders():
@@ -592,24 +595,21 @@ def test_family_members_are_left_orders():
     for group, alphabet, conj in [("g1", "ab", W("a b")),
                                   ("g2", "xyz", W("x z"))]:
         oracle = ConeOracle(p, group)
-        for spec in (OrderFamilySpec(group, conj),
-                     OrderFamilySpec(group, conj, reversed=True)):
-            rng = random.Random(53)
-            words = [random_word(rng, alphabet, rng.randrange(0, 5))
-                     for _ in range(60)]
-            positives = []
-            for w in words:
-                s = family_is_positive(oracle, spec, w)
-                assert family_is_positive(oracle, spec,
-                                          w.inverse()) is s.flipped()
-                assert (s is Sign.IDENTITY) == \
-                    oracle.word_is_identity(w)
-                if s is Sign.POSITIVE:
-                    positives.append(w)
-            for _ in range(80):
-                w1, w2 = rng.choice(positives), rng.choice(positives)
-                assert family_is_positive(oracle, spec,
-                                          w1 * w2) is Sign.POSITIVE
+        rng = random.Random(53)
+        words = [random_word(rng, alphabet, rng.randrange(0, 5))
+                 for _ in range(60)]
+        positives = []
+        for w in words:
+            s = family_is_positive(oracle, conj, w)
+            assert family_is_positive(oracle, conj,
+                                      w.inverse()) is s.flipped()
+            assert (s is Sign.IDENTITY) == oracle.word_is_identity(w)
+            if s is Sign.POSITIVE:
+                positives.append(w)
+        for _ in range(80):
+            w1, w2 = rng.choice(positives), rng.choice(positives)
+            assert family_is_positive(oracle, conj,
+                                      w1 * w2) is Sign.POSITIVE
 
 
 def test_family_conjugation_relabels_signs():
@@ -619,13 +619,11 @@ def test_family_conjugation_relabels_signs():
     oracle = ConeOracle(p, "g1")
     rng = random.Random(59)
     c = W("b a^-1 b")
-    spec = OrderFamilySpec("g1", c)
-    base = OrderFamilySpec("g1", W(""))
     for _ in range(40):
         w = random_word(rng, "ab", rng.randrange(0, 6))
         moved = c.inverse() * w * c
-        assert family_is_positive(oracle, spec, moved) is \
-            family_is_positive(oracle, base, w)
+        assert family_is_positive(oracle, c, moved) is \
+            family_is_positive(oracle, W(""), w)
 
 
 def test_g2_member_restrictions_give_both_lattice_orders():
@@ -640,11 +638,10 @@ def test_g2_member_restrictions_give_both_lattice_orders():
         p = knot_params(c1, c2)
         oracle = ConeOracle(p, "g2")
         for conj, variant in [(W(""), id_variant), (W("x"), x_variant)]:
-            spec = OrderFamilySpec("g2", conj)
             for r in range(-3, 4):
                 for s in range(-2, 3):
                     got = family_is_positive(
-                        oracle, spec, peripheral_word(p, "g2", r, s))
+                        oracle, conj, peripheral_word(p, "g2", r, s))
                     assert got is z2_is_positive(variant, (r, s)), \
                         (c1, c2, str(conj), r, s)
 
@@ -658,12 +655,10 @@ def test_peripheral_signs_match_across_the_gluing():
         o1 = ConeOracle(p, "g1")
         o2 = ConeOracle(p, "g2")
         conj = W("") if p.b2 > 0 else W("x")
-        spec = OrderFamilySpec("g2", conj)
-        base = OrderFamilySpec("g1", W(""))
         for r in range(-3, 4):
             for s in range(-2, 3):
-                s1 = family_is_positive(o1, base,
+                s1 = family_is_positive(o1, W(""),
                                         peripheral_word(p, "g1", r, s))
-                s2 = family_is_positive(o2, spec,
+                s2 = family_is_positive(o2, conj,
                                         peripheral_word(p, "g2", r, s))
                 assert s1 is s2, (c1, c2, r, s)
