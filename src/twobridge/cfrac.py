@@ -11,6 +11,7 @@ surgery slope 2*c2.  Everything here is exact integer/rational
 arithmetic; no floating point.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,15 +83,9 @@ def knot_params(c1: int, c2: int) -> TwoBridgeParams:
     p = abs(c1 * c2 - 1)
     q = c2 % p
     # c1 odd and c2 even force p odd (a knot, not a link) and gcd(p, q) = 1
-    assert p % 2 == 1 and 0 < q < p and _gcd(p, q) == 1
+    assert p % 2 == 1 and 0 < q < p and math.gcd(p, q) == 1
     return TwoBridgeParams(c1=c1, c2=c2, b1=b1, b2=b2, p=p, q=q,
                            slope=2 * c2, mirrored=mirrored)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def even_expansion(params: TwoBridgeParams):

@@ -292,7 +292,7 @@ def g2_product(params: TwoBridgeParams, e1: G2Element,
 
 def g2_inverse(params: TwoBridgeParams, e: G2Element) -> G2Element:
     """Normal form of the inverse: (x^p T w0^c)^-1 is x^-p times the tail
-    reversed and shifted, each z_i^-r written z_(i-p)^(beta-r) with its
+    reversed and re-indexed, each z_i^-r written z_(i-p)^(beta-r) with its
     w0^(-(-1)^(i-p)), and w0^(-c) conjugated by x^p."""
     beta = abs(params.b2)
     p = e.xpow

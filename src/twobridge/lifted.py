@@ -20,6 +20,11 @@ classical cocycle of the universal cover of PSL(2, R); Ghys, "Groups
 acting on the circle", 2001, section 6).  Composing never evaluates the
 action; only ``apply`` moves points.
 
+A ``LiftedPoint`` is the one point type: a level and a point [u : v] of
+the circle in canonical form.  Moving a point signs one new ring element,
+the image's denominator, and that sign both canonicalizes the image and
+picks its level.
+
 A ``Moebius`` is stored exactly as built in SL(2) and stands for its
 class in PSL(2): m and -m are equal, and no representative is chosen.
 A matrix product builds each entry with one fused ``mul_add`` (two
@@ -37,82 +42,54 @@ from .errors import InternalCheckFailed
 from .numberfield import FieldElement, NumberField, mul_add
 
 
-class ProjectivePoint:
-    """A point [u : v] of the boundary circle, sign-canonicalized so that
-    v > 0, or v == 0 and u > 0."""
-
-    __slots__ = ("u", "v", "finite")
-
-    def __init__(self, u: FieldElement, v: FieldElement):
-        sv = v.sign()
-        if sv < 0 or (sv == 0 and u.sign() < 0):
-            u, v = -u, -v
-            sv = -sv
-        if sv == 0 and u.is_zero():
-            raise InternalCheckFailed("[0 : 0] is not a projective point")
-        self.u = u
-        self.v = v
-        self.finite = sv != 0
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return mul_add(self.u, other.v, -other.u, self.v).is_zero()
-
-    def cmp_finite(self, other: "ProjectivePoint") -> int:
-        """Order of two finite points as extended reals u/v."""
-        assert self.finite and other.finite
-        return mul_add(self.u, other.v, -other.u, self.v).sign()
-
-    def __repr__(self):
-        if not self.finite:
-            return "[inf]"
-        return "[%r : %r]" % (self.u, self.v)
-
-
-def infinity(field: NumberField) -> ProjectivePoint:
-    return ProjectivePoint(field.one, field.zero)
-
-
-def boundary_zero(field: NumberField) -> ProjectivePoint:
-    return ProjectivePoint(field.zero, field.one)
-
-
 class LiftedPoint:
-    """A point of the cover: level ``wind``, position ``point``.
+    """A point of the cover: the point [u : v] of the boundary circle at
+    level ``wind``.
 
+    [u : v] is kept in canonical form, v > 0, or v == 0 and u > 0, so
+    v == 0 exactly at the level's infinity, the one point not ``finite``.
     Within a level the finite points come first in real order, then the
     level's infinity; then the next level starts.
     """
 
-    __slots__ = ("wind", "point")
+    __slots__ = ("wind", "u", "v", "finite")
 
-    def __init__(self, wind: int, point: ProjectivePoint):
+    def __init__(self, wind: int, u: FieldElement, v: FieldElement):
+        self._store(wind, u, v, v.sign())
+
+    def _store(self, wind: int, u: FieldElement, v: FieldElement,
+               v_sign: int) -> None:
+        """Keep [u : v] at level ``wind`` in canonical form, given the sign
+        of v."""
+        if v_sign < 0 or (v_sign == 0 and u.sign() < 0):
+            u, v = -u, -v
+        elif v_sign == 0 and u.is_zero():
+            raise InternalCheckFailed("[0 : 0] is not a projective point")
         self.wind = wind
-        self.point = point
+        self.u = u
+        self.v = v
+        self.finite = v_sign != 0
 
-    def shifted(self, k: int) -> "LiftedPoint":
-        return LiftedPoint(self.wind + k, self.point)
-
-    def _cmp(self, other: "LiftedPoint") -> int:
+    def cmp(self, other: "LiftedPoint") -> int:
+        """-1, 0 or 1 as this point lies below, at or above ``other`` on
+        the cover line."""
         if self.wind != other.wind:
             return 1 if self.wind > other.wind else -1
-        sf, of = self.point.finite, other.point.finite
-        if sf and of:
-            return self.point.cmp_finite(other.point)
-        if sf:
-            return -1  # finite sits below the level's infinity
-        if of:
-            return 1
-        return 0
+        if self.finite and other.finite:
+            # u/v against u'/v', both denominators positive
+            return mul_add(self.u, other.v, -other.u, self.v).sign()
+        # the level's infinity sits above every finite point
+        return other.finite - self.finite
 
     def __eq__(self, other):
         if not isinstance(other, LiftedPoint):
             return NotImplemented
-        return self._cmp(other) == 0
+        return self.cmp(other) == 0
 
     def __repr__(self):
-        return "(%d, %r)" % (self.wind, self.point)
+        if not self.finite:
+            return "(%d, [inf])" % self.wind
+        return "(%d, [%r : %r])" % (self.wind, self.u, self.v)
 
 
 class Moebius:
@@ -175,17 +152,20 @@ class Moebius:
 
 
 def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
-    """Apply the distinguished lift of ``m`` to a cover point."""
-    u, v = p.point.u, p.point.v
+    """Apply the distinguished lift of ``m`` to a cover point.
+
+    The image's denominator c*u + d*v is signed once.  That sign puts the
+    image in canonical form and, times sign(c), picks its level: the point
+    moves up exactly when it lies right of the pole -d/c or is the level's
+    infinity, where c*u + d*v = c*u has the sign of c.
+    """
+    u, v = p.u, p.v
     denom = mul_add(m.c, u, m.d, v)
-    q = ProjectivePoint(mul_add(m.a, u, m.b, v), denom)
-    if not m.c_sign:
-        return LiftedPoint(p.wind, q)
-    if not p.point.finite:
-        return LiftedPoint(p.wind + 1, q)
-    # position of u/v relative to the pole -d/c, via sign((c*u + d*v) * c)
-    s = denom.sign() * m.c_sign
-    return LiftedPoint(p.wind + (1 if s > 0 else 0), q)
+    denom_sign = denom.sign()
+    q = LiftedPoint.__new__(LiftedPoint)
+    q._store(p.wind + (1 if denom_sign * m.c_sign > 0 else 0),
+             mul_add(m.a, u, m.b, v), denom, denom_sign)
+    return q
 
 
 def _cocycle(m1: Moebius, m2: Moebius, prod: Moebius) -> int:
@@ -223,7 +203,9 @@ class LiftedMoebius:
         return cls(Moebius.identity(field), k)
 
     def apply(self, p: LiftedPoint) -> LiftedPoint:
-        return lift0_apply(self.matrix, p).shifted(self.wind)
+        q = lift0_apply(self.matrix, p)
+        q.wind += self.wind
+        return q
 
     def __mul__(self, other: "LiftedMoebius") -> "LiftedMoebius":
         # composing with a deck translation adds winding only and needs no

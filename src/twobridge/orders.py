@@ -38,8 +38,8 @@ from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
 from .groups import (G2Element, Word, g1_normal_form, g2_inverse,
                      g2_normal_form, g2_product)
-from .lifted import (LiftedMoebius, LiftedPoint, ProjectivePoint,
-                     boundary_zero, order_n_rotation, order_two_rotation)
+from .lifted import (LiftedMoebius, LiftedPoint, order_n_rotation,
+                     order_two_rotation)
 from .numberfield import real_cyclotomic_field
 
 
@@ -141,11 +141,11 @@ class G1Realization:
             raise ConstructionFailed("meridian image is not parabolic")
         if self.mu_lift.matrix.is_identity():
             raise ConstructionFailed("meridian image is trivial")
-        p0 = LiftedPoint(0, boundary_zero(f))
+        p0 = LiftedPoint(0, f.zero, f.one)
         if self.mu_lift.apply(p0) != p0:
             raise ConstructionFailed(
                 "lifted meridian does not fix its boundary fixed point")
-        self.test_points = (p0, LiftedPoint(0, ProjectivePoint(f.one, f.one)))
+        self.test_points = (p0, LiftedPoint(0, f.one, f.one))
         # b~^r and a~ b~^r for 0 <= r < n; b~^n = h~ was checked above
         powers = [LiftedMoebius.translation(f, 0)]
         for _ in range(1, n):
@@ -202,7 +202,7 @@ class G1Realization:
             return sign, {"decided_by": "test-point", "test_point": 0}
         for idx, p in enumerate(self.test_points if points is None
                                 else points):
-            c = g.apply(p)._cmp(p)
+            c = g.apply(p).cmp(p)
             if c:
                 return (Sign.POSITIVE if c > 0 else Sign.NEGATIVE,
                         {"decided_by": "test-point", "test_point": idx})

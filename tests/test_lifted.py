@@ -6,55 +6,52 @@ from twobridge import lifted
 from twobridge.certify import ball
 from twobridge.errors import InternalCheckFailed
 from twobridge.lifted import (LiftedMoebius, LiftedPoint, Moebius,
-                              ProjectivePoint, infinity, lift0_apply,
-                              order_n_rotation, order_two_rotation)
+                              lift0_apply, order_n_rotation,
+                              order_two_rotation)
 from twobridge.numberfield import FieldElement, real_cyclotomic_field
 from twobridge.orders import G1Realization
-from reference import (cocycle_by_evaluation, cover_increasing,
+from reference import (cocycle_by_evaluation, cover_increasing, infinity,
                        moebius_product_entrywise)
 
 F5 = real_cyclotomic_field(5)
 
 
-def pt(field, u, v=1) -> ProjectivePoint:
-    """The point [u : v] of integers u, v, that is u/v."""
-    return ProjectivePoint(field.element([u]), field.element([v]))
-
-
 def lpt(field, wind, u, v=1) -> LiftedPoint:
-    return LiftedPoint(wind, pt(field, u, v))
+    """The point [u : v] of integers u, v, that is u/v, at level ``wind``."""
+    return LiftedPoint(wind, field.element([u]), field.element([v]))
 
 
 # ----------------------------------------------------------------- points
 
 def test_projective_canonicalization():
-    p = ProjectivePoint(F5.one, -F5.one)  # [1 : -1] -> [-1 : 1]
+    p = LiftedPoint(0, F5.one, -F5.one)  # [1 : -1] -> [-1 : 1]
     assert p.v == F5.one and p.u == -F5.one
-    q = ProjectivePoint(-2 * F5.one, F5.zero)  # [-2 : 0] -> [2 : 0]
-    assert not q.finite and q.u.sign() > 0
+    q = LiftedPoint(0, -2 * F5.one, F5.zero)  # [-2 : 0] -> [2 : 0]
+    assert not q.finite and q.v.is_zero() and q.u.sign() > 0
     assert q == infinity(F5)
-    assert pt(F5, 3) == ProjectivePoint(6 * F5.one, 2 * F5.one)
+    assert lpt(F5, 0, 3) == LiftedPoint(0, 6 * F5.one, 2 * F5.one)
     with pytest.raises(InternalCheckFailed):
-        ProjectivePoint(F5.zero, F5.zero)
+        LiftedPoint(0, F5.zero, F5.zero)
 
 
 def test_lifted_point_order():
     a = lpt(F5, 0, -5)
     b = lpt(F5, 0, 100)
-    inf0 = LiftedPoint(0, infinity(F5))
+    inf0 = infinity(F5)
     c = lpt(F5, 1, -77)
     assert cover_increasing(a, b, inf0, c)
     assert not cover_increasing(a, a) and not cover_increasing(b, a)
+    assert not cover_increasing(inf0, b) and inf0.cmp(inf0) == 0
     assert a == a
     assert lpt(F5, 2, 1) == lpt(F5, 2, 1)
-    assert LiftedPoint(3, infinity(F5)) == LiftedPoint(3, infinity(F5))
+    assert infinity(F5, 3) == infinity(F5, 3)
+    assert infinity(F5, 3) != infinity(F5, 2)
 
 
 def test_points_not_hashable():
-    with pytest.raises(TypeError):
-        hash(pt(F5, 0))
-    with pytest.raises(TypeError):
-        hash(lpt(F5, 0, 0))
+    for p in (lpt(F5, 0, 0), infinity(F5)):
+        with pytest.raises(TypeError):
+            hash(p)
     for m in (Moebius.identity(F5), LiftedMoebius.translation(F5, 1)):
         with pytest.raises(TypeError):
             hash(m)
@@ -104,10 +101,10 @@ def test_lift0_semantics_halfturn():
     below = lift0_apply(s, lpt(F5, 0, -2))
     assert below == lpt(F5, 0, 1, 2)
     at = lift0_apply(s, lpt(F5, 0, 0))
-    assert at == LiftedPoint(0, infinity(F5))
+    assert at == infinity(F5)
     above = lift0_apply(s, lpt(F5, 0, 3))
     assert above == lpt(F5, 1, -1, 3)
-    from_inf = lift0_apply(s, LiftedPoint(0, infinity(F5)))
+    from_inf = lift0_apply(s, infinity(F5))
     assert from_inf == lpt(F5, 1, 0)
 
 
@@ -115,8 +112,44 @@ def test_lift0_level_preserving_when_upper_triangular():
     m = Moebius(F5.one, F5.lam, F5.zero, F5.one)
     p = lpt(F5, 4, 100)
     assert lift0_apply(m, p).wind == 4
-    assert lift0_apply(m, LiftedPoint(2, infinity(F5))) == \
-        LiftedPoint(2, infinity(F5))
+    assert lift0_apply(m, infinity(F5, 2)) == infinity(F5, 2)
+
+
+def test_moving_a_point_signs_one_element(monkeypatch):
+    # the image's denominator, signed once, both canonicalizes the image
+    # and picks its level; only an image at infinity (denominator 0) also
+    # signs its numerator, so no case here maps a point to infinity
+    upper = Moebius(F5.one, F5.lam, F5.zero, F5.one)
+    finite = [lpt(F5, 0, 3), lpt(F5, 2, -2), lpt(F5, -1, 1, 3)]
+    cases = [(m, p) for m in (order_two_rotation(F5), order_n_rotation(F5))
+             for p in finite + [infinity(F5)]]
+    cases += [(upper, p) for p in finite]
+    signed = []
+    sign = FieldElement.sign
+
+    def counted(self):
+        signed.append(self)
+        return sign(self)
+
+    monkeypatch.setattr(FieldElement, "sign", counted)
+    for m, p in cases:
+        signed.clear()
+        lift0_apply(m, p)
+        assert len(signed) == 1, (m, p)
+
+
+def test_apply_raises_the_lift0_image_by_the_winding():
+    s, r = order_two_rotation(F5), order_n_rotation(F5)
+    points = [lpt(F5, 0, 3), lpt(F5, 2, 0), lpt(F5, -1, 1, 3), infinity(F5)]
+    for m in (s, r, s * r):
+        for p in points:
+            before = (p.wind, p.u, p.v)
+            q = lift0_apply(m, p)
+            for k in (-2, 0, 3):
+                got = LiftedMoebius(m, k).apply(p)
+                assert got.wind == q.wind + k
+                assert got == LiftedPoint(q.wind + k, q.u, q.v)
+                assert (p.wind, p.u, p.v) == before
 
 
 def test_halfturn_squared_is_deck_translation():
@@ -149,8 +182,7 @@ def test_group_laws_random():
             LiftedMoebius.translation(f, 1)]
     gens += [g.inverse() for g in gens]
     ident = LiftedMoebius.translation(f, 0)
-    points = [lpt(f, 0, 0), lpt(f, 0, 1), lpt(f, 0, -1),
-              LiftedPoint(0, infinity(f))]
+    points = [lpt(f, 0, 0), lpt(f, 0, 1), lpt(f, 0, -1), infinity(f)]
     for _ in range(60):
         word = [rng.choice(gens) for _ in range(rng.randint(1, 8))]
         acc = ident
