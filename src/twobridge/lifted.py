@@ -55,20 +55,21 @@ class LiftedPoint:
     __slots__ = ("wind", "u", "v", "finite")
 
     def __init__(self, wind: int, u: FieldElement, v: FieldElement):
-        self._store(wind, u, v, v.sign())
+        v_sign = v.sign()
+        self._store(wind, u, v, v_sign != 0, v_sign or u.sign())
 
     def _store(self, wind: int, u: FieldElement, v: FieldElement,
-               v_sign: int) -> None:
-        """Keep [u : v] at level ``wind`` in canonical form, given the sign
-        of v."""
-        if v_sign < 0 or (v_sign == 0 and u.sign() < 0):
-            u, v = -u, -v
-        elif v_sign == 0 and u.is_zero():
+               finite: bool, sign: int) -> None:
+        """Keep [u : v] at level ``wind`` in canonical form, given whether
+        v != 0 and the sign of v, or of u when v == 0."""
+        if not sign:
             raise InternalCheckFailed("[0 : 0] is not a projective point")
+        if sign < 0:
+            u, v = -u, -v
         self.wind = wind
         self.u = u
         self.v = v
-        self.finite = v_sign != 0
+        self.finite = finite
 
     def cmp(self, other: "LiftedPoint") -> int:
         """-1, 0 or 1 as this point lies below, at or above ``other`` on
@@ -157,14 +158,17 @@ def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
     The image's denominator c*u + d*v is signed once.  That sign puts the
     image in canonical form and, times sign(c), picks its level: the point
     moves up exactly when it lies right of the pole -d/c or is the level's
-    infinity, where c*u + d*v = c*u has the sign of c.
+    infinity, where c*u + d*v = c*u has the sign of c.  The pole's image,
+    infinity, has numerator a*u + b*v of sign -sign(c), as c*(a*u + b*v) =
+    -v < 0; only infinity under c == 0 signs its numerator.
     """
     u, v = p.u, p.v
     denom = mul_add(m.c, u, m.d, v)
+    num = mul_add(m.a, u, m.b, v)
     denom_sign = denom.sign()
     q = LiftedPoint.__new__(LiftedPoint)
-    q._store(p.wind + (1 if denom_sign * m.c_sign > 0 else 0),
-             mul_add(m.a, u, m.b, v), denom, denom_sign)
+    q._store(p.wind + (1 if denom_sign * m.c_sign > 0 else 0), num, denom,
+             denom_sign != 0, denom_sign or -m.c_sign or num.sign())
     return q
 
 

@@ -7,10 +7,10 @@ with exact winding bookkeeping, and a word's sign is the direction it moves
 the first of two test points it does not fix.  Point 0 is the boundary
 fixed point of the lifted meridian mu~, which the construction checks
 exactly; its stabilizer is <mu~>, and mu~^r moves point 1 = [1:1] for
-r != 0, so the two points separate every element.  The winding settles
-most signs first: lift0 sends level L into levels L..L+1, so lift0(m) T1^k
-moves every point up when k >= 1 and down when k <= -2, test point 0
-included.
+r != 0, so the two points separate every element.  A point moves right to
+left through a list of table lifts, with no matrix product, and stops once
+its final level is bounded off the start level: lift0(m) T1^k sends level
+L into levels L+k..L+k+1, so most signs are known before any point moves.
 
 G2 = <x, y, z | x^-1 y x y, y z^-b2> is ordered by a three-layer
 lexicographic tower:
@@ -87,17 +87,6 @@ def z2_is_positive(order: Z2Order, vec: tuple[int, int]) -> Sign:
 # G1: exact lifted circle action
 
 
-def _winding_sign(low: int, high: int) -> Sign | None:
-    """Sign of every lift0(m) T1^k with low <= k <= high, or None: it sends
-    level L into levels L+k..L+k+1, so every point moves up when low >= 1
-    and down when high <= -2, test point 0 first."""
-    if low >= 1:
-        return Sign.POSITIVE
-    if high <= -2:
-        return Sign.NEGATIVE
-    return None
-
-
 class G1Realization:
     """Exact lifted generators for G1 over Z[2 cos(pi/n)], n = 2*b1 + 1.
 
@@ -153,21 +142,22 @@ class G1Realization:
         self._powers = tuple(powers)
         self._pairs = tuple(self.a_lift * p for p in powers)
 
-    def lifted(self, w: Word) -> LiftedMoebius:
-        """The lifted transformation represented by a word over {a, b}.
+    def factors(self, w: Word) -> list[LiftedMoebius]:
+        """Table lifts, left to right, whose product is the lift of a word
+        over {a, b}.
 
         A syllable g^e is g~^(e mod order) times h~^(e div order), with
         order 2 for a and n for b; h~ = T1^(2*b1-1) is central, so its
-        winding is added once at the end.  An odd a-syllable waits for the
-        next b-syllable with a nonzero residue r and enters with it as one
-        table factor a~ b~^r; a second odd a-syllable before that pairs
-        with the waiting one as a~ a~ = h~.  So a word costs one lifted
-        product per such b-syllable, plus one for an a~ still waiting at
-        the end."""
-        acc = LiftedMoebius.translation(self.field, 0)
+        winding is added once, to the first factor.  An odd a-syllable
+        waits for the next b-syllable with a nonzero residue r and enters
+        with it as one factor a~ b~^r; a second odd a-syllable before that
+        pairs with the waiting one as a~ a~ = h~.  So a word gives one
+        factor b~^r or a~ b~^r per such b-syllable, plus a~ for an a~
+        still waiting at the end."""
+        out = []
         n = self.n
         wraps = 0
-        waiting = False  # an odd a-syllable not yet multiplied in
+        waiting = False  # an odd a-syllable not yet placed in a factor
         for gen, e in w.syllables:
             if gen == "a":
                 q, r = divmod(e, 2)
@@ -178,31 +168,57 @@ class G1Realization:
             elif gen == "b":
                 q, r = divmod(e, n)
                 if r:
-                    acc = acc * (self._pairs if waiting else self._powers)[r]
+                    out.append((self._pairs if waiting else self._powers)[r])
                     waiting = False
             else:
                 raise ParseError(
                     "G1 words use generators a, b only, got %r" % gen)
             wraps += q
         if waiting:
-            acc = acc * self.a_lift
-        return LiftedMoebius(acc.matrix, acc.wind + wraps * self.h_lift.wind)
+            out.append(self.a_lift)
+        if wraps:
+            first = out[0] if out else self._powers[0]
+            out[:1] = [LiftedMoebius(first.matrix,
+                                     first.wind + wraps * self.h_lift.wind)]
+        return out
 
-    def decide(self, g: LiftedMoebius, points=None) -> tuple[Sign, dict]:
-        """Sign of a lifted element by its first moved test point.
+    def lifted(self, w: Word) -> LiftedMoebius:
+        """The lifted transformation represented by a word over {a, b}:
+        the product of its ``factors``."""
+        acc = LiftedMoebius.translation(self.field, 0)
+        for f in self.factors(w):
+            acc = acc * f
+        return acc
 
-        ``points`` replaces the test points by their images m(p_i) under
-        an increasing map m of the line: g is then decided as m^-1 g m,
-        which moves p_i exactly when g moves m(p_i), in the same direction.
-        A winding k >= 1 or k <= -2 moves every point (``_winding_sign``),
-        so g is then decided at test point 0 without moving one.
+    def decide(self, factors, points=None) -> tuple[Sign, dict]:
+        """Sign of the product g of ``factors``, lifts listed left to
+        right, by the first test point it moves.
+
+        Each point moves right to left through the factors, and no matrix
+        product is formed.  A factor lift0(m) T1^k sends level L into
+        levels L+k..L+k+1, so with k factors still to apply, whose
+        windings sum to ``rest``, the point ends rest + 0..k levels above
+        its current one; once that range leaves the start level, the walk
+        stops.  ``points`` replaces the test points by their images m(p_i)
+        under an increasing map m of the line: g is then decided as
+        m^-1 g m, which moves p_i exactly when g moves m(p_i), in the same
+        direction.  At b1 = 1, a^6 = h^3 winds three levels up and b~ 0 or
+        1 more, so a^6 b is decided before any point moves:
+
+        >>> from twobridge.groups import W
+        >>> real = G1Realization(1)
+        >>> real.decide(real.factors(W("a^6 b")))
+        (<Sign.POSITIVE: 1>, {'decided_by': 'test-point', 'test_point': 0})
         """
-        sign = _winding_sign(g.wind, g.wind)
-        if sign is not None:
-            return sign, {"decided_by": "test-point", "test_point": 0}
+        wind = sum(f.wind for f in factors)
         for idx, p in enumerate(self.test_points if points is None
                                 else points):
-            c = g.apply(p).cmp(p)
+            q, rest, k = p, wind, len(factors)
+            # the final level shift from p lies in low..low + k
+            while -k <= (low := q.wind + rest - p.wind) <= 0 < k:
+                k -= 1
+                q, rest = factors[k].apply(q), rest - factors[k].wind
+            c = (low > 0) - (low < 0) or q.cmp(p)
             if c:
                 return (Sign.POSITIVE if c > 0 else Sign.NEGATIVE,
                         {"decided_by": "test-point", "test_point": idx})
@@ -224,7 +240,7 @@ def g1_sign_trace(params: TwoBridgeParams, w: Word) -> tuple[Sign, dict]:
     verdict about the identity."""
     real = g1_realization(params)
     trivial = g1_normal_form(params, w).is_identity()
-    sign, trace = real.decide(real.lifted(w))
+    sign, trace = real.decide(real.factors(w))
     _check_identity(sign, trivial, w)
     trace["group"] = "g1"
     return sign, trace
@@ -413,26 +429,23 @@ class ConeOracle:
     def is_positive(self, w: Word) -> Sign:
         if self.group == "g2":
             return g2_sign_trace(self.params, self.element(w))[0]
-        sign = self._realization.decide(self.element(w))[0]
+        sign = self._realization.decide([self.element(w)])[0]
         _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
         return sign
 
     def product_sign(self, w1: Word, w2: Word) -> Sign:
         """Sign of w1 w2 from the elements of its factors.  For g2 the
         product of the two forms, by ``g2_product``, is signed.  For g1
-        the product's winding is k or k + 1 for k the sum of the factors'
-        (the cocycle is 0 or 1), so when ``_winding_sign(k, k + 1)``
-        decides no matrix product is formed; otherwise one lifted product
-        is.  The normal form of w1 w2 cross-checks the g1 identity
-        always."""
+        the test points move through the two lifts, w2's first, and no
+        matrix product is formed; the level bound decides before any move
+        when the summed winding k is >= 1 or <= -3.  The normal form of
+        w1 w2 cross-checks the g1 identity always."""
         e1, e2 = self.element(w1), self.element(w2)
         if self.group == "g2":
             return g2_sign_trace(self.params,
                                  g2_product(self.params, e1, e2))[0]
-        w, k = w1 * w2, e1.wind + e2.wind
-        sign = _winding_sign(k, k + 1)
-        if sign is None:
-            sign = self._realization.decide(e1 * e2)[0]
+        w = w1 * w2
+        sign = self._realization.decide([e1, e2])[0]
         _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
         return sign
 
@@ -447,7 +460,7 @@ class ConeOracle:
             real = self._realization
             c_inv = element(c).inverse()
             points = [c_inv.apply(p) for p in real.test_points]
-            return [real.decide(element(w), points)[0] for w in words]
+            return [real.decide([element(w)], points)[0] for w in words]
         params = self.params
         c_nf = element(c)
         c_inv = g2_inverse(params, c_nf)

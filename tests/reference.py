@@ -170,7 +170,7 @@ def pattern_by_products(oracle, box, c) -> dict:
     real = oracle._realization
     c_lift = real.lifted(c)
     c_inv = c_lift.inverse()
-    return {v: real.decide(c_lift * real.lifted(w) * c_inv)[0]
+    return {v: real.decide([c_lift * real.lifted(w) * c_inv])[0]
             for v, w in box.items()}
 
 
@@ -187,7 +187,7 @@ def decide_by_test_points(real, g, points=None):
     """Sign and trace of a lifted element by the first test point it moves,
     moving every point it tries, by default the four of
     ``four_test_points``: the reference for ``G1Realization.decide``,
-    which reads most signs from the winding first and tries two points."""
+    which walks two points through the factors, bounded by level."""
     if points is None:
         points = four_test_points(real.field)
     for idx, p in enumerate(points):

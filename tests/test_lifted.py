@@ -117,13 +117,18 @@ def test_lift0_level_preserving_when_upper_triangular():
 
 def test_moving_a_point_signs_one_element(monkeypatch):
     # the image's denominator, signed once, both canonicalizes the image
-    # and picks its level; only an image at infinity (denominator 0) also
-    # signs its numerator, so no case here maps a point to infinity
+    # and picks its level; at the pole of a matrix with c != 0 the image
+    # is infinity, whose numerator has the known sign -sign(c).  Only
+    # infinity under a matrix with c == 0 signs its numerator too.
+    s, r = order_two_rotation(F5), order_n_rotation(F5)
     upper = Moebius(F5.one, F5.lam, F5.zero, F5.one)
     finite = [lpt(F5, 0, 3), lpt(F5, 2, -2), lpt(F5, -1, 1, 3)]
-    cases = [(m, p) for m in (order_two_rotation(F5), order_n_rotation(F5))
-             for p in finite + [infinity(F5)]]
+    cases = [(m, p) for m in (s, r) for p in finite + [infinity(F5)]]
     cases += [(upper, p) for p in finite]
+    # the half turn S on [0 : 1], its negation, and R at its pole -lambda
+    poles = [(s, lpt(F5, 0, 0)), (_negated(s), lpt(F5, 3, 0)),
+             (r, LiftedPoint(-1, -F5.lam, F5.one)),
+             (_negated(r), LiftedPoint(2, F5.lam, -F5.one))]
     signed = []
     sign = FieldElement.sign
 
@@ -131,11 +136,23 @@ def test_moving_a_point_signs_one_element(monkeypatch):
         signed.append(self)
         return sign(self)
 
+    far = infinity(F5, 2)
     monkeypatch.setattr(FieldElement, "sign", counted)
     for m, p in cases:
         signed.clear()
         lift0_apply(m, p)
         assert len(signed) == 1, (m, p)
+    for m, p in poles:
+        signed.clear()
+        q = lift0_apply(m, p)
+        assert len(signed) == 1, (m, p)
+        # canonical infinity on the pole's own level
+        assert q.wind == p.wind and not q.finite
+        assert sign(q.u) > 0 and q.v.is_zero()
+    signed.clear()
+    q = lift0_apply(upper, far)
+    assert len(signed) == 2
+    assert q.wind == 2 and not q.finite and sign(q.u) > 0
 
 
 def test_apply_raises_the_lift0_image_by_the_winding():
@@ -334,7 +351,7 @@ def test_lifts_do_not_depend_on_matrix_sign(b1):
     lifts = _ball_lifts(b1)
     for g in lifts:
         neg = LiftedMoebius(_negated(g.matrix), g.wind)
-        assert real.decide(neg) == real.decide(g)
+        assert real.decide([neg]) == real.decide([g])
         for h in lifts:
             for x, y, neg_x, neg_y in ((g, h, neg, h), (h, g, h, neg)):
                 prod, flipped = x * y, neg_x * neg_y

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from twobridge import orders
+from twobridge import lifted, orders
 from twobridge.certify import ball
 from twobridge.cfrac import knot_params
 from twobridge.errors import ConstructionFailed, InternalCheckFailed, \
@@ -216,7 +216,7 @@ DECIDE_KNOTS = [(3, 4), (5, 4), (7, -6), (9, 4), (11, -6)]
 
 @pytest.mark.parametrize("knot", DECIDE_KNOTS)
 def test_decide_matches_test_point_reference(knot):
-    # the winding prefilter on two test points must return the sign and
+    # the level-bounded walk on two test points must return the sign and
     # trace of the point route on four, at the fixed test points and at
     # points moved by c^-1
     real = g1_realization(knot_params(*knot))
@@ -232,10 +232,111 @@ def test_decide_matches_test_point_reference(knot):
     for g in lifts:
         windings.add(max(-2, min(1, g.wind)))
         for points, reference_points in point_sets:
-            assert real.decide(g, points) == \
+            assert real.decide([g], points) == \
                 decide_by_test_points(real, g, reference_points), (g, points)
-    # k >= 1 and k <= -2 take the winding route, 0 and -1 the point route
+    # k >= 1 and k <= -2 are decided by the level bound before any move,
+    # 0 and -1 move a point
     assert windings == {1, 0, -1, -2}
+
+
+def random_g1_words(rng, n, count):
+    """Random words over {a, b} of up to six syllables, with exponents up
+    to two turns of b, so that syllables wrap around h both ways."""
+    return [Word(tuple((g, rng.randint(-2 * n, 2 * n))
+                       for g in rng.choices("ab", k=rng.randint(0, 6))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("knot", DECIDE_KNOTS)
+def test_walk_matches_the_product_and_the_four_point_reference(knot):
+    # the walk through the table factors against the lifted product at the
+    # same two points and the point route on four, sign and trace; the
+    # conjugated peripheral words c mu^r h^s c^-1 reach test point 1
+    # (c = 1, s = 0) and the identity (r = s = 0)
+    params = knot_params(*knot)
+    real = g1_realization(params)
+    words = random_g1_words(random.Random(knot[0]), real.n, 150)
+    mu, h = meridian(params), W("a^2")
+    for c in ball(("a", "b"), 2) + [mu, mu.inverse()]:
+        words += [c * mu ** r * h ** s * c.inverse()
+                  for r in range(-2, 3) for s in range(-1, 2)]
+    traces = set()
+    for w in words:
+        g = real.lifted(w)
+        got = real.decide(real.factors(w))
+        assert got == real.decide([g]) == decide_by_test_points(real, g), \
+            str(w)
+        traces.add(tuple(got[1].values()))
+    assert traces == {("test-point", 0), ("test-point", 1), ("identity",)}
+
+
+def test_word_route_and_products_form_no_matrix_product(monkeypatch):
+    rng = random.Random(5)
+    cases = []
+    for knot in DECIDE_KNOTS:
+        params = knot_params(*knot)
+        oracle = ConeOracle(params, "g1")
+        real = oracle._realization
+        words = random_g1_words(rng, real.n, 40)
+        for w in words:
+            oracle.element(w)  # the lifts are built before the check
+        traces = [decide_by_test_points(real, real.lifted(w)) for w in words]
+        products = [(w1, w2, decide_by_test_points(
+            real, real.lifted(w1 * w2))[0])
+            for w1, w2 in zip(words, reversed(words))]
+        cases.append((params, oracle, zip(words, traces), products))
+
+    def refuse(m1, m2):
+        raise AssertionError("a matrix product was formed")
+
+    monkeypatch.setattr(Moebius, "__mul__", refuse)
+    for params, oracle, traces, products in cases:
+        for w, (sign, trace) in traces:
+            assert g1_sign_trace(params, w) == (
+                sign, dict(trace, group="g1")), str(w)
+        for w1, w2, want in products:
+            assert oracle.product_sign(w1, w2) is want, (str(w1), str(w2))
+
+
+def test_level_bound_decides_before_and_between_moves(monkeypatch):
+    real = G1Realization(1)
+    point_0 = {"decided_by": "test-point", "test_point": 0}
+    moves = []
+    apply = lifted.lift0_apply
+    monkeypatch.setattr(lifted, "lift0_apply",
+                        lambda m, p: moves.append(p) or apply(m, p))
+    # a^6 = h^3 winds three levels up and b~ adds 0 or 1: no point moves;
+    # at the edges of the bound, a^2 b ends 1 or 2 levels up and a^-4 b
+    # 1 or 2 levels down
+    for word, sign in (("a^6 b", Sign.POSITIVE), ("a^2 b", Sign.POSITIVE),
+                       ("a^-4 b", Sign.NEGATIVE)):
+        assert real.decide(real.factors(W(word))) == (sign, point_0)
+    assert moves == []
+    # b a b = b~ (a~ b~): a~ b~ lifts test point 0 one level, and b~,
+    # which adds 0 or 1, cannot bring it back
+    assert len(real.factors(W("b a b"))) == 2
+    assert real.decide(real.factors(W("b a b"))) == (Sign.POSITIVE,
+                                                     point_0)
+    assert len(moves) == 1
+
+
+def test_decide_shifts_no_point_or_table_lift_in_place():
+    real = G1Realization(2)
+    table = real._powers + real._pairs + (real.a_lift, real.h_lift)
+    c_inv = real.lifted(W("b a^-1 b^2")).inverse()
+    moved = [c_inv.apply(p) for p in real.test_points]
+
+    def state():
+        return ([(g.wind, id(g.matrix)) for g in table],
+                [(p.wind, p.u, p.v) for p in real.test_points + tuple(moved)])
+
+    before = state()
+    words = random_g1_words(random.Random(9), real.n, 200)
+    words += [W("a^2"), W("a^-6"), W("b^5"), W("b^-10 a"), W("a^4 b^7")]
+    for w in words:
+        real.decide(real.factors(w))
+        real.decide(real.factors(w), moved)
+    assert state() == before
 
 
 # --------------------------------------------------------------------------

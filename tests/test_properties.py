@@ -76,7 +76,9 @@ def test_table_lift_is_a_homomorphism(knot, w1, w2):
 def test_decide_matches_test_point_reference(knot, w):
     real = g1_realization(knot_params(*knot))
     g = real.lifted(w)
-    assert real.decide(g) == decide_by_test_points(real, g)
+    want = decide_by_test_points(real, g)
+    assert real.decide([g]) == want
+    assert real.decide(real.factors(w)) == want
 
 
 @PROPERTY
