@@ -441,6 +441,9 @@ def run_checks(params: TwoBridgeParams, budget: SampleBudget,
             raise ParseError("%s cannot sample %d distinct members: only %d "
                              "reduced conjugators have length <= %d"
                              % (check, budget.member_samples, have, max_len))
+    if which in ("restrict", "all") and budget.member_samples < 2:
+        raise ParseError("restrict always samples the members 1 and x, so "
+                         "it needs at least 2, got %d" % budget.member_samples)
     g1 = ConeOracle(params, "g1") if which != "restrict" else None
     g2 = ConeOracle(params, "g2") if which != "navas" else None
     reports = []

@@ -12,8 +12,6 @@ w0 = z_0^beta (beta = |b2|) is central with z_i^beta = w0^((-1)^i) and
 K / <w0> is the free product of copies of Z/beta.  Elements of G2 get
 the unique form (x-exponent, reduced syllable word z_i^r with
 1 <= r < beta and adjacent indices distinct, central exponent of w0).
-``g2_product`` and ``g2_inverse`` multiply and invert these forms
-directly, so a product of known forms never rebuilds a word.
 """
 
 from dataclasses import dataclass
@@ -262,44 +260,3 @@ def g2_normal_form(params: TwoBridgeParams, w: Word) -> G2Element:
             stack.append((right, r))
     return G2Element(xpow=xpow, tail=tuple(stack), central=central)
 
-
-def g2_product(params: TwoBridgeParams, e1: G2Element,
-               e2: G2Element) -> G2Element:
-    """Normal form of the product of two normal forms.
-
-    x^p1 T1 w0^c1 x^p2 T2 w0^c2 = x^(p1+p2) (x^-p2 T1 x^p2) T2
-    w0^(+-c1 + c2): moving x^p2 to the left shifts every index of T1 by p2
-    (x^-p z_i x^p = z_(i+p)) and inverts w0 when p2 is odd.  Syllables of
-    equal index then merge at the seam modulo beta, each full
-    z_i^beta = w0^((-1)^i) carried into the central exponent, for as long
-    as whole syllables cancel."""
-    beta = abs(params.b2)
-    p = e2.xpow
-    left = [(i + p, r) for i, r in e1.tail]
-    right = e2.tail
-    central = (-e1.central if p % 2 else e1.central) + e2.central
-    j = 0
-    while left and j < len(right) and left[-1][0] == right[j][0]:
-        i, r = left.pop()
-        q, r = divmod(r + right[j][1], beta)
-        central += -q if i % 2 else q
-        j += 1
-        if r:
-            left.append((i, r))
-            break
-    return G2Element(e1.xpow + p, tuple(left) + right[j:], central)
-
-
-def g2_inverse(params: TwoBridgeParams, e: G2Element) -> G2Element:
-    """Normal form of the inverse: (x^p T w0^c)^-1 is x^-p times the tail
-    reversed and re-indexed, each z_i^-r written z_(i-p)^(beta-r) with its
-    w0^(-(-1)^(i-p)), and w0^(-c) conjugated by x^p."""
-    beta = abs(params.b2)
-    p = e.xpow
-    central = e.central if p % 2 else -e.central
-    tail = []
-    for i, r in reversed(e.tail):
-        i -= p
-        central += 1 if i % 2 else -1
-        tail.append((i, beta - r))
-    return G2Element(-p, tuple(tail), central)

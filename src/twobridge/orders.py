@@ -36,8 +36,7 @@ from enum import Enum
 
 from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
-from .groups import (G2Element, Word, g1_normal_form, g2_inverse,
-                     g2_normal_form, g2_product)
+from .groups import G2Element, Word, g1_normal_form, g2_normal_form
 from .lifted import (LiftedMoebius, LiftedPoint, order_n_rotation,
                      order_two_rotation)
 from .numberfield import real_cyclotomic_field
@@ -399,8 +398,10 @@ class ConeOracle:
     On g1, ``is_positive``, ``product_sign`` and ``sign_trace`` check their
     identity verdict against the word's G1 normal form, which is computed
     without the lift, and raise InternalCheckFailed on disagreement;
-    ``conjugate_signs`` is not checked.  On g2 every sign, the identity
-    included, is read from the normal form, as is ``word_is_identity``, so
+    ``conjugate_signs`` is not checked.  On g2 a product or conjugate is
+    signed by the invariants pi and t of its factors' forms, and by the
+    word route only when both vanish.  Every g2 sign, the identity
+    included, is read from a normal form, as is ``word_is_identity``, so
     no g2 answer has an independent check."""
 
     def __init__(self, params: TwoBridgeParams, group: str):
@@ -434,16 +435,19 @@ class ConeOracle:
         return sign
 
     def product_sign(self, w1: Word, w2: Word) -> Sign:
-        """Sign of w1 w2 from the elements of its factors.  For g2 the
-        product of the two forms, by ``g2_product``, is signed.  For g1
-        the test points move through the two lifts, w2's first, and no
-        matrix product is formed; the level bound decides before any move
-        when the summed winding k is >= 1 or <= -3.  The normal form of
-        w1 w2 cross-checks the g1 identity always."""
+        """Sign of w1 w2 from the elements of its factors.  For g2,
+        pi(w1 w2) = pi1 + pi2 and t(w1 w2) = (-1)^pi2 t1 + t2, and the first
+        nonzero one gives the sign; when both vanish, the word w1 w2 is
+        signed (layer 3 or the identity).  For g1 the test points move
+        through the two lifts, w2's first, and no matrix product is formed;
+        the level bound decides before any move when the summed winding k
+        is >= 1 or <= -3.  The normal form of w1 w2 cross-checks the g1
+        identity always."""
         e1, e2 = self.element(w1), self.element(w2)
         if self.group == "g2":
-            return g2_sign_trace(self.params,
-                                 g2_product(self.params, e1, e2))[0]
+            t1, t2 = (_t_weight(abs(self.params.b2), e) for e in (e1, e2))
+            key = e1.xpow + e2.xpow or (t2 - t1 if e2.xpow % 2 else t2 + t1)
+            return _sign_of_int(key) if key else self.sign_trace(w1 * w2)[0]
         w = w1 * w2
         sign = self._realization.decide([e1, e2])[0]
         _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
@@ -453,20 +457,32 @@ class ConeOracle:
         """Signs of c w c^-1 for each word w, from the elements of c and w.
         For g1, c^-1 is an increasing map of the line, so c w c^-1 moves
         the test point p_i as w moves c^-1(p_i): the points move once
-        instead.  For g2, nf(c) nf(w) nf(c)^-1 is signed, multiplied by
-        ``g2_product``."""
+        instead.  For g2, c w c^-1 has the pi of w, and when that is 0,
+        the t of w times (-1)^pi(c); when both vanish, the word c w c^-1
+        is signed.  On (3,4), conjugation by x inverts y = z^2 and keeps
+        the x-exponent of z x^2:
+
+        >>> from twobridge.cfrac import knot_params
+        >>> from twobridge.groups import W
+        >>> g2 = ConeOracle(knot_params(3, 4), "g2")
+        >>> g2.conjugate_signs(W("x"), [W("y"), W("z x x"), W("1")])
+        [<Sign.NEGATIVE: -1>, <Sign.POSITIVE: 1>, <Sign.IDENTITY: 0>]
+        """
         element = self.element
         if self.group == "g1":
             real = self._realization
             c_inv = element(c).inverse()
             points = [c_inv.apply(p) for p in real.test_points]
             return [real.decide([element(w)], points)[0] for w in words]
-        params = self.params
-        c_nf = element(c)
-        c_inv = g2_inverse(params, c_nf)
-        return [g2_sign_trace(params, g2_product(
-            params, g2_product(params, c_nf, element(w)), c_inv))[0]
-            for w in words]
+        beta = abs(self.params.b2)
+        twist = -1 if element(c).xpow % 2 else 1
+        signs = []
+        for w in words:
+            f = element(w)
+            key = f.xpow or twist * _t_weight(beta, f)
+            signs.append(_sign_of_int(key) if key
+                         else family_sign_trace(self, c, w)[0])
+        return signs
 
     def word_is_identity(self, w: Word) -> bool:
         """Normal-form equality oracle (independent of the sign decision

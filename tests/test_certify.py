@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from twobridge import orders
 from twobridge.cfrac import knot_params
 from twobridge.certify import (BALL_ALPHABETS, MUTATIONS, CertificateReport,
                                Counterexample, SampleBudget, _box,
@@ -18,11 +19,11 @@ from twobridge.certify import (BALL_ALPHABETS, MUTATIONS, CertificateReport,
                                overall_verdict, run_checks,
                                run_mutation_selftests)
 from twobridge.errors import InternalCheckFailed, ParseError
-from twobridge.groups import Word, peripheral_word
+from twobridge.groups import Word, g2_normal_form, peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import FieldElement
-from twobridge.orders import (ConeOracle, G1Realization, Sign,
-                              family_is_positive)
+from twobridge.orders import (ConeOracle, G1Realization, Sign, _t_weight,
+                              family_is_positive, family_sign_trace)
 from reference import pattern_by_products
 
 SMALL = SampleBudget(ball_radius=3, conjugator_length=2, peripheral_bound=2,
@@ -345,6 +346,61 @@ def test_g2_pattern_matches_family_word_route(c1, c2):
         assert _pattern(oracle, box, c) == {
             v: family_is_positive(oracle, c, w)
             for v, w in box.items()}, str(c)
+
+
+def _g2_invariants_vanish(params, w) -> bool:
+    e = g2_normal_form(params, w)
+    return e.xpow == 0 and _t_weight(abs(params.b2), e) == 0
+
+
+@pytest.mark.parametrize("c1,c2", [(3, 4), (3, -4), (7, -6), (5, 8)])
+def test_g2_conjugates_of_weight_zero_words_match_the_word_route(c1, c2):
+    # pi and t cannot sign these conjugates, so each reaches the word
+    # route; family_sign_trace is family_is_positive with its trace
+    params = knot_params(c1, c2)
+    oracle = ConeOracle(params, "g2")
+    kernel = [w for w in ball(("x", "z"), 4)
+              if _g2_invariants_vanish(params, w)]
+    assert len(kernel) > 1
+    rng = random.Random(c1 * 100 + c2)
+    layers = Counter()
+    for c in _sample_conjugators(rng, ("x", "y", "z"), 6, 40):
+        traced = [family_sign_trace(oracle, c, w) for w in kernel]
+        assert oracle.conjugate_signs(c, kernel) == \
+            [sign for sign, _ in traced], str(c)
+        layers.update(trace["decided_by"] for _, trace in traced)
+    assert set(layers) == {"layer-3-magnus", "identity"}, layers
+
+
+@pytest.mark.parametrize("c1,c2", [(3, 4), (3, -4), (7, -6), (5, 8)])
+def test_g2_signs_a_word_only_when_pi_and_t_vanish(c1, c2, monkeypatch):
+    params = knot_params(c1, c2)
+    oracle = ConeOracle(params, "g2")
+    calls = []
+    word_route = orders.g2_sign_trace
+
+    def counted(p, w):
+        calls.append(w)
+        return word_route(p, w)
+
+    monkeypatch.setattr(orders, "g2_sign_trace", counted)
+    box = _box(params, "g2", 5)
+    rng = random.Random(c1 * 100 + c2)
+    for c in _sample_conjugators(rng, ("x", "y", "z"), 4, 30,
+                                 forced=(Word(), Word((("x", 1),)))):
+        calls.clear()
+        pattern = _pattern(oracle, box, c)
+        # the (0, 0) entry, the identity, and no other
+        assert calls == [Word()], str(c)
+        assert pattern[(0, 0)] is Sign.IDENTITY
+    words = ball(("x", "z"), 2)
+    pairs = [(w1, w2) for w1 in words for w2 in words]
+    calls.clear()
+    for w1, w2 in pairs:
+        oracle.product_sign(w1, w2)
+    assert calls == [w1 * w2 for w1, w2 in pairs
+                     if _g2_invariants_vanish(params, w1 * w2)]
+    assert len(calls) > len(words)  # w w^-1 and some more
 
 
 @pytest.mark.parametrize("group", ["g1", "g2"])

@@ -268,6 +268,27 @@ def test_certify_members_beyond_conjugator_pool_exit_3(capsys):
     assert code == 0 and doc["verdict"] == "Certified"
 
 
+def test_certify_restrict_with_one_member_exit_3(capsys):
+    # restrict always samples 1 and x, so one member cannot be honoured
+    argv = ["certify", "--c1", "3", "--c2", "4", "--radius", "1",
+            "--conj-len", "1", "--peripheral-box", "1", "--samples", "1"]
+    one = argv + ["--members", "1"]
+    for check in ("restrict", "all"):
+        code, doc = run_cli(capsys, one + ["--check", check])
+        assert code == 3
+        assert doc["error"]["code"] == "ParseError"
+        assert "restrict" in doc["error"]["message"]
+    # compat forces only 1, so one member is one member
+    code, doc = run_cli(capsys, one + ["--check", "compat"])
+    assert code == 0
+    assert doc["reports"][0]["counts"]["member-selection"]["passes"] == 1
+    code, doc = run_cli(capsys, argv + ["--members", "2", "--check",
+                                        "restrict"])
+    assert code == 0
+    counts = doc["reports"][0]["counts"]
+    assert counts["exactly-one-variant"]["passes"] == 2
+
+
 def test_certify_small_run(capsys):
     argv = ["certify", "--c1", "3", "--c2", "4", "--radius", "3",
             "--conj-len", "2", "--peripheral-box", "2", "--samples", "200",

@@ -5,9 +5,9 @@ import pytest
 from twobridge.cfrac import knot_params
 from twobridge.errors import ParseError
 from twobridge.groups import (G1Element, G2Element, W, Word,
-                              g1_normal_form, g2_inverse, g2_normal_form,
-                              g2_product, parse_int, peripheral_word,
-                              presentations)
+                              g1_normal_form, g2_normal_form, parse_int,
+                              peripheral_word, presentations)
+from twobridge.orders import _t_weight
 from reference import (g1_element_word, g1_normal_form_by_letters,
                        g2_element_word, g2_normal_form_by_letters, letters_of,
                        word_product_by_reduce)
@@ -313,9 +313,29 @@ def _g2_words(rng, count):
             for _ in range(count)]
 
 
-def test_g2_product_and_inverse_match_concatenated_words():
+def _pi_t(k, w):
+    """The layer-1 and layer-2 invariants of w: x-exponent and weight."""
+    e = g2_normal_form(k, w)
+    return e.xpow, _t_weight(abs(k.b2), e)
+
+
+def _product_rule(k, w1, w2):
+    """(pi, t) of w1 w2 from those of its factors: pi adds, and t adds
+    after w1's weight is twisted by the parity of w2's x-exponent."""
+    (p1, t1), (p2, t2) = _pi_t(k, w1), _pi_t(k, w2)
+    return p1 + p2, (-t1 if p2 % 2 else t1) + t2
+
+
+def _conjugate_rule(k, c, f):
+    """(pi, t) of c f c^-1 for f in ker pi: t twisted by the parity of
+    c's x-exponent."""
+    (pc, _), (pf, tf) = _pi_t(k, c), _pi_t(k, f)
+    assert pf == 0
+    return 0, -tf if pc % 2 else tf
+
+
+def test_g2_products_and_conjugates_follow_the_pi_and_t_rules():
     rng = random.Random(41)
-    one = G2Element(0, (), 0)
     for k in KNOTS_8 + [knot_params(5, 8), knot_params(-5, 4)]:
         words = _g2_words(rng, 150)
         pairs = list(zip(words, words[1:]))
@@ -326,34 +346,44 @@ def test_g2_product_and_inverse_match_concatenated_words():
         pairs += [(w, w.inverse()) for w in words[:30]]
         pairs += [(W("y"), W("y^%d" % e)) for e in (-3, -1, 1, 2, 5)]
         for w1, w2 in pairs:
-            e1, e2 = g2_normal_form(k, w1), g2_normal_form(k, w2)
-            assert g2_product(k, e1, e2) == g2_normal_form(
-                k, word_product_by_reduce(w1, w2)), (str(w1), str(w2))
-            inv = g2_inverse(k, e1)
-            assert inv == g2_normal_form(k, w1.inverse()), str(w1)
-            assert g2_product(k, e1, inv) == one == g2_product(k, inv, e1)
-            assert g2_product(k, e1, one) == e1 == g2_product(k, one, e1)
+            assert _pi_t(k, word_product_by_reduce(w1, w2)) == \
+                _product_rule(k, w1, w2), (str(w1), str(w2))
+            conj = word_product_by_reduce(
+                word_product_by_reduce(w1, w2), w1.inverse())
+            assert _pi_t(k, conj)[0] == _pi_t(k, w2)[0]
+            # w2 moved into ker pi by removing its x-exponent
+            f = w2 * Word((("x", -_pi_t(k, w2)[0]),))
+            conj = word_product_by_reduce(
+                word_product_by_reduce(w1, f), w1.inverse())
+            assert _pi_t(k, conj) == _conjugate_rule(k, w1, f), \
+                (str(w1), str(f))
 
 
-def test_g2_product_carries_at_the_seam():
+def test_g2_rules_hold_across_carries_at_the_seam():
     k = knot_params(3, 4)  # beta = 2
-    z, zi = G2Element(0, ((0, 1),), 0), G2Element(0, ((1, 1),), 0)
-    assert g2_product(k, z, z) == G2Element(0, (), 1)  # z_0^2 = w0
-    assert g2_product(k, zi, zi) == G2Element(0, (), -1)  # z_1^2 = w0^-1
+    z0, z1 = W("z"), W("x^-1 z x")
+    # z_0^2 = w0 and z_1^2 = w0^-1: the seam carries into w0
+    assert g2_normal_form(k, z0 * z0) == G2Element(0, (), 1)
+    assert g2_normal_form(k, z1 * z1) == G2Element(0, (), -1)
+    assert _pi_t(k, z0 * z0) == _product_rule(k, z0, z0) == (0, 2)
+    assert _pi_t(k, z1 * z1) == _product_rule(k, z1, z1) == (0, -2)
     # z_0 z_1 times z_1 z_0: the seam merges twice, carrying -1 then +1
-    e = G2Element(0, ((0, 1), (1, 1)), 0)
-    assert g2_product(k, e, g2_inverse(k, e)).is_identity()
-    assert g2_product(k, e, G2Element(0, ((1, 1), (0, 1)), 0)) == \
-        G2Element(0, (), 0)
+    e, e_rev = z0 * z1, z1 * z0
+    assert g2_normal_form(k, e * e_rev).is_identity()
+    assert _product_rule(k, e, e_rev) == (0, 0)
+    assert _pi_t(k, e * z0 * e.inverse()) == _conjugate_rule(k, e, z0)
     # x^-1 z_0 x = z_1 and x w0 x^-1 = w0^-1: an odd shift flips w0
-    x = G2Element(1, (), 0)
-    assert g2_product(k, G2Element(0, ((0, 1),), 2), x) == \
-        G2Element(1, ((1, 1),), -2)
-    assert g2_inverse(k, G2Element(1, ((0, 1),), 2)) == \
-        g2_normal_form(k, W("z^-4 z^-1 x^-1"))
-    km = knot_params(3, -4)  # b2 < 0: y = z^2 w0^-2 = w0^-1
-    y = g2_normal_form(km, W("y"))
-    assert g2_product(km, y, g2_normal_form(km, W("z^2"))).is_identity()
+    z5 = W("z^5")  # z_0 w0^2
+    assert g2_normal_form(k, z5 * W("x")) == G2Element(1, ((1, 1),), -2)
+    assert _pi_t(k, z5 * W("x")) == _product_rule(k, z5, W("x")) == (1, -5)
+    assert _pi_t(k, W("x z^5 x^-1")) == _conjugate_rule(k, W("x"), z5) \
+        == (0, -5)
+    km = knot_params(3, -4)  # b2 < 0: y = z^-2 = w0^-1
+    assert g2_normal_form(km, W("y z^2")).is_identity()
+    assert _product_rule(km, W("y"), W("z^2")) == (0, 0)
+    # x y x^-1 = y^-1
+    assert _pi_t(km, W("x y x^-1")) == _conjugate_rule(km, W("x"), W("y")) \
+        == (0, 2)
 
 
 # ------------------------------------------------- peripheral subgroups

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from twobridge import lifted, numberfield  # noqa: E402
 from twobridge.cfrac import knot_params  # noqa: E402
-from twobridge.groups import (Word, g1_normal_form, g2_inverse,  # noqa: E402
-                              g2_normal_form, g2_product)
+from twobridge.groups import (Word, g1_normal_form,  # noqa: E402
+                              g2_normal_form)
 from twobridge.numberfield import mul_add, real_cyclotomic_field  # noqa: E402
 from twobridge.orders import (ConeOracle, _magnus_first_sign,  # noqa: E402
-                              g1_realization)
+                              _t_weight, g1_realization)
 from reference import (cocycle_by_evaluation,  # noqa: E402
                        decide_by_test_points, g1_normal_form_by_letters,
                        g2_normal_form_by_letters, lifted_by_powers,
@@ -158,17 +158,27 @@ def test_g2_normal_form_matches_letter_reference(knot, w):
 
 @PROPERTY
 @given(knot=st.sampled_from(TABLE_KNOTS), w1=g2_words, w2=g2_words,
-       w3=g2_words, cut=st.integers(0, 10))
-def test_g2_group_law_matches_concatenated_words(knot, w1, w2, w3, cut):
+       c=g2_words, cut=st.integers(0, 10))
+def test_g2_pi_and_t_follow_the_product_and_conjugate_rules(knot, w1, w2,
+                                                            c, cut):
     params = knot_params(*knot)
+
+    def pi_t(w):
+        e = g2_normal_form(params, w)
+        return e.xpow, _t_weight(abs(params.b2), e)
+
     # w2 starts by undoing a suffix of w1, so whole syllables cancel
     w2 = word_product_by_reduce(Word(w1.syllables[cut:]).inverse(), w2)
-    e1, e2, e3 = (g2_normal_form(params, w) for w in (w1, w2, w3))
-    e12 = g2_product(params, e1, e2)
-    assert e12 == g2_normal_form(params, word_product_by_reduce(w1, w2))
-    assert g2_inverse(params, e1) == g2_normal_form(params, w1.inverse())
-    assert g2_product(params, e12, e3) == \
-        g2_product(params, e1, g2_product(params, e2, e3))
+    (p1, t1), (p2, t2), (pc, _) = pi_t(w1), pi_t(w2), pi_t(c)
+    assert pi_t(word_product_by_reduce(w1, w2)) == \
+        (p1 + p2, (-t1 if p2 % 2 else t1) + t2)
+    assert pi_t(c * w2 * c.inverse())[0] == p2
+    # w2 moved into ker pi by removing its x-exponent
+    f = word_product_by_reduce(w2, Word((("x", -p2),)))
+    tf = pi_t(f)[1]
+    assert pi_t(word_product_by_reduce(word_product_by_reduce(c, f),
+                                       c.inverse())) == \
+        (0, -tf if pc % 2 else tf)
 
 
 @PROPERTY
