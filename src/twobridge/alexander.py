@@ -136,13 +136,6 @@ class LSpaceFormReport:
     k: int = 0
     exponents: tuple = ()
 
-    def as_dict(self):
-        out = {"matches": self.matches}
-        if self.matches:
-            out["k"] = self.k
-            out["exponents"] = list(self.exponents)
-        return out
-
 
 def lspace_form(poly: LaurentPoly) -> LSpaceFormReport:
     """Coefficientwise test against the alternating unit-coefficient form.

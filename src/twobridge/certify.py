@@ -269,6 +269,19 @@ def _variant_for(mu_sign: Sign) -> Z2Order:
         else Z2Order.MINUS_FIRST
 
 
+def _lattice(box: dict) -> dict:
+    """Each lattice order's sign of every box vector, one row per order.
+
+    >>> from twobridge.cfrac import knot_params
+    >>> vs = (1, 0), (-1, 0), (0, 1), (0, 0)
+    >>> for order, row in _lattice(_box(knot_params(3, 4), "g1", 1)).items():
+    ...     print(order.value, *(row[v].label for v in vs))
+    PlusFirst Positive Negative Positive Identity
+    MinusFirst Negative Positive Positive Identity
+    """
+    return {o: {v: z2_is_positive(o, v) for v in box} for o in Z2Order}
+
+
 def check_navas_law(g1, budget: SampleBudget) -> CertificateReport:
     """Exhaustive over conjugators up to the length bound: in the member
     conjugated by c, sign(mu^r h^s) is Positive iff s > 0, Negative iff
@@ -277,6 +290,7 @@ def check_navas_law(g1, budget: SampleBudget) -> CertificateReport:
     report = CertificateReport("navas", (params.c1, params.c2), budget)
     with _surfaced(report):
         box = _box(params, "g1", budget.peripheral_bound)
+        rows = _lattice(box)
         conjugators = ball(("a", "b"), budget.conjugator_length)
         for idx, c in enumerate(conjugators):
             pattern = _pattern(g1, box, c)
@@ -288,18 +302,17 @@ def check_navas_law(g1, budget: SampleBudget) -> CertificateReport:
                     note="conjugated meridian reported trivial"))
                 continue
             report.record("mu-nontrivial", True)
-            variant = _variant_for(mu_sign)
+            row = rows[_variant_for(mu_sign)]
             for (r, s), got in pattern.items():
                 if (r, s) == (0, 0):
                     continue
-                expected = z2_is_positive(variant, (r, s))
-                ok = got is expected
+                ok = got is row[(r, s)]
                 report.record("peripheral-law", ok,
                               None if ok else Counterexample(
                                   "navas", (str(box[(r, s)]),), (got.label,),
                                   member="conjugator %r" % str(c),
                                   note="expected %s at (r,s)=(%d,%d)"
-                                       % (expected.label, r, s)))
+                                       % (row[(r, s)].label, r, s)))
             if idx % 40 == 0:
                 _cross_check(report, g1, box, c, pattern,
                              ((1, 0), (0, 1), (-1, -1)))
@@ -310,25 +323,11 @@ def check_navas_law(g1, budget: SampleBudget) -> CertificateReport:
 # restriction of G2 family members to the peripheral lattice
 
 
-def _variant_of(pattern: dict) -> Z2Order | None:
-    """The unique lattice order matching a peripheral sign pattern, or
-    None if the pattern matches neither (matching both is impossible on a
-    box containing (1, 0))."""
-    for variant in Z2Order:
-        if all(pattern[v] is z2_is_positive(variant, v) for v in pattern):
-            return variant
-    return None
-
-
 def check_restriction_law(g2, budget: SampleBudget) -> CertificateReport:
-    """Every sampled G2 family member restricts to exactly one of the two
-    lattice orders on the peripheral subgroup; both orders occur.
-
-    Members are conjugates of the base order; the conjugators always
-    include the identity and the single letter x, whose members realize
-    the two lattice orders (conjugation by x inverts y, flipping the tie
-    direction at s = 0).
-    """
+    """Every sampled G2 family member restricts on the peripheral subgroup
+    to the lattice order that its (1, 0) entry selects; both orders occur.
+    The conjugators always include 1 and x, whose members realize the two
+    orders (conjugation by x inverts y, flipping the tie at s = 0)."""
     params = g2.params
     report = CertificateReport("restriction", (params.c1, params.c2), budget)
     with _surfaced(report):
@@ -337,21 +336,19 @@ def check_restriction_law(g2, budget: SampleBudget) -> CertificateReport:
         conjugators = _sample_conjugators(
             rng, ("x", "y", "z"), budget.conjugator_length,
             budget.member_samples, forced=(Word(), Word((("x", 1),))))
+        rows = _lattice(box)
         witnessed = set()
         for c in conjugators:
             pattern = _pattern(g2, box, c)
-            variant = _variant_of(pattern)
-            if variant is not None:
+            variant = _variant_for(pattern[(1, 0)])
+            bad = next((v for v in ((1, 0), *box)
+                        if pattern[v] is not rows[variant][v]), None)
+            if bad is None:
                 witnessed.add(variant)
                 report.record("exactly-one-variant", True)
                 continue
-            bad = next((v for v, got in pattern.items()
-                        if all(got is not z2_is_positive(o, v)
-                               for o in Z2Order)), None)
             report.record("exactly-one-variant", False, Counterexample(
-                "restriction",
-                (str(box[bad]) if bad else "",),
-                (pattern[bad].label if bad else "",),
+                "restriction", (str(box[bad]),), (pattern[bad].label,),
                 member="conjugator %r" % str(c),
                 note="restriction matches neither lattice order"))
         both = len(witnessed) == 2
@@ -368,23 +365,24 @@ def check_restriction_law(g2, budget: SampleBudget) -> CertificateReport:
 
 
 def certify_compatibility(g1, g2, budget: SampleBudget) -> CertificateReport:
-    """For each sampled conjugate of the base G1 order: read off the sign
-    of mu, select the G2 member whose peripheral restriction starts with
-    +1 in the mu-direction exactly when mu is positive, and verify that
-    peripheral signs then agree across the gluing mu -> y, h -> z x^2 on
-    the whole sampled box."""
+    """For each sampled conjugate of the base G1 order: select the G2
+    member (1 or x) that follows the lattice order its sign of mu selects,
+    and verify that peripheral signs then agree across the gluing
+    mu -> y, h -> z x^2 on the whole sampled box."""
     params = g1.params
     report = CertificateReport("compatibility", (params.c1, params.c2),
                                budget)
     with _surfaced(report):
         box1 = _box(params, "g1", budget.peripheral_bound)
         box2 = _box(params, "g2", budget.peripheral_bound)
-        # the two candidate G2 members, computed once and keyed by the
-        # lattice order they restrict to (the first one wins)
+        # members 1 and x, keyed by the lattice order each follows (first wins)
+        rows = _lattice(box2)
         candidates = {}
         for d in (Word(), Word((("x", 1),))):
             image = _pattern(g2, box2, d)
-            candidates.setdefault(_variant_of(image), (d, image))
+            variant = _variant_for(image[(1, 0)])
+            if image == rows[variant]:
+                candidates.setdefault(variant, (d, image))
         rng = _rng_for(budget, "compatibility", params)
         conjugators = _sample_conjugators(
             rng, ("a", "b"), 2 * budget.conjugator_length,
@@ -402,13 +400,12 @@ def certify_compatibility(g1, g2, budget: SampleBudget) -> CertificateReport:
             report.record("member-selection", True)
             d, image = match
             for (r, s), s1 in pattern.items():
-                s2 = image[(r, s)]
-                ok = s1 is s2
+                ok = s1 is image[(r, s)]
                 report.record("peripheral-sign-match", ok,
                               None if ok else Counterexample(
                                   "compatibility",
                                   (str(box1[(r, s)]), str(box2[(r, s)])),
-                                  (s1.label, s2.label),
+                                  (s1.label, image[(r, s)].label),
                                   member="G1 conjugator %r, G2 member %r"
                                          % (str(c), str(d)),
                                   note="signs disagree at (r,s)=(%d,%d)"

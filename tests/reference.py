@@ -4,7 +4,7 @@ helpers that only the tests need."""
 from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
 from twobridge.numberfield import FieldElement
-from twobridge.orders import Sign
+from twobridge.orders import Sign, Z2Order, z2_is_positive
 
 
 def letters_of(w):
@@ -161,6 +161,16 @@ def g2_element_word(params, elem) -> Word:
         syllables += [("x", -i), ("z", r), ("x", i)]
     syllables.append(("z", beta * elem.central))
     return Word(tuple(syllables))
+
+
+def variant_by_search(pattern: dict):
+    """The lattice order that a peripheral sign pattern follows at every
+    vector, found by trying both orders, or None if it follows neither:
+    the reference for selecting the order by the pattern's (1, 0) entry."""
+    for variant in Z2Order:
+        if all(pattern[v] is z2_is_positive(variant, v) for v in pattern):
+            return variant
+    return None
 
 
 def pattern_by_products(oracle, box, c) -> dict:

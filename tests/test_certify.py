@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from twobridge import orders
+from twobridge import certify, orders
 from twobridge.cfrac import knot_params
-from twobridge.certify import (BALL_ALPHABETS, MUTATIONS, CertificateReport,
-                               Counterexample, SampleBudget, _box,
-                               _CorruptedOracle, _pattern, _sample_conjugators,
-                               audit_cone, ball,
-                               certify_compatibility, check_navas_law,
+from twobridge.certify import (BALL_ALPHABETS, MUTATIONS, SELFTEST_BUDGET,
+                               CertificateReport, Counterexample, SampleBudget,
+                               _box, _CorruptedOracle, _lattice, _pattern,
+                               _sample_conjugators, _variant_for, audit_cone,
+                               ball, certify_compatibility, check_navas_law,
                                check_restriction_law, mutation_reports,
                                overall_verdict, run_checks,
                                run_mutation_selftests)
@@ -22,9 +22,10 @@ from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import Word, g2_normal_form, peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import FieldElement
-from twobridge.orders import (ConeOracle, G1Realization, Sign, _t_weight,
-                              family_is_positive, family_sign_trace)
-from reference import pattern_by_products
+from twobridge.orders import (ConeOracle, G1Realization, Sign, Z2Order,
+                              _t_weight, family_is_positive,
+                              family_sign_trace, z2_is_positive)
+from reference import pattern_by_products, variant_by_search
 
 SMALL = SampleBudget(ball_radius=3, conjugator_length=2, peripheral_bound=2,
                      semigroup_samples=300, member_samples=10, seed=1)
@@ -606,3 +607,154 @@ def test_mutation_reports_unchanged(knot):
     # the word route bypasses the corrupted conjugate signs and sees them
     navas = reports["navas-negative-side-flip"].counts
     assert navas["word-route-agreement"]["failures"] > 0
+
+
+# ------------------------------- lattice orders by the table and by search
+
+# sha256 of the restriction report's sorted-key JSON on (3,4) at the
+# self-test budget with member 1's pattern corrupted, by corruption
+RESTRICTION_FAILURE_DIGESTS = {
+    "mixed-row": "3c39caf105ff55c73a9049fb9f560549"
+                 "74902d59a5f47ec3ddf69ee33fb77849",
+    "trivial-meridian": "1b419fa6970bf2c967d0d96c5c83f88a"
+                        "c5ff611f6e93223a5513c922e7e3e074",
+}
+
+
+def _member_one_corrupted(name):
+    """The restriction report on (3,4) at the self-test budget with member
+    1's y^2 flipped, a row that mixes the two orders at s = 0, or its y
+    made trivial."""
+    p = knot_params(3, 4)
+    box = _box(p, "g2", SELFTEST_BUDGET.peripheral_bound)
+    v, corrupt = {"mixed-row": ((2, 0), Sign.flipped),
+                  "trivial-meridian": ((1, 0), lambda s: Sign.IDENTITY)}[name]
+    return check_restriction_law(_CorruptedOracle(
+        ConeOracle(p, "g2"),
+        lambda c, w, s: corrupt(s) if c == Word() and w == box[v] else s),
+        SELFTEST_BUDGET)
+
+
+@pytest.mark.parametrize("name,word,sign", [
+    ("mixed-row", "y^2", "Negative"), ("trivial-meridian", "y", "Identity")])
+def test_refuted_restriction_names_a_box_word_and_its_sign(name, word, sign):
+    rep = _member_one_corrupted(name)
+    assert rep.verdict == "Refuted"
+    assert rep.counts["exactly-one-variant"] == {"passes": 7, "failures": 1}
+    [ce] = rep.counterexamples
+    assert (ce.words, ce.signs, ce.member) == \
+        ((word,), (sign,), "conjugator '1'")
+    assert hashlib.sha256(json.dumps(
+        rep.as_dict(), sort_keys=True).encode()).hexdigest() == \
+        RESTRICTION_FAILURE_DIGESTS[name]
+
+
+def _by_table(pattern):
+    """The order that the pattern's (1, 0) entry selects if the pattern
+    follows that order's row of the lattice table, else None."""
+    variant = _variant_for(pattern[(1, 0)])
+    return variant if pattern == _lattice(pattern)[variant] else None
+
+
+def _random_pattern(rng, vectors, kind=None):
+    """A sign pattern on the vectors: a lattice row as it is, with one
+    s = 0 entry flipped (mixing the two orders), with (1, 0) trivial, with
+    a few entries redrawn, or drawn entirely at random."""
+    kind = kind or rng.choice(("row", "mixed", "trivial-mu", "noisy",
+                               "random"))
+    signs = list(Sign)
+    row = dict(_lattice(vectors)[rng.choice(list(Z2Order))])
+    if kind == "mixed":
+        v = rng.choice([(r, s) for r, s in vectors if s == 0 and r])
+        row[v] = row[v].flipped()
+    elif kind == "trivial-mu":
+        row[(1, 0)] = Sign.IDENTITY
+    elif kind == "noisy":
+        for v in rng.sample(vectors, rng.randint(1, 3)):
+            row[v] = rng.choice(signs)
+    elif kind == "random":
+        row = {v: rng.choice(signs) for v in vectors}
+    return row
+
+
+def test_table_agrees_with_the_search_on_random_patterns():
+    rng = random.Random(23)
+    vectors = list(_box(knot_params(3, 4), "g2", 2))
+    outcomes = Counter()
+    for kind in ("row", "mixed", "trivial-mu", "noisy", "random") * 400:
+        pattern = _random_pattern(rng, vectors, kind)
+        expected = variant_by_search(pattern)
+        assert _by_table(pattern) is expected, (kind, pattern)
+        outcomes[kind, expected] += 1
+    # rows follow their order, mixed rows and trivial meridians neither
+    assert {k for k, _ in outcomes} == {"row", "mixed", "trivial-mu",
+                                        "noisy", "random"}
+    assert outcomes["row", Z2Order.PLUS_FIRST] and \
+        outcomes["row", Z2Order.MINUS_FIRST]
+    assert outcomes["mixed", None] == outcomes["trivial-mu", None] == 400
+
+
+@pytest.mark.parametrize("c1,c2", [(3, 4), (3, -4), (5, 4), (7, -6)])
+def test_table_agrees_with_the_search_on_judged_patterns(c1, c2,
+                                                         monkeypatch):
+    judged = []
+
+    def recording(oracle, box, c):
+        pattern = _pattern(oracle, box, c)
+        if oracle.group == "g2":
+            judged.append(pattern)
+        return pattern
+
+    monkeypatch.setattr(certify, "_pattern", recording)
+    p = knot_params(c1, c2)
+    g2 = ConeOracle(p, "g2")
+    reports = [check_restriction_law(g2, SELFTEST_BUDGET),
+               certify_compatibility(ConeOracle(p, "g1"), g2,
+                                     SELFTEST_BUDGET)]
+    assert overall_verdict(reports) == "Certified"
+    # every restrict member, then the compat candidates 1 and x
+    assert len(judged) == SELFTEST_BUDGET.member_samples + 2
+    for pattern in judged:
+        assert _by_table(pattern) is variant_by_search(pattern) is not None
+    assert {variant_by_search(pat) for pat in judged} == set(Z2Order)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_restriction_judges_planted_patterns_as_the_search_does(seed):
+    """Members whose patterns are planted at random fail exactly when the
+    two-order search finds no order, and each names the first vector,
+    (1, 0) first, whose sign leaves the order its (1, 0) entry selects."""
+    p = knot_params(3, 4)
+    box = _box(p, "g2", 2)
+    vector_of = {w: v for v, w in box.items()}
+    planted = {}
+
+    def plant(c, w, s):
+        if c not in planted:
+            planted[c] = _random_pattern(
+                random.Random("%d:%s" % (seed, c)), list(box))
+        return planted[c][vector_of[w]]
+
+    budget = SampleBudget(conjugator_length=2, peripheral_bound=2,
+                          member_samples=19, seed=seed)
+    rep = check_restriction_law(
+        _CorruptedOracle(ConeOracle(p, "g2"), plant), budget)
+    assert len(planted) == 19
+    found = {"conjugator %r" % str(c): variant_by_search(pattern)
+             for c, pattern in planted.items()}
+    failing = {m for m, v in found.items() if v is None}
+    assert rep.counts["exactly-one-variant"] == {
+        "passes": 19 - len(failing), "failures": len(failing)}
+    named = {ce.member: ce for ce in rep.counterexamples if ce.member}
+    assert set(named) == failing
+    for c, pattern in planted.items():
+        ce = named.get("conjugator %r" % str(c))
+        if ce is None:
+            continue
+        variant = _variant_for(pattern[(1, 0)])
+        v = next(v for v in ((1, 0), *box)
+                 if pattern[v] is not z2_is_positive(variant, v))
+        assert (ce.words, ce.signs) == ((str(box[v]),), (pattern[v].label,))
+        assert ce.words[0] and ce.signs[0]
+    both = {v for v in found.values() if v} == set(Z2Order)
+    assert rep.counts["both-variants-witnessed"]["passes"] == both
