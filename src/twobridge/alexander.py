@@ -16,9 +16,9 @@ normalized symmetric: centered at exponent 0, coefficient(e) =
 coefficient(-e), top coefficient positive.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cfrac import TwoBridgeParams, genus, is_fibered
 from .errors import InternalCheckFailed, NotNormalized
@@ -128,8 +128,7 @@ def alexander_poly(params: TwoBridgeParams) -> LaurentPoly:
     return poly
 
 
-@dataclass(frozen=True)
-class LSpaceFormReport:
+class LSpaceFormReport(NamedTuple):
     """Whether a normalized polynomial equals
     (-1)^k + sum_j (-1)^(k-j) (t^n_j + t^-n_j) for 0 < n_1 < ... < n_k."""
     matches: bool
@@ -161,8 +160,7 @@ class VerdictReason(Enum):
     DETERMINANT_EXCEEDS_GENUS_BOUND = "DeterminantExceedsGenusBound"
 
 
-@dataclass(frozen=True)
-class SurgeryVerdict:
+class SurgeryVerdict(NamedTuple):
     """Why the knot admits no L-space surgery: non-fibered knots are
     excluded outright; fibered family knots have determinant 6*b2 - 1
     exceeding the bound 2*genus + 1 that the alternating form allows."""
@@ -173,13 +171,7 @@ class SurgeryVerdict:
     bound: int
 
     def as_dict(self):
-        return {
-            "admits": self.admits,
-            "reason": self.reason.value,
-            "determinant": self.determinant,
-            "genus": self.genus,
-            "bound": self.bound,
-        }
+        return dict(self._asdict(), reason=self.reason.value)
 
 
 def lspace_surgery_verdict(params: TwoBridgeParams) -> SurgeryVerdict:

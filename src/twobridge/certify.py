@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .cfrac import TwoBridgeParams
 from .errors import InternalCheckFailed, ParseError
@@ -50,10 +50,7 @@ BALL_ALPHABETS = {"g1": ("a", "b"), "g2": ("x", "z")}
 _MAX_RECORDED = 20
 
 
-@dataclass(frozen=True)
-class SampleBudget:
-    """Bounds and seed for one certification run."""
-
+class _BudgetFields(NamedTuple):
     ball_radius: int = 5
     conjugator_length: int = 4
     peripheral_bound: int = 5
@@ -61,18 +58,23 @@ class SampleBudget:
     member_samples: int = 200
     seed: int = 0
 
-    def __post_init__(self):
-        for name in ("ball_radius", "conjugator_length", "peripheral_bound",
-                     "semigroup_samples", "member_samples"):
+
+class SampleBudget(_BudgetFields):
+    """Bounds and seed for one certification run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name in self._fields[:-1]:  # every field but the seed
             if getattr(self, name) < 1:
                 raise ParseError("%s must be >= 1" % name)
+        return self
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+    as_dict = _BudgetFields._asdict
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     check: str
     words: tuple[str, ...]
     signs: tuple[str, ...]
@@ -89,14 +91,24 @@ class Counterexample:
         return d
 
 
-@dataclass
 class CertificateReport:
-    check: str
-    knot: tuple[int, int]
-    budget: SampleBudget
-    counts: dict = field(default_factory=dict)
-    counterexamples: list = field(default_factory=list)
-    error: str | None = None
+    """The tallies of one check: a mutable record, equal to another with
+    the same fields, and unhashable because it defines only __eq__."""
+
+    def __init__(self, check: str, knot: tuple[int, int],
+                 budget: SampleBudget):
+        self.check, self.knot, self.budget = check, knot, budget
+        self.counts: dict = {}
+        self.counterexamples: list = []
+        self.error: str | None = None
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) \
+            if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return "CertificateReport(%s)" % ", ".join(
+            "%s=%r" % item for item in vars(self).items())
 
     def record(self, subcheck: str, ok: bool,
                counterexample: Counterexample | None = None):

@@ -12,8 +12,8 @@ arithmetic; no floating point.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import OutOfFamily, ZeroDenominator
 
@@ -43,8 +43,7 @@ def eval_cf(entries) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class TwoBridgeParams:
+class TwoBridgeParams(NamedTuple):
     """Normalized parameters of a family knot.
 
     c1 = 2*b1 + 1 > 0 odd, c2 = 2*b2 even, |c1|, |c2| > 2.  Inputs with
@@ -132,14 +131,7 @@ def double_branched_cover(params: TwoBridgeParams):
 def knot_info(params: TwoBridgeParams) -> dict:
     """JSON-ready summary of the invariants computed in this module."""
     return {
-        "c1": params.c1,
-        "c2": params.c2,
-        "b1": params.b1,
-        "b2": params.b2,
-        "p": params.p,
-        "q": params.q,
-        "slope": params.slope,
-        "mirrored": params.mirrored,
+        **params._asdict(),
         "fibered": is_fibered(params),
         "genus": genus(params),
         "lens": list(double_branched_cover(params)),

@@ -160,9 +160,7 @@ def _cmd_presentation(args):
         "g1": p1.as_dict(),
         "g2": p2.as_dict(),
         "amalgam": pm.as_dict(),
-        "gluing": {"mu": str(glue.mu), "h": str(glue.h),
-                   "mu_image": str(glue.mu_image),
-                   "h_image": str(glue.h_image)},
+        "gluing": {k: str(w) for k, w in glue._asdict().items()},
     }
     return payload, 0
 

@@ -14,7 +14,7 @@ the unique form (x-exponent, reduced syllable word z_i^r with
 1 <= r < beta and adjacent indices distinct, central exponent of w0).
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cfrac import TwoBridgeParams
 from .errors import ParseError
@@ -132,8 +132,7 @@ def _reduce(syllables):
 W = Word.parse
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple
     relators: tuple
 
@@ -142,8 +141,7 @@ class Presentation:
                 "relators": [str(r) for r in self.relators]}
 
 
-@dataclass(frozen=True)
-class GluingMap:
+class GluingMap(NamedTuple):
     """The peripheral identification: the Z^2 bases (mu, h) on the G1
     side and (y, z x^2) on the G2 side correspond coordinatewise."""
     mu: Word
@@ -181,8 +179,7 @@ def peripheral_word(params: TwoBridgeParams, side: str, r: int, s: int) -> Word:
 # ---------------------------------------------------------------- G1
 
 
-@dataclass(frozen=True)
-class G1Element:
+class G1Element(NamedTuple):
     """Unique form (delta, central): delta is the alternating word in
     Z/2 * Z/(2*b1+1) written with letters ('a', 1) and ('b', j) for
     1 <= j <= 2*b1, and central is the exponent of h = a^2."""
@@ -218,8 +215,7 @@ def g1_normal_form(params: TwoBridgeParams, w: Word) -> G1Element:
 # ---------------------------------------------------------------- G2
 
 
-@dataclass(frozen=True)
-class G2Element:
+class G2Element(NamedTuple):
     """Unique form (xpow, tail, central): xpow is the x-exponent, tail
     is the reduced syllable word ((i, r), ...) over the kernel
     generators z_i with 1 <= r < beta and adjacent indices distinct,

@@ -12,15 +12,15 @@ never divides.
 
 Signs are exact.  At construction the field certifies an isolating interval
 [lo, hi] for lambda (the largest real root of its minimal polynomial) by
-Sturm sequences, bisects it below width 2^-(K+8), K = _FILTER_BITS, and
-stores the integer bound table
+Sturm sequences, narrows it below width 2^-(K+8), K = _FILTER_BITS, by
+integer bisection over one common denominator, and stores the bound table
 floor(lo^i * 2^K) <= lambda^i * 2^K <= ceil(hi^i * 2^K)
 (lo > 0, so the powers are monotone).  ``sign()`` forms the integer lower
 and upper bounds of 2^K * value from that table and answers when they
-exclude zero.  When they do not, it doubles K, bisects a local copy of the
-interval below 2^-(K+8), rebuilds the table and tests again.  Nothing is
-written to the field: a field is immutable after construction, so every
-sign is independent of the queries made before it.
+exclude zero.  When they do not, it doubles K, narrows a local copy of the
+interval below 2^-(K+8) the same way, rebuilds the table and tests again.
+Nothing is written to the field: a field is immutable after construction,
+so every sign is independent of the queries made before it.
 
 ``mul_add(x1, y1, x2, y2)`` is the fused product x1*y1 + x2*y2, reduced
 by the minimal polynomial once.  Each ring generates its kernel at
@@ -82,17 +82,15 @@ def _pmul(p: Sequence, q: Sequence) -> list:
 
 
 def _pdivmod(p: Sequence, q: Sequence) -> tuple[list, list]:
-    """Division with remainder over the rationals."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in p]
-    den = [Fraction(c) for c in q]
-    quo = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
-    while len(rem) >= len(den):
-        k = len(rem) - len(den)
-        c = rem[-1] / den[-1]
+    """Division with remainder over the rationals; in the coefficients'
+    own ring when q is monic, so that integers stay integers."""
+    rem = list(p)
+    quo = [0] * max(len(rem) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        k = len(rem) - len(q)
+        c = rem[-1] if q[-1] == 1 else Fraction(rem[-1]) / q[-1]
         quo[k] = c
-        for i, b in enumerate(den):
+        for i, b in enumerate(q):
             rem[i + k] -= c * b
         _trim(rem)
     return _trim(quo), rem
@@ -120,9 +118,8 @@ def _cyclotomic(m: int, _cache: dict = {}) -> list[int]:
             for d in range(1, m):
                 if m % d == 0:
                     den = _pmul(den, _cyclotomic(d))
-            quo, rem = _pdivmod(num, den)
-            assert not rem and all(c.denominator == 1 for c in quo)
-            _cache[m] = [int(c) for c in quo]
+            _cache[m], rem = _pdivmod(num, den)  # monic den: in integers
+            assert not rem
     return list(_cache[m])
 
 
@@ -173,17 +170,6 @@ def _count_roots_above(chain, lo: Fraction) -> int:
     return _variations(_peval(p, lo) for p in chain) - at_inf
 
 
-def _bisect(psi: Sequence, lo: Fraction, hi: Fraction) \
-        -> tuple[Fraction, Fraction]:
-    """The half of [lo, hi] that keeps the simple root of psi, where
-    psi(lo) < 0 < psi(hi); (mid, mid) if the midpoint is the root."""
-    mid = (lo + hi) / 2
-    s = _peval(psi, mid)
-    if s == 0:
-        return mid, mid
-    return (mid, hi) if s < 0 else (lo, mid)
-
-
 # --------------------------------------------------------------------------
 # the integer bound table
 
@@ -195,11 +181,29 @@ _FILTER_BITS = 128
 
 def _narrowed(psi: Sequence, lo: Fraction, hi: Fraction, bits: int) \
         -> tuple[Fraction, Fraction]:
-    """[lo, hi] bisected around the root of psi below width 2^-(bits+8)."""
-    width = Fraction(1, 1 << (bits + 8))
-    while hi - lo >= width:
-        lo, hi = _bisect(psi, lo, hi)
-    return lo, hi
+    """[lo, hi] bisected around the simple root of psi below width
+    2^-(bits+8), where psi(lo) < 0 < psi(hi); (mid, mid) if a midpoint is
+    the root.  In integers over one common denominator Q = q * 2^s, the
+    midpoint m/Q has the sign of Q^d * psi(m/Q), a Horner sum in m whose
+    coefficients c_i * q^(d-i) * 2^(s*(d-i)) shift terms formed once.
+
+    >>> _narrowed((-1, -1, 1), Fraction(1), Fraction(2), 0)  # n = 5
+    (Fraction(207, 128), Fraction(829, 512))
+    """
+    q = lo.denominator * hi.denominator
+    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    terms = [c * q ** k for k, c in enumerate(reversed(psi))]
+    s = 0
+    while (b - a) << (bits + 8) >= q << s:
+        m = a + b
+        a, b, s = 2 * a, 2 * b, s + 1
+        value = 0
+        for k, t in enumerate(terms):
+            value = value * m + (t << k * s)
+        if value == 0:
+            return Fraction(m, q << s), Fraction(m, q << s)
+        a, b = (m, b) if value < 0 else (a, m)
+    return Fraction(a, q << s), Fraction(b, q << s)
 
 
 def _bound_table(degree: int, lo: Fraction, hi: Fraction, bits: int) \

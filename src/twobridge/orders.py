@@ -397,7 +397,8 @@ class ConeOracle:
 
     On g1, ``is_positive``, ``product_sign`` and ``sign_trace`` check their
     identity verdict against the word's G1 normal form, which is computed
-    without the lift, and raise InternalCheckFailed on disagreement;
+    without the lift (once per word for ``is_positive`` and
+    ``word_is_identity``), and raise InternalCheckFailed on disagreement;
     ``conjugate_signs`` is not checked.  On g2 a product or conjugate is
     signed by the invariants pi and t of its factors' forms, and by the
     word route only when both vanish.  Every g2 sign, the identity
@@ -411,6 +412,7 @@ class ConeOracle:
         self.group = group
         self._realization = g1_realization(params) if group == "g1" else None
         self._elements: dict[Word, LiftedMoebius | G2Element] = {}
+        self._identities: dict[Word, bool] = {}
 
     def element(self, w: Word) -> LiftedMoebius | G2Element:
         """The lift (g1) or normal form (g2) of w, computed once."""
@@ -431,7 +433,7 @@ class ConeOracle:
         if self.group == "g2":
             return g2_sign_trace(self.params, self.element(w))[0]
         sign = self._realization.decide([self.element(w)])[0]
-        _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
+        _check_identity(sign, self.word_is_identity(w), w)
         return sign
 
     def product_sign(self, w1: Word, w2: Word) -> Sign:
@@ -485,11 +487,14 @@ class ConeOracle:
         return signs
 
     def word_is_identity(self, w: Word) -> bool:
-        """Normal-form equality oracle (independent of the sign decision
-        for g1; the same total normal form for g2)."""
-        if self.group == "g1":
-            return g1_normal_form(self.params, w).is_identity()
-        return self.element(w).is_identity()
+        """Normal-form equality oracle: for g1 the verdict of the word's
+        G1 normal form, kept per word and independent of the lift; for g2
+        the same total normal form the signs read."""
+        if self.group == "g2":
+            return self.element(w).is_identity()
+        if w not in self._identities:
+            self._identities[w] = g1_normal_form(self.params, w).is_identity()
+        return self._identities[w]
 
 
 def family_sign_trace(oracle: ConeOracle, c: Word,

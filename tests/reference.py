@@ -1,9 +1,11 @@
 """Slow exact routes that the tests compare the fast paths against, and
 helpers that only the tests need."""
 
+from fractions import Fraction
+
 from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
-from twobridge.numberfield import FieldElement
+from twobridge.numberfield import FieldElement, _peval
 from twobridge.orders import Sign, Z2Order, z2_is_positive
 
 
@@ -294,3 +296,22 @@ def sum_of_products_by_loop(field, pairs) -> FieldElement:
             for i, r in row:
                 out[i] += c * r
     return FieldElement(field, tuple(out))
+
+
+def bisect_by_fractions(psi, lo, hi):
+    """The half of [lo, hi] that keeps the simple root of psi, where
+    psi(lo) < 0 < psi(hi); (mid, mid) if the midpoint is the root."""
+    mid = (lo + hi) / 2
+    s = _peval(psi, mid)
+    if s == 0:
+        return mid, mid
+    return (mid, hi) if s < 0 else (lo, mid)
+
+
+def narrowed_by_fractions(psi, lo, hi, bits):
+    """[lo, hi] bisected in Fractions below width 2^-(bits+8): the
+    reference for the integer bisection of ``numberfield._narrowed``."""
+    width = Fraction(1, 1 << (bits + 8))
+    while hi - lo >= width:
+        lo, hi = bisect_by_fractions(psi, lo, hi)
+    return lo, hi

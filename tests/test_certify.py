@@ -495,8 +495,9 @@ def test_is_positive_keeps_the_identity_cross_check():
 @pytest.mark.parametrize("group", ["g1", "g2"])
 def test_cone_audit_builds_each_element_once(group, monkeypatch):
     import twobridge.orders as orders_mod
-    built = []
+    built, normalized = [], []
     lifted, normal_form = G1Realization.lifted, orders_mod.g2_normal_form
+    g1_form = orders_mod.g1_normal_form
 
     def counted_lift(real, w):
         built.append(w)
@@ -506,13 +507,25 @@ def test_cone_audit_builds_each_element_once(group, monkeypatch):
         built.append(w)
         return normal_form(params, w)
 
+    def counted_g1_form(params, w):
+        normalized.append(w)
+        return g1_form(params, w)
+
     monkeypatch.setattr(G1Realization, "lifted", counted_lift)
     monkeypatch.setattr(orders_mod, "g2_normal_form", counted_form)
+    monkeypatch.setattr(orders_mod, "g1_normal_form", counted_g1_form)
     budget = SampleBudget(ball_radius=3, semigroup_samples=300)
     rep = audit_cone(ConeOracle(knot_params(3, 4), group), budget)
     assert rep.verdict == "Certified"
     # the ball's words, each once: products are formed from the factors
-    assert Counter(built) == Counter(ball(BALL_ALPHABETS[group], 3))
+    words = ball(BALL_ALPHABETS[group], 3)
+    assert Counter(built) == Counter(words)
+    # g1 identity verdicts: each ball word's once, then each product's
+    if group == "g1":
+        assert Counter(normalized[:len(words)]) == Counter(words)
+        assert len(normalized) == len(words) + budget.semigroup_samples
+    else:
+        assert not normalized
 
 
 def test_readme_quick_start_prints_certified(capsys):

@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 from twobridge import cli, orders
+from twobridge.alexander import lspace_form, lspace_surgery_verdict
+from twobridge.certify import CertificateReport, Counterexample, SampleBudget
 from twobridge.cfrac import knot_params
 from twobridge.errors import InternalCheckFailed
+from twobridge.groups import W, g1_normal_form, g2_normal_form, presentations
 from twobridge.numberfield import FieldElement
 from twobridge.orders import g1_realization
 
@@ -521,3 +524,53 @@ def test_usage_errors_exit_64():
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["certify", "--c1", "3", "--c2", "4", "--check", "bogus"])
     assert exc_info.value.code == 64
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # without site, only the package's own imports load modules
+    src = str(Path(cli.__file__).parent.parent)
+    code = ("import sys, twobridge.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_value_types_are_immutable_and_hashable():
+    params = knot_params(3, -4)
+    p1, _, _, gluing = presentations(params)
+    fields = [(params, "b2"), (p1, "relators"), (gluing, "mu"),
+              (g1_normal_form(params, W("a b^-2")), "central"),
+              (g2_normal_form(params, W("x z y")), "tail"),
+              (lspace_form({0: -1, 1: 1, -1: 1}), "matches"),
+              (lspace_surgery_verdict(params), "reason"),
+              (SampleBudget(), "seed"),
+              (Counterexample("navas", ("a",), ("Positive",)), "note")]
+    assert len({type(v) for v, _ in fields}) == 9
+    for v, name in fields:
+        hash(v)
+        before = getattr(v, name)
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+        with pytest.raises(AttributeError):
+            v.extra = None
+        assert getattr(v, name) is before
+
+
+def test_certificate_report_compares_by_fields_and_is_unhashable():
+    budget = SampleBudget(ball_radius=3)
+    report = CertificateReport("navas", (3, 4), budget)
+    assert report == CertificateReport("navas", (3, 4), budget)
+    report.record("sign-law", False, Counterexample("navas", (), ()))
+    assert report != CertificateReport("navas", (3, 4), budget)
+    assert repr(report) == (
+        "CertificateReport(check='navas', knot=(3, 4), budget=SampleBudget("
+        "ball_radius=3, conjugator_length=4, peripheral_bound=5, "
+        "semigroup_samples=10000, member_samples=200, seed=0), "
+        "counts={'sign-law': {'passes': 0, 'failures': 1}}, "
+        "counterexamples=[Counterexample(check='navas', words=(), signs=(), "
+        "member=None, note='')], error=None)")
+    with pytest.raises(TypeError):
+        hash(report)

@@ -9,7 +9,8 @@ from twobridge.errors import ConstructionFailed
 from twobridge.numberfield import (FieldElement, NumberField,
                                    minimal_polynomial, mul_add,
                                    real_cyclotomic_field)
-from reference import reference_sign, sum_of_products_by_loop
+from reference import (narrowed_by_fractions, reference_sign,
+                       sum_of_products_by_loop)
 
 # classical minimal polynomials of 2*cos(pi/n), coefficients by degree
 KNOWN = {
@@ -297,6 +298,22 @@ def _tight_approximation(f, bits=90):
     lo, hi = numberfield._narrowed(f.psi, *f._interval, 2 * bits + 8)
     pq = ((lo + hi) / 2).limit_denominator(1 << bits)
     return pq.numerator, pq.denominator
+
+
+def test_integer_bisection_matches_the_fraction_bisection():
+    # n = 3 has the rational root lambda = 1, the first midpoint: the
+    # (mid, mid) exit.  Bisection is memoryless, so the reference reaches
+    # each K from the previous K's interval, not from the start again.
+    assert numberfield._narrowed((-1, 1), Fraction(1, 2), Fraction(3, 2),
+                                 128) == (1, 1)
+    for n in range(3, 102, 2):
+        f = real_cyclotomic_field(n)
+        start = f._certify_interval()
+        reference = start
+        for bits in (128, 256, 512):
+            reference = narrowed_by_fractions(f.psi, *reference, bits)
+            assert numberfield._narrowed(f.psi, *start, bits) == reference, \
+                (n, bits)
 
 
 def test_filter_matches_reference_on_random_elements():
