@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .cfrac import TwoBridgeParams
 from .errors import InternalCheckFailed, ParseError
-from .groups import Word, peripheral_word
+from .groups import Word, _syllable, peripheral_word
 from .orders import (ConeOracle, Sign, Z2Order, family_is_positive,
                      z2_is_positive)
 
@@ -156,18 +156,19 @@ def _surfaced(report: CertificateReport):
 def ball(alphabet, radius: int) -> list[Word]:
     """All freely reduced words of length <= radius, in breadth-first
     order; 485 words for a two-letter alphabet at radius 5."""
-    steps = [(g, e) for g in alphabet for e in (1, -1)]
+    steps = [_syllable(g, e) for g in alphabet for e in (1, -1)]
     out = [Word()]
     layer = [()]
     for _ in range(radius):
         longer = []
         for w in layer:
             g0, e0 = w[-1] if w else (None, 0)
-            for g, e in steps:
+            for step in steps:
+                g, e = step
                 if g != g0:
-                    longer.append(w + ((g, e),))
+                    longer.append(w + (step,))
                 elif (e0 > 0) == (e > 0):
-                    longer.append(w[:-1] + ((g, e0 + e),))
+                    longer.append(w[:-1] + (_syllable(g, e0 + e),))
         layer = longer
         out.extend(Word._of(ls) for ls in layer)
     return out

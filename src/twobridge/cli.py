@@ -27,6 +27,7 @@ import json
 import os
 import sys
 from contextlib import ExitStack
+from functools import cache
 
 from .alexander import (alexander_poly, alexander_poly_from_pq, evaluate,
                         is_monic, lspace_surgery_verdict,
@@ -303,8 +304,15 @@ def _open_out(path: str):
         raise ParseError("cannot write --out file: %s" % exc) from None
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call of ``main`` and kept: parsing
+    leaves it unchanged, and the seed default is read per run."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out_path = getattr(args, "out", None)
     with ExitStack() as stack:
         out = None

@@ -14,6 +14,7 @@ the unique form (x-exponent, reduced syllable word z_i^r with
 1 <= r < beta and adjacent indices distinct, central exponent of w0).
 """
 
+from operator import index
 from typing import NamedTuple
 
 from .cfrac import TwoBridgeParams
@@ -29,12 +30,38 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
+# The syllable table: each distinct (generator, exponent) has one shared
+# tuple, entered together with the shared tuple of its inverse.  It has no
+# size cap: it keeps two entries per distinct syllable the process builds.
+_SHARED = {}
+_INVERSE = {}
+
+
+def _syllable(g, e):
+    """The table's tuple for g^e, entered with its inverse on first use;
+    the one place a syllable tuple is built.  An entered exponent is
+    normalized by operator.index: a bool is stored as an int, and a float
+    raises TypeError."""
+    s = _SHARED.get((g, e))
+    if s is None:
+        e = index(e)
+        s, inv = (g, e), (g, -e)
+        _SHARED[s], _SHARED[inv] = s, inv
+        _INVERSE[s], _INVERSE[inv] = inv, s
+    return s
+
+
 class Word:
     """A freely reduced word over named generators.
 
-    Stored as a tuple of (generator, exponent) syllables with nonzero
-    exponents and distinct adjacent generators.  Words multiply with *,
-    invert with .inverse(), and power with **.
+    Stored as a tuple of (generator, exponent) syllables with int, nonzero
+    exponents and distinct adjacent generators; an exponent that is not an
+    int (by operator.index) raises TypeError, and a bool counts as 0 or 1.
+    Syllables are immutable tuples shared through a module-level table, so
+    equal syllables of all words are one object; the table grows by two
+    entries per distinct syllable the process builds and is never trimmed.
+    Equality and hashing compare values, never identity.  Words multiply
+    with *, invert with .inverse(), and power with **.
     """
 
     __slots__ = ("syllables",)
@@ -44,7 +71,8 @@ class Word:
 
     @classmethod
     def _of(cls, syllables: tuple) -> "Word":
-        """A word from a tuple of syllables that is already reduced."""
+        """A word from a tuple of syllables that is already reduced and
+        whose syllables come from the table (``_syllable``)."""
         w = cls.__new__(cls)
         w.syllables = syllables
         return w
@@ -83,13 +111,15 @@ class Word:
         while i and j < len(right) and left[i - 1][0] == right[j][0]:
             g, e = left[i - 1][0], left[i - 1][1] + right[j][1]
             if e:
-                return Word._of(left[:i - 1] + ((g, e),) + right[j + 1:])
+                return Word._of(left[:i - 1] + (_syllable(g, e),)
+                                + right[j + 1:])
             i -= 1
             j += 1
         return Word._of(left[:i] + right[j:])
 
     def inverse(self):
-        return Word._of(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word._of(tuple(map(_INVERSE.__getitem__,
+                                  reversed(self.syllables))))
 
     def __pow__(self, n):
         if n < 0:
@@ -117,15 +147,14 @@ class Word:
 
 def _reduce(syllables):
     stack = []
+    shared = _SHARED.get
     for g, e in syllables:
-        if e == 0:
-            continue
+        if type(e) is not int:
+            e = index(e)
         if stack and stack[-1][0] == g:
-            g0, e0 = stack.pop()
-            if e0 + e != 0:
-                stack.append((g0, e0 + e))
-        else:
-            stack.append((g, e))
+            e += stack.pop()[1]
+        if e:
+            stack.append(shared((g, e)) or _syllable(g, e))
     return tuple(stack)
 
 
@@ -169,10 +198,11 @@ def peripheral_word(params: TwoBridgeParams, side: str, r: int, s: int) -> Word:
     mu = b^-b1 a and h = a^2.  These bases are spelled only here;
     ``presentations`` builds the gluing from them."""
     if side == "g1":
-        mu = W("b^%d a" % (-params.b1))
-        return mu ** r * W("a a") ** s
+        mu = Word._of((_syllable("b", -params.b1), _syllable("a", 1)))
+        return mu ** r * Word._of((_syllable("a", 2),)) ** s
     if side == "g2":
-        return W("y") ** r * W("z x x") ** s
+        return (Word._of((_syllable("y", 1),)) ** r
+                * Word._of((_syllable("z", 1), _syllable("x", 2))) ** s)
     raise ParseError("side must be g1 or g2, got %r" % side)
 
 

@@ -526,6 +526,41 @@ def test_usage_errors_exit_64():
     assert exc_info.value.code == 64
 
 
+def test_parser_is_built_once_and_reads_the_seed_per_run(capsys,
+                                                          monkeypatch):
+    argv = ["certify", "--c1", "3", "--c2", "4", "--radius", "2",
+            "--conj-len", "1", "--peripheral-box", "1", "--samples", "20",
+            "--members", "2", "--check", "cone"]
+    seeds = []
+    for raw in ("5", "-3", ""):
+        monkeypatch.setenv("TWOBRIDGE_SEED", raw)
+        seeds.append(run_cli(capsys, argv)[1]["budget"]["seed"])
+    assert seeds == [5, -3, 0]
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["--help"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: twobridge")
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["certify", "--c1", "3"])
+    assert exc_info.value.code == 64
+
+
+def test_certify_from_a_cold_syllable_table():
+    # a fresh interpreter: every syllable the run makes first enters the
+    # table there, so a word built outside the table fails on inversion
+    argv = [sys.executable, "-m", "twobridge", "certify", "--c1", "3",
+            "--c2", "4", "--radius", "3", "--conj-len", "2",
+            "--peripheral-box", "2", "--samples", "300", "--members", "10"]
+    src = str(Path(cli.__file__).parent.parent)
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "Certified"
+    assert all(r["error"] is None for r in doc["reports"])
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # without site, only the package's own imports load modules
     src = str(Path(cli.__file__).parent.parent)

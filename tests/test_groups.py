@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from twobridge.certify import _random_reduced_word, ball
 from twobridge.cfrac import knot_params
 from twobridge.errors import ParseError
-from twobridge.groups import (G1Element, G2Element, W, Word,
-                              g1_normal_form, g2_normal_form, parse_int,
-                              peripheral_word, presentations)
+from twobridge.groups import (_INVERSE, _SHARED, G1Element, G2Element, W,
+                              Word, g1_normal_form, g2_normal_form,
+                              parse_int, peripheral_word, presentations)
 from twobridge.orders import _t_weight
 from reference import (g1_element_word, g1_normal_form_by_letters,
                        g2_element_word, g2_normal_form_by_letters, letters_of,
@@ -114,6 +115,43 @@ def test_word_algebra():
     assert len(W("b^-2 a")) == 3
 
 
+def test_every_syllable_is_the_tables_entry():
+    # generators p, q, r, s occur nowhere else, so their syllables enter a
+    # cold table here, through the path under test
+    rng = random.Random(41)
+    words = [W("p^3 q^-2 p"), Word((("q", 2), ("q", -5), ("p", 7))),
+             W("p q^2") * W("q^3 p"), W("p q^-1") * W("q p^4"),
+             W("r^-2 s") ** 3, W("s^2 r^5") ** -2, W("r^6 s^-9").inverse(),
+             _random_reduced_word(rng, ("r", "s"), 12)]
+    words += ball(("p", "q"), 3) + ball(("r", "s"), 2)
+    words += [peripheral_word(k, side, r, s) for k in KNOTS_8
+              for side in ("g1", "g2") for r in (-2, 0, 3) for s in (-1, 2)]
+    words += [w.inverse() for w in words]
+    for w in words:
+        for syl in w.syllables:
+            assert _SHARED[syl] is syl, (w, syl)
+            assert _INVERSE[_INVERSE[syl]] is syl
+
+
+def test_word_exponents_are_ints():
+    with pytest.raises(TypeError):
+        Word([("a", 1.5), ("b", 1)])
+    # equal to a syllable already in the table, and still not an int
+    assert ("a", 1) in _SHARED
+    for bad in ([("a", 1.0)], [("a", 0.5), ("a", 0.5)], [("b", 2.0)]):
+        with pytest.raises(TypeError):
+            Word(bad)
+    # a bool entered first is stored as an int: t occurs nowhere else
+    assert ("t", 1) not in _SHARED
+    w = Word([("t", True), ("u", 2), ("t", False)])
+    assert w.syllables == (("t", 1), ("u", 2)) and str(w) == "t u^2"
+    for word in (w, Word([("t", 1)]), W("t"), w.inverse()):
+        assert all(type(e) is int for _, e in word.syllables)
+    nf = g1_normal_form(knot_params(3, 4), Word([("a", True), ("b", 4)]))
+    assert nf == G1Element(delta=(("a", 1), ("b", 1)), central=1)
+    assert all(type(e) is int for _, e in nf.delta)
+
+
 # ---------------------------------------------------------- presentations
 
 def test_presentations_34():
@@ -140,6 +178,14 @@ def test_peripheral_words():
     assert peripheral_word(k, "g1", 0, 0).is_identity()
     assert peripheral_word(k, "g1", 0, 2) == W("a^4")
     assert peripheral_word(k, "g2", -1, 1) == W("y^-1 z x^2")
+    # the spelled bases, parsed as the presentation writes them
+    for k in KNOTS_8:
+        mu, h = W("b^%d a" % -k.b1), W("a a")
+        for r in range(-3, 4):
+            for s in range(-3, 4):
+                assert peripheral_word(k, "g1", r, s) == mu ** r * h ** s
+                assert peripheral_word(k, "g2", r, s) == \
+                    W("y") ** r * W("z x x") ** s
 
 
 # ---------------------------------------------------------------- G1
