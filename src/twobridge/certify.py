@@ -395,15 +395,15 @@ def certify_compatibility(g1, g2, budget: SampleBudget) -> CertificateReport:
             image = _pattern(g2, box2, d)
             variant = _variant_for(image[(1, 0)])
             if image == rows[variant]:
-                candidates.setdefault(variant, (d, image))
+                candidates.setdefault(variant, d)
         rng = _rng_for(budget, "compatibility", params)
         conjugators = _sample_conjugators(
             rng, ("a", "b"), 2 * budget.conjugator_length,
             budget.member_samples, forced=(Word(),))
         for idx, c in enumerate(conjugators):
             pattern = _pattern(g1, box1, c)
-            match = candidates.get(_variant_for(pattern[(1, 0)]))
-            if match is None:
+            variant = _variant_for(pattern[(1, 0)])
+            if variant not in candidates:
                 report.record("member-selection", False, Counterexample(
                     "compatibility", (str(c),), (pattern[(1, 0)].label,),
                     member="conjugator %r" % str(c),
@@ -411,7 +411,7 @@ def certify_compatibility(g1, g2, budget: SampleBudget) -> CertificateReport:
                          "lattice order"))
                 continue
             report.record("member-selection", True)
-            d, image = match
+            d, image = candidates[variant], rows[variant]
             for (r, s), s1 in pattern.items():
                 ok = s1 is image[(r, s)]
                 report.record("peripheral-sign-match", ok,

@@ -373,14 +373,11 @@ class FieldElement:
         return NotImplemented
 
     # ----------------------------------------------------------- ring ops
-    # Each operator takes an element of its own field without a call to
-    # _coerce; ints and equal fields built apart go through it.
 
     def __add__(self, other):
-        if type(other) is not FieldElement or other.field is not self.field:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return FieldElement(self.field,
                             tuple(map(operator.add, self.coeffs, other.coeffs)))
 
@@ -390,18 +387,16 @@ class FieldElement:
         return FieldElement(self.field, tuple(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other):
-        if type(other) is not FieldElement or other.field is not self.field:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return FieldElement(self.field,
                             tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __mul__(self, other):
-        if type(other) is not FieldElement or other.field is not self.field:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         field = self.field
         zero = field.zero.coeffs
         return FieldElement(field, field._mul_add(self.coeffs, other.coeffs,

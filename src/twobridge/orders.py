@@ -36,7 +36,7 @@ from enum import Enum
 
 from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
-from .groups import G2Element, Word, g1_normal_form, g2_normal_form
+from .groups import G1Element, G2Element, Word, g1_normal_form, g2_normal_form
 from .lifted import (LiftedMoebius, LiftedPoint, order_n_rotation,
                      order_two_rotation)
 from .numberfield import real_cyclotomic_field
@@ -245,11 +245,12 @@ def g1_sign_trace(params: TwoBridgeParams, w: Word) -> tuple[Sign, dict]:
     return sign, trace
 
 
-def _check_identity(sign: Sign, trivial: bool, w: Word) -> None:
+def _check_identity(sign: Sign, trivial: bool, w: Word,
+                    w2: Word = Word()) -> None:
     if (sign is Sign.IDENTITY) != trivial:
         raise InternalCheckFailed(
             "lifted action and normal form disagree about "
-            "the identity for %s" % w)
+            "the identity for %s" % (w * w2))
 
 
 # --------------------------------------------------------------------------
@@ -395,15 +396,15 @@ class ConeOracle:
     once, by ``element(w)``, and read by every other sign it gives for w
     except ``sign_trace``'s, which keeps the word route.
 
-    On g1, ``is_positive``, ``product_sign`` and ``sign_trace`` check their
-    identity verdict against the word's G1 normal form, which is computed
-    without the lift (once per word for ``is_positive`` and
-    ``word_is_identity``), and raise InternalCheckFailed on disagreement;
-    ``conjugate_signs`` is not checked.  On g2 a product or conjugate is
-    signed by the invariants pi and t of its factors' forms, and by the
-    word route only when both vanish.  Every g2 sign, the identity
-    included, is read from a normal form, as is ``word_is_identity``, so
-    no g2 answer has an independent check."""
+    Each word has one stored normal form, computed once from the word:
+    ``element(w)`` on g2, ``g1_normal_form(w)`` (never the lift) on g1.
+    Every identity verdict reads these forms.  On g1, ``is_positive`` and
+    ``product_sign`` check the lift's identity verdict against them, and
+    ``sign_trace`` against the form it computes, raising InternalCheckFailed
+    on disagreement; ``conjugate_signs`` is not checked.  On g2 a product
+    or conjugate is signed by the invariants pi and t of its factors'
+    forms, and by the word route only when both vanish, so no g2 answer
+    has an independent check."""
 
     def __init__(self, params: TwoBridgeParams, group: str):
         if group not in ("g1", "g2"):
@@ -412,7 +413,7 @@ class ConeOracle:
         self.group = group
         self._realization = g1_realization(params) if group == "g1" else None
         self._elements: dict[Word, LiftedMoebius | G2Element] = {}
-        self._identities: dict[Word, bool] = {}
+        self._forms: dict[Word, G1Element] = {}
 
     def element(self, w: Word) -> LiftedMoebius | G2Element:
         """The lift (g1) or normal form (g2) of w, computed once."""
@@ -422,6 +423,15 @@ class ConeOracle:
                 self._realization.lifted(w) if self.group == "g1"
                 else g2_normal_form(self.params, w))
         return e
+
+    def _form(self, w: Word) -> G1Element | G2Element:
+        """The normal form of w, computed once from the word."""
+        if self.group == "g2":
+            return self.element(w)
+        f = self._forms.get(w)
+        if f is None:
+            f = self._forms[w] = g1_normal_form(self.params, w)
+        return f
 
     def sign_trace(self, w: Word) -> tuple[Sign, dict]:
         """Sign and trace of a word by the word route."""
@@ -443,16 +453,17 @@ class ConeOracle:
         signed (layer 3 or the identity).  For g1 the test points move
         through the two lifts, w2's first, and no matrix product is formed;
         the level bound decides before any move when the summed winding k
-        is >= 1 or <= -3.  The normal form of w1 w2 cross-checks the g1
-        identity always."""
+        is >= 1 or <= -3.  The g1 identity is cross-checked always: normal
+        forms are unique, so w1 w2 = 1 exactly when the stored forms of
+        w1^-1 and w2 coincide, and no product is normalized."""
         e1, e2 = self.element(w1), self.element(w2)
         if self.group == "g2":
             t1, t2 = (_t_weight(abs(self.params.b2), e) for e in (e1, e2))
             key = e1.xpow + e2.xpow or (t2 - t1 if e2.xpow % 2 else t2 + t1)
             return _sign_of_int(key) if key else self.sign_trace(w1 * w2)[0]
-        w = w1 * w2
         sign = self._realization.decide([e1, e2])[0]
-        _check_identity(sign, g1_normal_form(self.params, w).is_identity(), w)
+        _check_identity(sign, self._form(w1.inverse()) == self._form(w2),
+                        w1, w2)
         return sign
 
     def conjugate_signs(self, c: Word, words) -> list[Sign]:
@@ -487,14 +498,8 @@ class ConeOracle:
         return signs
 
     def word_is_identity(self, w: Word) -> bool:
-        """Normal-form equality oracle: for g1 the verdict of the word's
-        G1 normal form, kept per word and independent of the lift; for g2
-        the same total normal form the signs read."""
-        if self.group == "g2":
-            return self.element(w).is_identity()
-        if w not in self._identities:
-            self._identities[w] = g1_normal_form(self.params, w).is_identity()
-        return self._identities[w]
+        """Normal-form equality oracle: the verdict of w's stored form."""
+        return self._form(w).is_identity()
 
 
 def family_sign_trace(oracle: ConeOracle, c: Word,

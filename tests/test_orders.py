@@ -96,13 +96,18 @@ def test_realization_identities():
         mu = real.mu_lift
         tr = mu.matrix.trace()
         assert (tr * tr - tr.field.element([4])).is_zero()
-        p0, p1 = real.test_points
+        p0 = real.test_points[0]
         assert mu.apply(p0) == p0
-        # the stabilizer of p0 is <mu~>, whose powers all move p1
-        for r in (1, 2, 5, -1, -3):
-            assert (mu ** r).apply(p1) != p1
         # the realization (hence the number field work) is cached per b1
         assert g1_realization(p) is real
+    # the stabilizer of p0 is <mu~>, whose powers all move p1: mu~^r moves
+    # it up for r > 0 and down for r < 0
+    for b1 in range(1, 6):
+        real = g1_realization(knot_params(2 * b1 + 1, 4))
+        p1 = real.test_points[1]
+        for r in range(1, 7):
+            assert (real.mu_lift ** r).apply(p1).cmp(p1) == 1
+            assert (real.mu_lift ** -r).apply(p1).cmp(p1) == -1
 
 
 def test_realization_word_evaluation_is_homomorphic():
@@ -409,6 +414,25 @@ def test_g1_cone_axioms_sampled():
     for _ in range(150):
         w1, w2 = rng.choice(positives), rng.choice(positives)
         assert g1.is_positive(w1 * w2) is Sign.POSITIVE
+
+
+@pytest.mark.parametrize("knot", [(3, 4), (5, 4), (7, -6)])
+def test_product_identity_from_forms_matches_the_product_form(knot):
+    """The g1 product's identity verdict compares the stored forms of
+    w1^-1 and w2; on every ordered pair of the radius-3 ball it agrees
+    with the normal form of the product, the route it replaces."""
+    p = knot_params(*knot)
+    g1 = ConeOracle(p, "g1")
+    words = ball(("a", "b"), 3)
+    trivial = 0
+    for w1 in words:
+        for w2 in words:
+            verdict = g1._form(w1.inverse()) == g1._form(w2)
+            assert verdict == g1_normal_form(p, w1 * w2).is_identity()
+            assert (g1.product_sign(w1, w2) is Sign.IDENTITY) == verdict
+            trivial += verdict
+    # more than the free inverses: h = a^2 is central (a^2 b . a^-2 b^-1)
+    assert trivial > len(words)
 
 
 def test_g1_dual_route_disagreement_raises(monkeypatch):
