@@ -17,7 +17,6 @@ coefficient(-e), top coefficient positive.
 """
 
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cfrac import TwoBridgeParams, genus, is_fibered
@@ -27,12 +26,19 @@ LaurentPoly = dict
 
 
 def evaluate(poly: LaurentPoly, t):
-    """Evaluate exactly at a nonzero integer or Fraction t."""
-    t = Fraction(t)
-    total = Fraction(0)
-    for e, c in poly.items():
-        total += c * t ** e
-    return int(total) if total.denominator == 1 else total
+    """Evaluate exactly at a nonzero integer or Fraction t = u/v: an int
+    when the value is integral, a Fraction otherwise.  The sum is formed
+    in integers as num/den, den = v^top * u^bottom, with top and bottom
+    the largest positive and negative exponents (0 if there are none)."""
+    u, v = t.numerator, t.denominator
+    top, bottom = max([0, *poly]), -min([0, *poly])
+    num = sum(c * u ** (e + bottom) * v ** (top - e) for e, c in poly.items())
+    den = v ** top * u ** bottom
+    if num % den == 0:
+        return num // den
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def span(poly: LaurentPoly) -> int:

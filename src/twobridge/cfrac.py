@@ -12,14 +12,14 @@ arithmetic; no floating point.
 """
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OutOfFamily, ZeroDenominator
 
 
-def eval_cf(entries) -> Fraction:
-    """Evaluate a subtractive continued fraction to an exact rational.
+def eval_cf(entries):
+    """Evaluate a subtractive continued fraction to an exact Fraction.
+    No knot computation needs it, so ``fractions`` is imported only here.
 
     >>> eval_cf([5])
     Fraction(1, 5)
@@ -28,6 +28,8 @@ def eval_cf(entries) -> Fraction:
     >>> eval_cf([2, -2, -2, -2])
     Fraction(4, 11)
     """
+    from fractions import Fraction
+
     entries = list(entries)
     if not entries:
         raise ZeroDenominator("empty continued fraction has no value")

@@ -122,11 +122,16 @@ class Word:
                                   reversed(self.syllables))))
 
     def __pow__(self, n):
+        """The n-th power by repeated squaring: about 2*log2(n) products."""
         if n < 0:
             return self.inverse() ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = out * self
+        out, square = Word(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     def generators(self):

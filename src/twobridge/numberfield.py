@@ -10,17 +10,19 @@ lambda^(d-1).  The ring is closed under +, - and *, which is all the G1
 realization needs: every matrix entry it builds lies in Z[lambda], and it
 never divides.
 
-Signs are exact.  At construction the field certifies an isolating interval
-[lo, hi] for lambda (the largest real root of its minimal polynomial) by
-Sturm sequences, narrows it below width 2^-(K+8), K = _FILTER_BITS, by
-integer bisection over one common denominator, and stores the bound table
-floor(lo^i * 2^K) <= lambda^i * 2^K <= ceil(hi^i * 2^K)
-(lo > 0, so the powers are monotone).  ``sign()`` forms the integer lower
-and upper bounds of 2^K * value from that table and answers when they
-exclude zero.  When they do not, it doubles K, narrows a local copy of the
-interval below 2^-(K+8) the same way, rebuilds the table and tests again.
-Nothing is written to the field: a field is immutable after construction,
-so every sign is independent of the queries made before it.
+Signs are exact, and every step is in integers.  At construction the
+field certifies an isolating interval [a/Q, b/Q] for lambda (the largest
+real root of its minimal polynomial) by a Sturm chain over Z, narrows it
+below width 2^-(K+8) by integer bisection over one common denominator,
+and stores the bound table floor(a^i * 2^K / Q^i) <= lambda^i * 2^K <=
+ceil(b^i * 2^K / Q^i) (a > 0, so the powers are monotone).  K is
+max(128, 2 * degree): the table's error grows like 2^i, so a fixed K
+would fail to settle signs at high degree.  ``sign()`` forms the integer
+lower and upper bounds of 2^K * value from that table and answers when
+they exclude zero.  When they do not, it doubles K, narrows a local copy
+of the interval below 2^-(K+8) the same way, rebuilds the table and tests
+again.  Nothing is written to the field: a field is immutable after
+construction, so every sign is independent of the queries made before it.
 
 ``mul_add(x1, y1, x2, y2)`` is the fused product x1*y1 + x2*y2, reduced
 by the minimal polynomial once.  Each ring generates its kernel at
@@ -41,8 +43,7 @@ True
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from math import ceil, cos, floor, pi
+from math import cos, gcd, pi
 from typing import Callable, Sequence
 
 from .errors import ConstructionFailed
@@ -82,24 +83,25 @@ def _pmul(p: Sequence, q: Sequence) -> list:
 
 
 def _pdivmod(p: Sequence, q: Sequence) -> tuple[list, list]:
-    """Division with remainder over the rationals; in the coefficients'
-    own ring when q is monic, so that integers stay integers."""
+    """Division with remainder by a monic q, in integers."""
     rem = list(p)
     quo = [0] * max(len(rem) - len(q) + 1, 0)
     while len(rem) >= len(q):
         k = len(rem) - len(q)
-        c = rem[-1] if q[-1] == 1 else Fraction(rem[-1]) / q[-1]
-        quo[k] = c
+        c = quo[k] = rem[-1]
         for i, b in enumerate(q):
             rem[i + k] -= c * b
         _trim(rem)
     return _trim(quo), rem
 
 
-def _peval(p: Sequence, x):
-    acc = 0
+def _phom(p: Sequence, m: int, q: int) -> int:
+    """q^deg(p) * p(m/q), which has the sign of p(m/q) for q > 0: a Horner
+    sum in m whose coefficients c_i * q^(deg(p)-i) are formed on the way."""
+    acc, scale = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * m + c * scale
+        scale *= q
     return acc
 
 
@@ -142,15 +144,27 @@ def minimal_polynomial(n: int) -> list[int]:
 # Sturm chains, for certifying the isolating interval
 
 
-def _sturm_chain(psi: Sequence) -> list[list[Fraction]]:
-    chain = [[Fraction(c) for c in psi]]
-    chain.append([Fraction(c) for c in _pderiv(psi)])
-    while chain[-1]:
-        _, rem = _pdivmod(chain[-2], chain[-1])
+def _sturm_chain(psi: Sequence) -> list[list[int]]:
+    """A Sturm chain of psi over Z: psi, psi', then minus each
+    pseudo-remainder divided by its content (a primitive remainder
+    sequence, W. S. Brown, J. ACM 18, 1971).  The dividend is scaled by
+    |lead|, never by a negative number, so each member is a positive
+    multiple of the rational chain's and counts the same roots."""
+    chain = [list(psi), _pderiv(psi)]
+    while True:
+        rem, div = list(chain[-2]), chain[-1]
+        lead = div[-1]
+        scale, sign = abs(lead), 1 if lead > 0 else -1
+        while len(rem) >= len(div):
+            c, k = sign * rem[-1], len(rem) - len(div)
+            rem = [scale * r for r in rem]
+            for i, d in enumerate(div):
+                rem[i + k] -= c * d
+            _trim(rem)
         if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
+            return chain
+        content = gcd(*rem)
+        chain.append([-r // content for r in rem])
 
 
 def _variations(values) -> int:
@@ -158,16 +172,18 @@ def _variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _count_roots_in(chain, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in the half-open interval (lo, hi]."""
-    return (_variations(_peval(p, lo) for p in chain)
-            - _variations(_peval(p, hi) for p in chain))
+def _variations_at(chain, m: int, q: int) -> int:
+    return _variations(_phom(p, m, q) for p in chain)
 
 
-def _count_roots_above(chain, lo: Fraction) -> int:
-    """Distinct real roots in (lo, +infinity)."""
-    at_inf = _variations(p[-1] for p in chain if p)
-    return _variations(_peval(p, lo) for p in chain) - at_inf
+def _count_roots_in(chain, a: int, b: int, q: int) -> int:
+    """Distinct real roots in the half-open interval (a/q, b/q], q > 0."""
+    return _variations_at(chain, a, q) - _variations_at(chain, b, q)
+
+
+def _count_roots_above(chain, a: int, q: int) -> int:
+    """Distinct real roots in (a/q, +infinity), q > 0."""
+    return _variations_at(chain, a, q) - _variations(p[-1] for p in chain)
 
 
 # --------------------------------------------------------------------------
@@ -175,23 +191,23 @@ def _count_roots_above(chain, lo: Fraction) -> int:
 
 
 # K: the bound table holds lambda^i scaled by 2^K.  A larger K settles more
-# signs in the first test at the cost of wider integers.
+# signs in the first test at the cost of wider integers.  Each ring takes
+# K = max(_FILTER_BITS, 2 * degree), since the table's error grows like 2^i.
 _FILTER_BITS = 128
 
 
-def _narrowed(psi: Sequence, lo: Fraction, hi: Fraction, bits: int) \
-        -> tuple[Fraction, Fraction]:
-    """[lo, hi] bisected around the simple root of psi below width
-    2^-(bits+8), where psi(lo) < 0 < psi(hi); (mid, mid) if a midpoint is
-    the root.  In integers over one common denominator Q = q * 2^s, the
-    midpoint m/Q has the sign of Q^d * psi(m/Q), a Horner sum in m whose
-    coefficients c_i * q^(d-i) * 2^(s*(d-i)) shift terms formed once.
+def _narrowed(psi: Sequence, a: int, b: int, q: int, bits: int) \
+        -> tuple[int, int, int]:
+    """[a/q, b/q] bisected around the simple root of psi below width
+    2^-(bits+8), where psi(a/q) < 0 < psi(b/q), as (a', b', Q) over one
+    common denominator Q = q * 2^s; (m, m, Q) if a midpoint m/Q is the
+    root.  The midpoint m/Q has the sign of Q^d * psi(m/Q), a Horner sum
+    in m whose coefficients c_i * q^(d-i) * 2^(s*(d-i)) shift terms formed
+    once.  For n = 5, 828/512 < (1 + sqrt(5))/2 < 829/512:
 
-    >>> _narrowed((-1, -1, 1), Fraction(1), Fraction(2), 0)  # n = 5
-    (Fraction(207, 128), Fraction(829, 512))
+    >>> _narrowed((-1, -1, 1), 1, 2, 1, 0)
+    (828, 829, 512)
     """
-    q = lo.denominator * hi.denominator
-    a, b = lo.numerator * hi.denominator, hi.numerator * lo.denominator
     terms = [c * q ** k for k, c in enumerate(reversed(psi))]
     s = 0
     while (b - a) << (bits + 8) >= q << s:
@@ -201,19 +217,23 @@ def _narrowed(psi: Sequence, lo: Fraction, hi: Fraction, bits: int) \
         for k, t in enumerate(terms):
             value = value * m + (t << k * s)
         if value == 0:
-            return Fraction(m, q << s), Fraction(m, q << s)
+            return m, m, q << s
         a, b = (m, b) if value < 0 else (a, m)
-    return Fraction(a, q << s), Fraction(b, q << s)
+    return a, b, q << s
 
 
-def _bound_table(degree: int, lo: Fraction, hi: Fraction, bits: int) \
+def _bound_table(degree: int, a: int, b: int, q: int, bits: int) \
         -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """floor(lo^i * 2^bits) and ceil(hi^i * 2^bits) for i < degree; they
-    enclose lambda^i * 2^bits because 0 < lo <= lambda <= hi (the interval
-    is certified around 2*cos(pi/n) >= 1)."""
-    scale = 1 << bits
-    return (tuple(floor(lo ** i * scale) for i in range(degree)),
-            tuple(ceil(hi ** i * scale) for i in range(degree)))
+    """floor(a^i * 2^bits / q^i) and ceil(b^i * 2^bits / q^i) for
+    i < degree; they enclose lambda^i * 2^bits because 0 < a/q <= lambda
+    <= b/q (the interval is certified around 2*cos(pi/n) >= 1)."""
+    lows, highs = [], []
+    a_i = b_i = q_i = 1
+    for _ in range(degree):
+        lows.append((a_i << bits) // q_i)
+        highs.append(-((-b_i << bits) // q_i))
+        a_i, b_i, q_i = a_i * a, b_i * b, q_i * q
+    return tuple(lows), tuple(highs)
 
 
 # --------------------------------------------------------------------------
@@ -297,23 +317,28 @@ class NumberField:
             tuple((i, r) for i, r in enumerate(table[k]) if r)
             for k in range(d, 2 * d - 1))
         self._mul_add = _compile_mul_add(n, d, self._reduction)
+        self._bits = max(_FILTER_BITS, 2 * d)
+        # (a, b, Q): lambda lies in [a/Q, b/Q], of width below 2^-(K+8)
         self._interval = _narrowed(self.psi, *self._certify_interval(),
-                                   _FILTER_BITS)
-        self._bounds = _bound_table(d, *self._interval, _FILTER_BITS)
+                                   self._bits)
+        self._bounds = _bound_table(d, *self._interval, self._bits)
         self.zero = self.element([0])
         self.one = self.element([1])
         self.lam = self.element([0, 1] if d > 1 else [-self.psi[0]])
 
-    def _certify_interval(self) -> tuple[Fraction, Fraction]:
-        seed = Fraction(2 * cos(pi / self.n)).limit_denominator(10 ** 12)
+    def _certify_interval(self) -> tuple[int, int, int]:
+        """(a, b, 10^12) with lambda the only root of psi in [a, b] / 10^12
+        and none above it: the floating seed 2*cos(pi/n), rounded to
+        12 decimals, plus and minus 10^-6, 10^-9 or 10^-12."""
+        q = 10 ** 12
+        seed = round(2 * cos(pi / self.n) * q)
         chain = _sturm_chain(self.psi)
         for exponent in (6, 9, 12):
-            eps = Fraction(1, 10 ** exponent)
-            lo, hi = seed - eps, seed + eps
-            if _peval(self.psi, lo) < 0 < _peval(self.psi, hi) \
-                    and _count_roots_in(chain, lo, hi) == 1 \
-                    and _count_roots_above(chain, lo) == 1:
-                return lo, hi
+            a, b = seed - 10 ** (12 - exponent), seed + 10 ** (12 - exponent)
+            if _phom(self.psi, a, q) < 0 < _phom(self.psi, b, q) \
+                    and _count_roots_in(chain, a, b, q) == 1 \
+                    and _count_roots_above(chain, a, q) == 1:
+                return a, b, q
         raise ConstructionFailed(
             "cannot certify an isolating interval for the largest root "
             "of %s near 2*cos(pi/%d)" % (list(self.psi), self.n))
@@ -418,8 +443,8 @@ class FieldElement:
         if self.is_zero():
             return 0
         field = self.field
-        bounds, bits = field._bounds, _FILTER_BITS
-        lo, hi = field._interval
+        bounds, bits = field._bounds, field._bits
+        a, b, q = field._interval
         while True:
             low = high = 0
             for c, lo_i, hi_i in zip(self.coeffs, *bounds):
@@ -433,12 +458,12 @@ class FieldElement:
                 return 1
             if high < 0:
                 return -1
-            if lo == hi:  # lambda is a rational root: evaluate exactly
-                v = _peval(self.coeffs, lo)
+            if a == b:  # lambda = a/q is rational: evaluate exactly
+                v = _phom(self.coeffs, a, q)
                 return (v > 0) - (v < 0)
             bits *= 2
-            lo, hi = _narrowed(field.psi, lo, hi, bits)
-            bounds = _bound_table(field.degree, lo, hi, bits)
+            a, b, q = _narrowed(field.psi, a, b, q, bits)
+            bounds = _bound_table(field.degree, a, b, q, bits)
 
     def __eq__(self, other):
         if type(other) is not FieldElement or other.field is not self.field:

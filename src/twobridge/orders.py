@@ -414,6 +414,7 @@ class ConeOracle:
         self._realization = g1_realization(params) if group == "g1" else None
         self._elements: dict[Word, LiftedMoebius | G2Element] = {}
         self._forms: dict[Word, G1Element] = {}
+        self._inverse_forms: dict[Word, G1Element] = {}
 
     def element(self, w: Word) -> LiftedMoebius | G2Element:
         """The lift (g1) or normal form (g2) of w, computed once."""
@@ -431,6 +432,13 @@ class ConeOracle:
         f = self._forms.get(w)
         if f is None:
             f = self._forms[w] = g1_normal_form(self.params, w)
+        return f
+
+    def _inverse_form(self, w: Word) -> G1Element:
+        """The normal form of w^-1, read once per word w."""
+        f = self._inverse_forms.get(w)
+        if f is None:
+            f = self._inverse_forms[w] = self._form(w.inverse())
         return f
 
     def sign_trace(self, w: Word) -> tuple[Sign, dict]:
@@ -455,14 +463,15 @@ class ConeOracle:
         the level bound decides before any move when the summed winding k
         is >= 1 or <= -3.  The g1 identity is cross-checked always: normal
         forms are unique, so w1 w2 = 1 exactly when the stored forms of
-        w1^-1 and w2 coincide, and no product is normalized."""
+        w1^-1 and w2 coincide; no product is normalized, and w1^-1 is
+        built once per word w1."""
         e1, e2 = self.element(w1), self.element(w2)
         if self.group == "g2":
             t1, t2 = (_t_weight(abs(self.params.b2), e) for e in (e1, e2))
             key = e1.xpow + e2.xpow or (t2 - t1 if e2.xpow % 2 else t2 + t1)
             return _sign_of_int(key) if key else self.sign_trace(w1 * w2)[0]
         sign = self._realization.decide([e1, e2])[0]
-        _check_identity(sign, self._form(w1.inverse()) == self._form(w2),
+        _check_identity(sign, self._inverse_form(w1) == self._form(w2),
                         w1, w2)
         return sign
 

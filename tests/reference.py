@@ -2,11 +2,19 @@
 helpers that only the tests need."""
 
 from fractions import Fraction
+from math import ceil, floor
 
 from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
-from twobridge.numberfield import FieldElement, _peval
+from twobridge.numberfield import FieldElement, _pderiv
 from twobridge.orders import Sign, Z2Order, z2_is_positive
+
+
+def evaluate_by_fractions(poly, t):
+    """The Laurent polynomial at t, summed in Fractions, as an int when
+    integral: the reference for ``alexander.evaluate``."""
+    total = sum((c * Fraction(t) ** e for e, c in poly.items()), Fraction(0))
+    return int(total) if total.denominator == 1 else total
 
 
 def letters_of(w):
@@ -228,7 +236,8 @@ def reference_sign(e) -> int:
     if e.is_zero():
         return 0
     psi = e.field.psi
-    lo, hi = e.field._certify_interval()
+    a, b, q = e.field._certify_interval()
+    lo, hi = Fraction(a, q), Fraction(b, q)
     while True:
         if lo == hi:
             v = sum(c * lo ** i for i, c in enumerate(e.coeffs))
@@ -302,7 +311,7 @@ def bisect_by_fractions(psi, lo, hi):
     """The half of [lo, hi] that keeps the simple root of psi, where
     psi(lo) < 0 < psi(hi); (mid, mid) if the midpoint is the root."""
     mid = (lo + hi) / 2
-    s = _peval(psi, mid)
+    s = peval(psi, mid)
     if s == 0:
         return mid, mid
     return (mid, hi) if s < 0 else (lo, mid)
@@ -315,3 +324,77 @@ def narrowed_by_fractions(psi, lo, hi, bits):
     while hi - lo >= width:
         lo, hi = bisect_by_fractions(psi, lo, hi)
     return lo, hi
+
+
+# --------------------------------------------------------------------------
+# the ring's interval in Fractions: the routes that the integer ones replaced
+
+
+def peval(p, x):
+    """p(x) by Horner's rule, in the type of x."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def pdivmod_by_fractions(p, q):
+    """Division with remainder over the rationals."""
+    rem = [Fraction(c) for c in p]
+    quo = [Fraction(0)] * max(len(rem) - len(q) + 1, 0)
+    while len(rem) >= len(q):
+        k = len(rem) - len(q)
+        c = quo[k] = rem[-1] / q[-1]
+        for i, b in enumerate(q):
+            rem[i + k] -= c * b
+        while rem and not rem[-1]:
+            rem.pop()
+    return quo, rem
+
+
+def sturm_chain_by_fractions(psi):
+    """The Sturm chain of psi by rational remainders: psi, psi', then
+    minus each remainder until one vanishes."""
+    chain = [[Fraction(c) for c in psi], [Fraction(c) for c in _pderiv(psi)]]
+    while True:
+        _, rem = pdivmod_by_fractions(chain[-2], chain[-1])
+        if not rem:
+            return chain
+        chain.append([-c for c in rem])
+
+
+def _variations(values):
+    signs = [1 if v > 0 else -1 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def count_roots_by_fractions(chain, lo, hi=None):
+    """Distinct real roots of the chain's head in (lo, hi], or in
+    (lo, +infinity) when hi is None."""
+    at_hi = (_variations(p[-1] for p in chain) if hi is None
+             else _variations(peval(p, hi) for p in chain))
+    return _variations(peval(p, lo) for p in chain) - at_hi
+
+
+def certify_interval_by_fractions(psi, seed, q):
+    """[lo, hi] around seed/q, widened by 10^-6, 10^-9 or 10^-12, the
+    first with psi(lo) < 0 < psi(hi) that isolates the largest root;
+    None when none does: the reference for
+    ``NumberField._certify_interval``."""
+    chain = sturm_chain_by_fractions(psi)
+    for exponent in (6, 9, 12):
+        eps = Fraction(1, 10 ** exponent)
+        lo, hi = Fraction(seed, q) - eps, Fraction(seed, q) + eps
+        if peval(psi, lo) < 0 < peval(psi, hi) \
+                and count_roots_by_fractions(chain, lo, hi) == 1 \
+                and count_roots_by_fractions(chain, lo) == 1:
+            return lo, hi
+    return None
+
+
+def bound_table_by_fractions(degree, lo, hi, bits):
+    """floor(lo^i * 2^bits) and ceil(hi^i * 2^bits) for i < degree: the
+    reference for ``numberfield._bound_table``."""
+    scale = 1 << bits
+    return (tuple(floor(lo ** i * scale) for i in range(degree)),
+            tuple(ceil(hi ** i * scale) for i in range(degree)))

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from twobridge.alexander import (LSpaceFormReport, VerdictReason,
                                  normalize_symmetric, span)
 from twobridge.cfrac import genus, is_fibered, knot_params
 from twobridge.errors import InternalCheckFailed, NotNormalized
+from reference import evaluate_by_fractions
 
 
 def make_form_poly(exponents):
@@ -147,3 +149,21 @@ def test_verdict_grid():
                     if is_fibered(k) else VerdictReason.NOT_FIBERED)
         assert v.reason is expected
         assert v.as_dict()["reason"] == expected.value
+
+
+def test_evaluate_matches_the_fraction_sum():
+    rng = random.Random(59)
+    points = [1, -1, 2, -3, True, Fraction(1, 2), Fraction(-2, 3),
+              Fraction(6, 3)]
+    polys = [{}, {0: 5}, {1: 1, 0: -1, -1: 1}, {-3: 2}]
+    polys += [{rng.randint(-6, 6): rng.choice((-3, -1, 1, 2))
+               for _ in range(rng.randint(1, 6))} for _ in range(200)]
+    for poly in polys:
+        for t in points:
+            got = evaluate(poly, t)
+            want = evaluate_by_fractions(poly, t)
+            assert got == want and type(got) is type(want), (poly, t)
+    # integral values are ints at t = +-1, where the CLI evaluates
+    assert type(evaluate({2: 1, -2: 1}, -1)) is int
+    with pytest.raises(ZeroDivisionError):
+        evaluate({-1: 1}, 0)

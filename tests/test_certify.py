@@ -483,6 +483,34 @@ def test_product_sign_keeps_the_identity_cross_check():
     oracle._elements[a] = oracle._realization.lifted(b.inverse())
     with pytest.raises(InternalCheckFailed):
         oracle.product_sign(a, b)
+    # a stale form of a^-1, and a stale inverse form stored for a: either
+    # makes a b look trivial
+    oracle = ConeOracle(knot_params(3, 4), "g1")
+    oracle._forms[a.inverse()] = oracle._form(b)
+    with pytest.raises(InternalCheckFailed):
+        oracle.product_sign(a, b)
+    oracle = ConeOracle(knot_params(3, 4), "g1")
+    oracle._inverse_forms[a] = oracle._form(b)
+    with pytest.raises(InternalCheckFailed):
+        oracle.product_sign(a, b)
+
+
+def test_product_sign_inverts_each_left_factor_once(monkeypatch):
+    oracle = ConeOracle(knot_params(3, 4), "g1")
+    words = ball(BALL_ALPHABETS["g1"], 2)
+    inverted = []
+    inverse = Word.inverse
+
+    def counted_inverse(w):
+        inverted.append(w)
+        return inverse(w)
+
+    monkeypatch.setattr(Word, "inverse", counted_inverse)
+    for _ in range(2):
+        for w1 in words:
+            for w2 in words:
+                oracle.product_sign(w1, w2)
+    assert Counter(inverted) == Counter(words)
 
 
 def test_is_positive_keeps_the_identity_cross_check():

@@ -573,6 +573,30 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_rings_and_runs_load_neither_fractions_nor_decimal():
+    # every ring is built in integers, and no run evaluates a Fraction
+    src = str(Path(cli.__file__).parent.parent)
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import twobridge.cli as cli",
+        "from twobridge.orders import G1Realization",
+        "for b1 in range(1, 6):",
+        "    G1Realization(b1)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['certify', '--c1', '3', '--c2', '4',",
+        "                     '--radius', '3', '--conj-len', '2',",
+        "                     '--peripheral-box', '2', '--samples', '300',",
+        "                     '--members', '8', '--seed', '0',",
+        "                     '--check', 'all']) == 0",
+        "    assert cli.main(['knot-info', '--c1', '3', '--c2', '4']) == 0",
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"])
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_value_types_are_immutable_and_hashable():
     params = knot_params(3, -4)
     p1, _, _, gluing = presentations(params)

@@ -115,6 +115,22 @@ def test_word_algebra():
     assert len(W("b^-2 a")) == 3
 
 
+def test_word_power_by_squaring_matches_repeated_products():
+    rng = random.Random(53)
+    words = [_random_reduced_word(rng, alphabet, 9)
+             for alphabet in (("a", "b"), ("x", "y", "z")) for _ in range(30)]
+    words += [W("a b a^-1"), W("b^-3"), Word()]
+    for w in words:
+        for n in range(-7, 8):
+            base = w if n >= 0 else w.inverse()
+            expected = Word()
+            for _ in range(abs(n)):
+                expected = expected * base
+            got = w ** n
+            assert got.syllables == expected.syllables, (w, n)
+            assert Word(got.syllables).syllables == got.syllables
+
+
 def test_every_syllable_is_the_tables_entry():
     # generators p, q, r, s occur nowhere else, so their syllables enter a
     # cold table here, through the path under test

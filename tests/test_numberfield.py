@@ -6,10 +6,14 @@ import pytest
 
 from twobridge import numberfield
 from twobridge.errors import ConstructionFailed
+from twobridge.orders import G1Realization
 from twobridge.numberfield import (FieldElement, NumberField,
                                    minimal_polynomial, mul_add,
                                    real_cyclotomic_field)
-from reference import (narrowed_by_fractions, reference_sign,
+from reference import (bound_table_by_fractions,
+                       certify_interval_by_fractions,
+                       count_roots_by_fractions, narrowed_by_fractions,
+                       reference_sign, sturm_chain_by_fractions,
                        sum_of_products_by_loop)
 
 # classical minimal polynomials of 2*cos(pi/n), coefficients by degree
@@ -295,25 +299,54 @@ def _random_elements(f, rng, count):
 def _tight_approximation(f, bits=90):
     """(p, q) with p/q within about 2^-(2*bits) of lambda, so that
     q*lambda - p is within about 2^-bits of zero."""
-    lo, hi = numberfield._narrowed(f.psi, *f._interval, 2 * bits + 8)
-    pq = ((lo + hi) / 2).limit_denominator(1 << bits)
+    a, b, q = numberfield._narrowed(f.psi, *f._interval, 2 * bits + 8)
+    pq = Fraction(a + b, 2 * q).limit_denominator(1 << bits)
     return pq.numerator, pq.denominator
 
 
+def _as_fractions(interval):
+    a, b, q = interval
+    return Fraction(a, q), Fraction(b, q)
+
+
 def test_integer_bisection_matches_the_fraction_bisection():
+    """The integer Sturm chain, certified interval, narrowed interval and
+    bound table against the Fraction routes they replaced."""
     # n = 3 has the rational root lambda = 1, the first midpoint: the
     # (mid, mid) exit.  Bisection is memoryless, so the reference reaches
     # each K from the previous K's interval, not from the start again.
-    assert numberfield._narrowed((-1, 1), Fraction(1, 2), Fraction(3, 2),
-                                 128) == (1, 1)
-    for n in range(3, 102, 2):
+    assert numberfield._narrowed((-1, 1), 1, 3, 2, 128) == (4, 4, 4)
+    for n in range(3, 104, 2):
         f = real_cyclotomic_field(n)
+        psi, d = f.psi, f.degree
+        # each integer Sturm member is a positive multiple of the rational
+        # one, so both count the same roots between any two points
+        chain = numberfield._sturm_chain(psi)
+        reference_chain = sturm_chain_by_fractions(psi)
+        assert len(chain) == len(reference_chain), n
+        for p, r in zip(chain, reference_chain):
+            assert len(p) == len(r) and p[-1] * r[-1] > 0, n
+            assert [Fraction(c) for c in p] == [p[-1] / r[-1] * c
+                                                for c in r], n
+        for a, b, q in ((-3, 3, 1), (0, 2, 1), (1, 5, 3), (-7, 19, 10)):
+            lo, hi = Fraction(a, q), Fraction(b, q)
+            assert numberfield._count_roots_in(chain, a, b, q) == \
+                count_roots_by_fractions(reference_chain, lo, hi), n
+            assert numberfield._count_roots_above(chain, a, q) == \
+                count_roots_by_fractions(reference_chain, lo), n
+        # the same seed: 2 cos(pi/n) to 12 decimals
         start = f._certify_interval()
-        reference = start
-        for bits in (128, 256, 512):
-            reference = narrowed_by_fractions(f.psi, *reference, bits)
-            assert numberfield._narrowed(f.psi, *start, bits) == reference, \
-                (n, bits)
+        seed = round(2 * cos(pi / n) * 10 ** 12)
+        assert _as_fractions(start) == \
+            certify_interval_by_fractions(psi, seed, 10 ** 12), n
+        assert numberfield._narrowed(psi, *start, f._bits) == f._interval
+        reference = _as_fractions(start)
+        for bits in (f._bits, 2 * f._bits, 4 * f._bits):
+            reference = narrowed_by_fractions(psi, *reference, bits)
+            narrowed = numberfield._narrowed(psi, *start, bits)
+            assert _as_fractions(narrowed) == reference, (n, bits)
+            assert numberfield._bound_table(d, *narrowed, bits) == \
+                bound_table_by_fractions(d, *reference, bits), (n, bits)
 
 
 def test_filter_matches_reference_on_random_elements():
@@ -385,3 +418,26 @@ def test_fresh_and_warmed_fields_give_identical_signs():
         assert [warm.element(v).sign() for v in vectors] == warmed
         fresh = NumberField(n)
         assert [fresh.element(v).sign() for v in vectors] == warmed
+
+
+def test_precision_scales_with_degree():
+    for n in (3, 11, 129):  # degrees 1, 5 and 42
+        assert NumberField(n)._bits == 128
+    assert NumberField(251)._bits == 250
+
+
+def test_a_degree_125_realization_narrows_its_interval_once(monkeypatch):
+    # with K = 128 the bound table's error outgrows 2^-K near degree 120,
+    # and every construction-time sign fell back to a narrowing
+    narrowings = []
+    narrowed = numberfield._narrowed
+
+    def counted(*args):
+        narrowings.append(args[-1])
+        return narrowed(*args)
+
+    monkeypatch.setattr(numberfield, "_FIELDS", {})
+    monkeypatch.setattr(numberfield, "_narrowed", counted)
+    real = G1Realization(125)
+    assert real.field.degree == 125
+    assert narrowings == [250]

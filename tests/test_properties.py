@@ -1,6 +1,7 @@
 """Property tests of the fast paths against their slow exact routes, run
 when Hypothesis is installed."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -125,8 +126,8 @@ def test_moebius_product_matches_entrywise_reference(knot, w1, w2):
 def _near_zero(n, bits):
     """q*lambda - p within about 2^-bits of zero in Z[2 cos(pi/n)]."""
     f = real_cyclotomic_field(n)
-    lo, hi = numberfield._narrowed(f.psi, *f._interval, 2 * bits + 8)
-    pq = ((lo + hi) / 2).limit_denominator(1 << bits)
+    a, b, q = numberfield._narrowed(f.psi, *f._interval, 2 * bits + 8)
+    pq = Fraction(a + b, 2 * q).limit_denominator(1 << bits)
     return pq.denominator * f.lam - pq.numerator
 
 
