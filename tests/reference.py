@@ -6,7 +6,7 @@ from math import ceil, floor
 
 from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
-from twobridge.numberfield import FieldElement, _pderiv
+from twobridge.numberfield import FieldElement, _pderiv, _variations
 from twobridge.orders import Sign, Z2Order, z2_is_positive
 
 
@@ -338,18 +338,17 @@ def peval(p, x):
     return acc
 
 
-def pdivmod_by_fractions(p, q):
-    """Division with remainder over the rationals."""
+def remainder_by_fractions(p, q):
+    """The remainder of p divided by q over the rationals."""
     rem = [Fraction(c) for c in p]
-    quo = [Fraction(0)] * max(len(rem) - len(q) + 1, 0)
     while len(rem) >= len(q):
         k = len(rem) - len(q)
-        c = quo[k] = rem[-1] / q[-1]
+        c = rem[-1] / q[-1]
         for i, b in enumerate(q):
             rem[i + k] -= c * b
         while rem and not rem[-1]:
             rem.pop()
-    return quo, rem
+    return rem
 
 
 def sturm_chain_by_fractions(psi):
@@ -357,15 +356,10 @@ def sturm_chain_by_fractions(psi):
     minus each remainder until one vanishes."""
     chain = [[Fraction(c) for c in psi], [Fraction(c) for c in _pderiv(psi)]]
     while True:
-        _, rem = pdivmod_by_fractions(chain[-2], chain[-1])
+        rem = remainder_by_fractions(chain[-2], chain[-1])
         if not rem:
             return chain
         chain.append([-c for c in rem])
-
-
-def _variations(values):
-    signs = [1 if v > 0 else -1 for v in values if v]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots_by_fractions(chain, lo, hi=None):

@@ -309,6 +309,37 @@ def _as_fractions(interval):
     return Fraction(a, q), Fraction(b, q)
 
 
+def _assert_chain_matches_the_rational_chain(psi):
+    """Each integer Sturm member is a positive multiple of the rational
+    one, and both count the same roots between a few points."""
+    chain = numberfield._sturm_chain(psi)
+    reference = sturm_chain_by_fractions(psi)
+    assert len(chain) == len(reference), psi
+    for p, r in zip(chain, reference):
+        assert len(p) == len(r) and p[-1] * r[-1] > 0, psi
+        assert [Fraction(c) for c in p] == [p[-1] / r[-1] * c for c in r], psi
+    for a, b, q in ((-9, 9, 1), (0, 2, 1), (1, 5, 3), (-7, 19, 10)):
+        lo, hi = Fraction(a, q), Fraction(b, q)
+        assert numberfield._count_roots_in(chain, a, b, q) == \
+            count_roots_by_fractions(reference, lo, hi), psi
+        assert numberfield._count_roots_above(chain, a, q) == \
+            count_roots_by_fractions(reference, lo), psi
+
+
+def test_integer_sturm_chain_matches_the_rational_chain():
+    # sparse random polynomials: their chains skip degrees, so a
+    # pseudo-division runs an odd number of steps and a negative leading
+    # coefficient would flip a member's sign; squares leave a gcd
+    rng = random.Random(61)
+    polys = []
+    for _ in range(300):
+        p = [rng.choice((0, 0, rng.randint(-6, 6)))
+             for _ in range(rng.randint(1, 8))] + [rng.choice((-3, -1, 1, 2))]
+        polys += [p, numberfield._pmul(p, p)]
+    for psi in polys:
+        _assert_chain_matches_the_rational_chain(psi)
+
+
 def test_integer_bisection_matches_the_fraction_bisection():
     """The integer Sturm chain, certified interval, narrowed interval and
     bound table against the Fraction routes they replaced."""
@@ -319,21 +350,7 @@ def test_integer_bisection_matches_the_fraction_bisection():
     for n in range(3, 104, 2):
         f = real_cyclotomic_field(n)
         psi, d = f.psi, f.degree
-        # each integer Sturm member is a positive multiple of the rational
-        # one, so both count the same roots between any two points
-        chain = numberfield._sturm_chain(psi)
-        reference_chain = sturm_chain_by_fractions(psi)
-        assert len(chain) == len(reference_chain), n
-        for p, r in zip(chain, reference_chain):
-            assert len(p) == len(r) and p[-1] * r[-1] > 0, n
-            assert [Fraction(c) for c in p] == [p[-1] / r[-1] * c
-                                                for c in r], n
-        for a, b, q in ((-3, 3, 1), (0, 2, 1), (1, 5, 3), (-7, 19, 10)):
-            lo, hi = Fraction(a, q), Fraction(b, q)
-            assert numberfield._count_roots_in(chain, a, b, q) == \
-                count_roots_by_fractions(reference_chain, lo, hi), n
-            assert numberfield._count_roots_above(chain, a, q) == \
-                count_roots_by_fractions(reference_chain, lo), n
+        _assert_chain_matches_the_rational_chain(psi)
         # the same seed: 2 cos(pi/n) to 12 decimals
         start = f._certify_interval()
         seed = round(2 * cos(pi / n) * 10 ** 12)
@@ -420,15 +437,13 @@ def test_fresh_and_warmed_fields_give_identical_signs():
         assert [fresh.element(v).sign() for v in vectors] == warmed
 
 
-def test_precision_scales_with_degree():
+def test_precision_scales_with_degree(monkeypatch):
+    # every benchmark and pinned ring keeps K = 128
     for n in (3, 11, 129):  # degrees 1, 5 and 42
         assert NumberField(n)._bits == 128
-    assert NumberField(251)._bits == 250
-
-
-def test_a_degree_125_realization_narrows_its_interval_once(monkeypatch):
     # with K = 128 the bound table's error outgrows 2^-K near degree 120,
-    # and every construction-time sign fell back to a narrowing
+    # and each construction-time sign of this realization fell back to a
+    # narrowing; with K = 2 * degree the ring's own narrowing is the only one
     narrowings = []
     narrowed = numberfield._narrowed
 
