@@ -12,10 +12,11 @@ never divides.
 
 Signs are exact, and every step is in integers.  At construction the
 field certifies an isolating interval [a/Q, b/Q] for lambda (the largest
-real root of its minimal polynomial) by a Sturm chain over Z, narrows it
-below width 2^-(K+8) by integer bisection over one common denominator,
-and stores the bound table floor(a^i * 2^K / Q^i) <= lambda^i * 2^K <=
-ceil(b^i * 2^K / Q^i) (a > 0, so the powers are monotone).  K is
+real root of its minimal polynomial) by one Descartes count after a
+Taylor shift to a/Q, narrows it below width 2^-(K+8) by integer bisection
+over one common denominator, and stores the bound table
+floor(a^i * 2^K / Q^i) <= lambda^i * 2^K <= ceil(b^i * 2^K / Q^i)
+(a > 0, so the powers are monotone).  K is
 max(128, 2 * degree): the table's error grows like 2^i, so a fixed K
 would fail to settle signs at high degree.  ``sign()`` forms the integer
 lower and upper bounds of 2^K * value from that table and answers when
@@ -43,7 +44,7 @@ True
 from __future__ import annotations
 
 import operator
-from math import cos, gcd, pi
+from math import cos, pi
 from typing import Callable, Sequence
 
 from .errors import ConstructionFailed
@@ -105,10 +106,6 @@ def _phom(p: Sequence, m: int, q: int) -> int:
     return acc
 
 
-def _pderiv(p: Sequence) -> list:
-    return _trim([i * c for i, c in enumerate(p)][1:])
-
-
 def _cyclotomic(m: int, _cache: dict = {}) -> list[int]:
     """Integer coefficients of the m-th cyclotomic polynomial."""
     if m not in _cache:
@@ -141,30 +138,7 @@ def minimal_polynomial(n: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Sturm chains, for certifying the isolating interval
-
-
-def _sturm_chain(psi: Sequence) -> list[list[int]]:
-    """A Sturm chain of psi over Z: psi, psi', then minus each
-    pseudo-remainder divided by its content (a primitive remainder
-    sequence, W. S. Brown, J. ACM 18, 1971).  The dividend is scaled by
-    |lead|, never by a negative number, so each member is a positive
-    multiple of the rational chain's and counts the same roots."""
-    chain = [list(psi), _pderiv(psi)]
-    while True:
-        rem, div = list(chain[-2]), chain[-1]
-        lead = div[-1]
-        scale, sign = abs(lead), 1 if lead > 0 else -1
-        while len(rem) >= len(div):
-            c, k = sign * rem[-1], len(rem) - len(div)
-            rem = [scale * r for r in rem]
-            for i, d in enumerate(div):
-                rem[i + k] -= c * d
-            _trim(rem)
-        if not rem:
-            return chain
-        content = gcd(*rem)
-        chain.append([-r // content for r in rem])
+# Descartes' rule of signs, for certifying the isolating interval
 
 
 def _variations(values) -> int:
@@ -172,18 +146,22 @@ def _variations(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _variations_at(chain, m: int, q: int) -> int:
-    return _variations(_phom(p, m, q) for p in chain)
+def _descartes_count(psi: Sequence, a: int, q: int) -> int:
+    """The sign variations of q^d * psi((x + a)/q), q > 0, by a Taylor
+    shift of psi's coefficients scaled by q^(d-i), with no division.  By
+    Descartes' rule they bound the roots of psi above a/q, counted with
+    multiplicity, and share their parity, so 1 means exactly one root;
+    (x^2 + 1)(x - 2) has one real root above 0 and three variations:
 
-
-def _count_roots_in(chain, a: int, b: int, q: int) -> int:
-    """Distinct real roots in the half-open interval (a/q, b/q], q > 0."""
-    return _variations_at(chain, a, q) - _variations_at(chain, b, q)
-
-
-def _count_roots_above(chain, a: int, q: int) -> int:
-    """Distinct real roots in (a/q, +infinity), q > 0."""
-    return _variations_at(chain, a, q) - _variations(p[-1] for p in chain)
+    >>> _descartes_count((-2, 1, -2, 1), 0, 1)
+    3
+    """
+    d = len(psi) - 1
+    p = [c * q ** (d - i) for i, c in enumerate(psi)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            p[j] += a * p[j + 1]
+    return _variations(p)
 
 
 # --------------------------------------------------------------------------
@@ -300,22 +278,19 @@ class NumberField:
             psi = list(_minpoly)
         self.psi = tuple(int(c) for c in psi)
         self.degree = len(psi) - 1
-        # lambda^k for k = 0 .. 2*degree - 2, reduced to the power basis
+        # the nonzero (index, coefficient) pairs of lambda^k reduced to the
+        # power basis, for k = degree .. 2*degree - 2, from lambda^(degree-1)
         d = self.degree
-        table = [[0] * d for _ in range(2 * d - 1)]
-        vec = [0] * d
-        vec[0] = 1
-        for k in range(2 * d - 1):
-            table[k] = list(vec)
+        vec = [0] * (d - 1) + [1]
+        rows = []
+        for _ in range(d - 1):
             top = vec[d - 1]
             vec = [0] + vec[:d - 1]
             if top:
                 for i in range(d):
                     vec[i] -= top * self.psi[i]
-        # the nonzero (index, coefficient) pairs of lambda^k, k >= degree
-        self._reduction = tuple(
-            tuple((i, r) for i, r in enumerate(table[k]) if r)
-            for k in range(d, 2 * d - 1))
+            rows.append(tuple((i, r) for i, r in enumerate(vec) if r))
+        self._reduction = tuple(rows)
         self._mul_add = _compile_mul_add(n, d, self._reduction)
         self._bits = max(_FILTER_BITS, 2 * d)
         # (a, b, Q): lambda lies in [a/Q, b/Q], of width below 2^-(K+8)
@@ -329,15 +304,16 @@ class NumberField:
     def _certify_interval(self) -> tuple[int, int, int]:
         """(a, b, 10^12) with lambda the only root of psi in [a, b] / 10^12
         and none above it: the floating seed 2*cos(pi/n), rounded to
-        12 decimals, plus and minus 10^-6, 10^-9 or 10^-12."""
+        12 decimals, plus and minus 10^-6, 10^-9 or 10^-12.  A window is
+        accepted when psi(a) < 0 < psi(b) and the Descartes count above
+        a is 1: then psi has exactly one root above a, which lies in
+        (a, b) and is the largest real root."""
         q = 10 ** 12
         seed = round(2 * cos(pi / self.n) * q)
-        chain = _sturm_chain(self.psi)
         for exponent in (6, 9, 12):
             a, b = seed - 10 ** (12 - exponent), seed + 10 ** (12 - exponent)
             if _phom(self.psi, a, q) < 0 < _phom(self.psi, b, q) \
-                    and _count_roots_in(chain, a, b, q) == 1 \
-                    and _count_roots_above(chain, a, q) == 1:
+                    and _descartes_count(self.psi, a, q) == 1:
                 return a, b, q
         raise ConstructionFailed(
             "cannot certify an isolating interval for the largest root "

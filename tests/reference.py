@@ -6,7 +6,7 @@ from math import ceil, floor
 
 from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
-from twobridge.numberfield import FieldElement, _pderiv, _variations
+from twobridge.numberfield import FieldElement, _trim, _variations
 from twobridge.orders import Sign, Z2Order, z2_is_positive
 
 
@@ -230,7 +230,7 @@ def cocycle_by_evaluation(m1, m2, prod) -> int:
 
 
 def reference_sign(e) -> int:
-    """Exact sign by interval Horner evaluation on the Sturm-certified
+    """Exact sign by interval Horner evaluation on the ring's certified
     interval, bisecting until zero is excluded: the refinement used before
     the integer filter, kept here as the reference."""
     if e.is_zero():
@@ -351,6 +351,10 @@ def remainder_by_fractions(p, q):
     return rem
 
 
+def _pderiv(p):
+    return _trim([i * c for i, c in enumerate(p)][1:])
+
+
 def sturm_chain_by_fractions(psi):
     """The Sturm chain of psi by rational remainders: psi, psi', then
     minus each remainder until one vanishes."""
@@ -372,8 +376,8 @@ def count_roots_by_fractions(chain, lo, hi=None):
 
 def certify_interval_by_fractions(psi, seed, q):
     """[lo, hi] around seed/q, widened by 10^-6, 10^-9 or 10^-12, the
-    first with psi(lo) < 0 < psi(hi) that isolates the largest root;
-    None when none does: the reference for
+    first with psi(lo) < 0 < psi(hi) that isolates the largest root by
+    two Sturm counts; None when none does: the reference for
     ``NumberField._certify_interval``."""
     chain = sturm_chain_by_fractions(psi)
     for exponent in (6, 9, 12):

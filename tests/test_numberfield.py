@@ -13,7 +13,7 @@ from twobridge.numberfield import (FieldElement, NumberField,
 from reference import (bound_table_by_fractions,
                        certify_interval_by_fractions,
                        count_roots_by_fractions, narrowed_by_fractions,
-                       reference_sign, sturm_chain_by_fractions,
+                       peval, reference_sign, sturm_chain_by_fractions,
                        sum_of_products_by_loop)
 
 # classical minimal polynomials of 2*cos(pi/n), coefficients by degree
@@ -214,6 +214,18 @@ def test_corrupted_minpoly_fails_certification():
     assert NumberField(7, _minpoly=good).degree == 3
 
 
+def test_a_seed_at_a_smaller_root_fails_certification(monkeypatch):
+    # psi_7 rises through its smallest root 2 cos(5 pi/7) as through the
+    # largest, so the sign test passes there; only the count of the roots
+    # above, 3, refuses the window
+    psi = minimal_polynomial(7)
+    seed = round(2 * cos(5 * pi / 7) * 10 ** 12)
+    assert certify_interval_by_fractions(psi, seed, 10 ** 12) is None
+    monkeypatch.setattr(numberfield, "cos", lambda x: cos(5 * x))
+    with pytest.raises(ConstructionFailed, match="cannot certify"):
+        NumberField(7)
+
+
 def test_minpoly_of_the_wrong_degree_is_rejected():
     # psi * (t + 3) still has 2 cos(pi/7) as its certified largest root,
     # but psi itself would then be a nonzero element of sign 0
@@ -225,7 +237,8 @@ def test_minpoly_of_the_wrong_degree_is_rejected():
         NumberField(7, _minpoly=multiple)
     with pytest.raises(ConstructionFailed, match="degree 3"):
         NumberField(7, _minpoly=[-1, 1])
-    # the selftest's polynomial has the right degree; Sturm rejects it
+    # the selftest's polynomial has the right degree; certification
+    # rejects it
     with pytest.raises(ConstructionFailed, match="cannot certify"):
         NumberField(3, _minpoly=[-2, 1])
 
@@ -309,27 +322,24 @@ def _as_fractions(interval):
     return Fraction(a, q), Fraction(b, q)
 
 
-def _assert_chain_matches_the_rational_chain(psi):
-    """Each integer Sturm member is a positive multiple of the rational
-    one, and both count the same roots between a few points."""
-    chain = numberfield._sturm_chain(psi)
-    reference = sturm_chain_by_fractions(psi)
-    assert len(chain) == len(reference), psi
-    for p, r in zip(chain, reference):
-        assert len(p) == len(r) and p[-1] * r[-1] > 0, psi
-        assert [Fraction(c) for c in p] == [p[-1] / r[-1] * c for c in r], psi
-    for a, b, q in ((-9, 9, 1), (0, 2, 1), (1, 5, 3), (-7, 19, 10)):
-        lo, hi = Fraction(a, q), Fraction(b, q)
-        assert numberfield._count_roots_in(chain, a, b, q) == \
-            count_roots_by_fractions(reference, lo, hi), psi
-        assert numberfield._count_roots_above(chain, a, q) == \
-            count_roots_by_fractions(reference, lo), psi
+# the four points a/q at which the Descartes count is compared
+_POINTS = ((-9, 1), (0, 1), (1, 3), (-7, 10))
 
 
-def test_integer_sturm_chain_matches_the_rational_chain():
-    # sparse random polynomials: their chains skip degrees, so a
-    # pseudo-division runs an odd number of steps and a negative leading
-    # coefficient would flip a member's sign; squares leave a gcd
+def _counts_above(psi, points):
+    """(Descartes count, Sturm count) of psi's roots above each a/q that
+    is not a root: at a multiple root every member of the chain vanishes,
+    and the Sturm count is wrong there."""
+    chain = sturm_chain_by_fractions(psi)
+    return [(numberfield._descartes_count(psi, a, q),
+             count_roots_by_fractions(chain, Fraction(a, q)))
+            for a, q in points if peval(psi, Fraction(a, q))]
+
+
+def test_descartes_count_matches_the_sturm_count():
+    # sparse random polynomials and their squares: Descartes counts complex
+    # roots in pairs and repeated roots with multiplicity, Sturm neither,
+    # but a count of 0 or 1 is exact
     rng = random.Random(61)
     polys = []
     for _ in range(300):
@@ -337,20 +347,40 @@ def test_integer_sturm_chain_matches_the_rational_chain():
              for _ in range(rng.randint(1, 8))] + [rng.choice((-3, -1, 1, 2))]
         polys += [p, numberfield._pmul(p, p)]
     for psi in polys:
-        _assert_chain_matches_the_rational_chain(psi)
+        for count, reference in _counts_above(psi, _POINTS):
+            assert count >= reference, psi
+            if count <= 1:
+                assert count == reference, psi
+
+
+def test_descartes_count_is_exact_on_minimal_polynomials():
+    # totally real and squarefree: every root is counted once
+    for n in range(3, 104, 2):
+        psi = minimal_polynomial(n)
+        seed = round(2 * cos(pi / n) * 10 ** 6)
+        points = _POINTS + ((seed - 1, 10 ** 6), (seed + 1, 10 ** 6))
+        for count, reference in _counts_above(psi, points):
+            assert count == reference, n
+
+
+def test_descartes_count_counts_a_complex_pair():
+    # (x^2 + 1)(x - 2): one real root above 0, three sign variations
+    assert _counts_above([-2, 1, -2, 1], [(0, 1)]) == [(3, 1)]
 
 
 def test_integer_bisection_matches_the_fraction_bisection():
-    """The integer Sturm chain, certified interval, narrowed interval and
-    bound table against the Fraction routes they replaced."""
+    """The certified interval, narrowed interval and bound table against
+    the Fraction routes they replaced, the interval against two Sturm
+    counts.  n = 251 is the degree-125 ring, checked at the first K only:
+    the Fraction bisection to 4K takes about 20 s there."""
     # n = 3 has the rational root lambda = 1, the first midpoint: the
     # (mid, mid) exit.  Bisection is memoryless, so the reference reaches
     # each K from the previous K's interval, not from the start again.
     assert numberfield._narrowed((-1, 1), 1, 3, 2, 128) == (4, 4, 4)
-    for n in range(3, 104, 2):
+    for n in list(range(3, 104, 2)) + [251]:
         f = real_cyclotomic_field(n)
         psi, d = f.psi, f.degree
-        _assert_chain_matches_the_rational_chain(psi)
+        doublings = (1, 2, 4) if n < 251 else (1,)
         # the same seed: 2 cos(pi/n) to 12 decimals
         start = f._certify_interval()
         seed = round(2 * cos(pi / n) * 10 ** 12)
@@ -358,7 +388,7 @@ def test_integer_bisection_matches_the_fraction_bisection():
             certify_interval_by_fractions(psi, seed, 10 ** 12), n
         assert numberfield._narrowed(psi, *start, f._bits) == f._interval
         reference = _as_fractions(start)
-        for bits in (f._bits, 2 * f._bits, 4 * f._bits):
+        for bits in (k * f._bits for k in doublings):
             reference = narrowed_by_fractions(psi, *reference, bits)
             narrowed = numberfield._narrowed(psi, *start, bits)
             assert _as_fractions(narrowed) == reference, (n, bits)
