@@ -12,11 +12,10 @@ never divides.
 
 Signs are exact, and every step is in integers.  At construction the
 field certifies an isolating interval [a/Q, b/Q] for lambda (the largest
-real root of its minimal polynomial) by one Descartes count after a
-Taylor shift to a/Q, narrows it below width 2^-(K+8) by integer bisection
-over one common denominator, and stores the bound table
-floor(a^i * 2^K / Q^i) <= lambda^i * 2^K <= ceil(b^i * 2^K / Q^i)
-(a > 0, so the powers are monotone).  K is
+real root of its minimal polynomial) by one Descartes count, narrows it
+below width 2^-(K+8) by integer bisection over one common denominator,
+and stores the bound table floor(a^i * 2^K / Q^i) <= lambda^i * 2^K <=
+ceil(b^i * 2^K / Q^i) (a > 0, so the powers are monotone).  K is
 max(128, 2 * degree): the table's error grows like 2^i, so a fixed K
 would fail to settle signs at high degree.  ``sign()`` forms the integer
 lower and upper bounds of 2^K * value from that table and answers when
@@ -304,10 +303,8 @@ class NumberField:
     def _certify_interval(self) -> tuple[int, int, int]:
         """(a, b, 10^12) with lambda the only root of psi in [a, b] / 10^12
         and none above it: the floating seed 2*cos(pi/n), rounded to
-        12 decimals, plus and minus 10^-6, 10^-9 or 10^-12.  A window is
-        accepted when psi(a) < 0 < psi(b) and the Descartes count above
-        a is 1: then psi has exactly one root above a, which lies in
-        (a, b) and is the largest real root."""
+        12 decimals, plus and minus 10^-6, 10^-9 or 10^-12: the first
+        with psi(a) < 0 < psi(b) and a Descartes count of 1 above a."""
         q = 10 ** 12
         seed = round(2 * cos(pi / self.n) * q)
         for exponent in (6, 9, 12):
