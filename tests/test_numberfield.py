@@ -339,7 +339,8 @@ def _counts_above(psi, points):
 def test_descartes_count_matches_the_sturm_count():
     # sparse random polynomials and their squares: Descartes counts complex
     # roots in pairs and repeated roots with multiplicity, Sturm neither,
-    # but a count of 0 or 1 is exact
+    # but a count of 0 or 1 is exact; (x^2 + 1)(x - 2) above 0:
+    assert _counts_above([-2, 1, -2, 1], [(0, 1)]) == [(3, 1)]
     rng = random.Random(61)
     polys = []
     for _ in range(300):
@@ -361,11 +362,6 @@ def test_descartes_count_is_exact_on_minimal_polynomials():
         points = _POINTS + ((seed - 1, 10 ** 6), (seed + 1, 10 ** 6))
         for count, reference in _counts_above(psi, points):
             assert count == reference, n
-
-
-def test_descartes_count_counts_a_complex_pair():
-    # (x^2 + 1)(x - 2): one real root above 0, three sign variations
-    assert _counts_above([-2, 1, -2, 1], [(0, 1)]) == [(3, 1)]
 
 
 def test_integer_bisection_matches_the_fraction_bisection():
