@@ -1,9 +1,11 @@
 """Exact arithmetic in the ring Z[lambda], lambda = 2 cos(pi/n).
 
 For odd n >= 3 the number lambda = 2 cos(pi/n) is an algebraic integer of
-degree phi(n)/2.  Its minimal polynomial is extracted from the cyclotomic
-polynomial Phi_2n(t) by the palindromic substitution y = t + 1/t, using the
-Chebyshev-style recursion t^k + t^-k = p_k(y), p_(k+1) = y*p_k - p_(k-1).
+degree phi(n)/2.  With m = (n-1)/2, the polynomial E_n(t + 1/t) =
+(t^n + 1) / (t^m (t + 1)) has the roots 2 cos(k pi/n) for odd k < n, so
+the minimal polynomial psi_n is E_n divided by psi_e for every divisor
+1 < e < n of n.  E_n is summed in x = t + 1/t by the Chebyshev-style
+recursion t^j + t^-j = C_j(x), C_(j+1) = x*C_j - C_(j-1).
 
 Elements are integer coordinate vectors in the power basis 1, lambda, ...,
 lambda^(d-1).  The ring is closed under +, - and *, which is all the G1
@@ -71,17 +73,6 @@ def _pscale(p: Sequence, c) -> list:
     return _trim([c * a for a in p])
 
 
-def _pmul(p: Sequence, q: Sequence) -> list:
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _trim(out)
-
-
 def _pdivmod(p: Sequence, q: Sequence) -> tuple[list, list]:
     """Division with remainder by a monic q, in integers."""
     rem = list(p)
@@ -105,35 +96,23 @@ def _phom(p: Sequence, m: int, q: int) -> int:
     return acc
 
 
-def _cyclotomic(m: int, _cache: dict = {}) -> list[int]:
-    """Integer coefficients of the m-th cyclotomic polynomial."""
-    if m not in _cache:
-        if m == 1:
-            _cache[m] = [-1, 1]
-        else:
-            num = [-1] + [0] * (m - 1) + [1]
-            den = [1]
-            for d in range(1, m):
-                if m % d == 0:
-                    den = _pmul(den, _cyclotomic(d))
-            _cache[m], rem = _pdivmod(num, den)  # monic den: in integers
-            assert not rem
-    return list(_cache[m])
-
-
 def minimal_polynomial(n: int) -> list[int]:
     """Monic integer minimal polynomial of 2*cos(pi/n), n odd >= 3."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3, got %r" % (n,))
-    phi = _cyclotomic(2 * n)
-    half = (len(phi) - 1) // 2
-    psi = [phi[half]]
-    p_prev, p_cur = [2], [0, 1]
-    for k in range(1, half + 1):
-        psi = _padd(psi, _pscale(p_cur, phi[half + k]))
-        p_prev, p_cur = p_cur, _padd([0] + p_cur, _pscale(p_prev, -1))
-    assert psi[-1] == 1
-    return psi
+    if n not in _MINIMAL_POLYNOMIALS:
+        # E_n = sum over |j| <= m of (-1)^(m-j) t^j, with t^j + t^-j = C_j(x)
+        m = (n - 1) // 2
+        psi, c_prev, c_cur = [(-1) ** m], [2], [0, 1]
+        for j in range(1, m + 1):
+            psi = _padd(psi, _pscale(c_cur, (-1) ** (m - j)))
+            c_prev, c_cur = c_cur, _padd([0] + c_cur, _pscale(c_prev, -1))
+        for e in range(3, n, 2):
+            if n % e == 0:
+                psi, rem = _pdivmod(psi, minimal_polynomial(e))  # monic
+                assert not rem
+        _MINIMAL_POLYNOMIALS[n] = tuple(psi)
+    return list(_MINIMAL_POLYNOMIALS[n])
 
 
 # --------------------------------------------------------------------------
@@ -338,6 +317,7 @@ class NumberField:
         return hash((self.n, self.psi))
 
 
+_MINIMAL_POLYNOMIALS: dict[int, tuple[int, ...]] = {}
 _FIELDS: dict[int, NumberField] = {}
 
 

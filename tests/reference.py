@@ -2,11 +2,13 @@
 helpers that only the tests need."""
 
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor
 
 from twobridge.groups import G1Element, G2Element, Word
 from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
-from twobridge.numberfield import FieldElement, _trim, _variations
+from twobridge.numberfield import (FieldElement, _padd, _pdivmod, _pscale,
+                                   _trim, _variations)
 from twobridge.orders import Sign, Z2Order, z2_is_positive
 
 
@@ -327,6 +329,47 @@ def narrowed_by_fractions(psi, lo, hi, bits):
 
 
 # --------------------------------------------------------------------------
+# the ring's minimal polynomial through the cyclotomic polynomial Phi_2n
+
+
+def pmul(p, q):
+    """The product of two integer polynomials."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+@cache
+def cyclotomic(m):
+    """Phi_m as a tuple: t^m - 1 divided by Phi_d for every d | m, d < m."""
+    den = [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = pmul(den, cyclotomic(d))
+    phi, rem = _pdivmod([-1] + [0] * (m - 1) + [1], den)  # den is monic
+    assert not rem
+    return tuple(phi)
+
+
+def minimal_polynomial_by_cyclotomics(n):
+    """Phi_2n(t) = t^h * psi(y), y = t + 1/t, h = deg(psi), folded to psi
+    through t^k + t^-k = p_k(y), p_(k+1) = y*p_k - p_(k-1): the reference
+    for ``numberfield.minimal_polynomial``."""
+    phi = cyclotomic(2 * n)
+    half = (len(phi) - 1) // 2
+    psi = [phi[half]]
+    p_prev, p_cur = [2], [0, 1]
+    for k in range(1, half + 1):
+        psi = _padd(psi, _pscale(p_cur, phi[half + k]))
+        p_prev, p_cur = p_cur, _padd([0] + p_cur, _pscale(p_prev, -1))
+    return psi
+
+
+# --------------------------------------------------------------------------
 # the ring's interval in Fractions: the routes that the integer ones replaced
 
 
@@ -338,17 +381,17 @@ def peval(p, x):
     return acc
 
 
-def remainder_by_fractions(p, q):
-    """The remainder of p divided by q over the rationals."""
+def divmod_by_fractions(p, q):
+    """The quotient and remainder of p divided by q over the rationals."""
     rem = [Fraction(c) for c in p]
+    quo = [Fraction(0)] * max(len(rem) - len(q) + 1, 0)
     while len(rem) >= len(q):
         k = len(rem) - len(q)
-        c = rem[-1] / q[-1]
+        c = quo[k] = rem[-1] / q[-1]
         for i, b in enumerate(q):
             rem[i + k] -= c * b
-        while rem and not rem[-1]:
-            rem.pop()
-    return rem
+        _trim(rem)
+    return quo, rem
 
 
 def _pderiv(p):
@@ -357,12 +400,14 @@ def _pderiv(p):
 
 def sturm_chain_by_fractions(psi):
     """The Sturm chain of psi by rational remainders: psi, psi', then
-    minus each remainder until one vanishes."""
+    minus each remainder until one vanishes, every member divided by the
+    last, gcd(psi, psi').  Undivided, every member vanishes at a multiple
+    root of psi, and a count from there is wrong."""
     chain = [[Fraction(c) for c in psi], [Fraction(c) for c in _pderiv(psi)]]
     while True:
-        rem = remainder_by_fractions(chain[-2], chain[-1])
+        rem = divmod_by_fractions(chain[-2], chain[-1])[1]
         if not rem:
-            return chain
+            return [divmod_by_fractions(p, chain[-1])[0] for p in chain]
         chain.append([-c for c in rem])
 
 

@@ -12,9 +12,10 @@ from twobridge.numberfield import (FieldElement, NumberField,
                                    real_cyclotomic_field)
 from reference import (bound_table_by_fractions,
                        certify_interval_by_fractions,
-                       count_roots_by_fractions, narrowed_by_fractions,
-                       peval, reference_sign, sturm_chain_by_fractions,
-                       sum_of_products_by_loop)
+                       count_roots_by_fractions,
+                       minimal_polynomial_by_cyclotomics,
+                       narrowed_by_fractions, pmul, reference_sign,
+                       sturm_chain_by_fractions, sum_of_products_by_loop)
 
 # classical minimal polynomials of 2*cos(pi/n), coefficients by degree
 KNOWN = {
@@ -46,6 +47,12 @@ def test_minimal_polynomial_rejects_bad_n():
     for n in (1, 2, 4, 0, -3):
         with pytest.raises(ValueError):
             minimal_polynomial(n)
+
+
+def test_minimal_polynomial_matches_the_cyclotomic_route():
+    # composite n such as 255 = 3 * 5 * 17 divide by several smaller psi_e
+    for n in range(3, 302, 2):
+        assert minimal_polynomial(n) == minimal_polynomial_by_cyclotomics(n), n
 
 
 def test_field_cache_and_degree():
@@ -327,13 +334,11 @@ _POINTS = ((-9, 1), (0, 1), (1, 3), (-7, 10))
 
 
 def _counts_above(psi, points):
-    """(Descartes count, Sturm count) of psi's roots above each a/q that
-    is not a root: at a multiple root every member of the chain vanishes,
-    and the Sturm count is wrong there."""
+    """(Descartes count, Sturm count) of psi's roots above each a/q."""
     chain = sturm_chain_by_fractions(psi)
     return [(numberfield._descartes_count(psi, a, q),
              count_roots_by_fractions(chain, Fraction(a, q)))
-            for a, q in points if peval(psi, Fraction(a, q))]
+            for a, q in points]
 
 
 def test_descartes_count_matches_the_sturm_count():
@@ -341,12 +346,16 @@ def test_descartes_count_matches_the_sturm_count():
     # roots in pairs and repeated roots with multiplicity, Sturm neither,
     # but a count of 0 or 1 is exact; (x^2 + 1)(x - 2) above 0:
     assert _counts_above([-2, 1, -2, 1], [(0, 1)]) == [(3, 1)]
+    # from a multiple root, where every member of the undivided chain
+    # vanishes: x^2 (x - 2) above 0 and (x - 1)^2 (x - 3) above 1
+    assert _counts_above([0, 0, -2, 1], [(0, 1)]) == [(1, 1)]
+    assert _counts_above([-3, 7, -5, 1], [(1, 1)]) == [(1, 1)]
     rng = random.Random(61)
     polys = []
     for _ in range(300):
         p = [rng.choice((0, 0, rng.randint(-6, 6)))
              for _ in range(rng.randint(1, 8))] + [rng.choice((-3, -1, 1, 2))]
-        polys += [p, numberfield._pmul(p, p)]
+        polys += [p, pmul(p, p)]
     for psi in polys:
         for count, reference in _counts_above(psi, _POINTS):
             assert count >= reference, psi
