@@ -22,7 +22,10 @@ lexicographic tower:
   nonzero coefficient in graded-lexicographic order) after rewriting in an
   explicit Schreier basis.  Monomials are searched one degree at a time,
   and the search stops at the least degree with a nonzero coefficient,
-  which is at most the syllable count of the reduced word.
+  which is at most the syllable count of the reduced word.  A monomial
+  prefix keeps its embedding counts on its last token's letters only;
+  one gather of their prefix sums extends it by a token, and at the last
+  level each coefficient is one dot product with a weight vector.
 
 Both oracles are total and exact.  Their conjugates form the normal
 families used by the certification harness; a family member is named by
@@ -33,6 +36,8 @@ in the base order.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate, repeat
+from operator import eq, itemgetter, mul
 
 from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
@@ -305,52 +310,115 @@ def _schreier_letters(beta: int, tail) -> list[tuple[tuple[int, int, int],
     return reduced
 
 
+class _MagnusTables(dict):
+    """Extension tables of one Magnus query, built per call and freed with
+    it.  Tokens are numbered in sorted order; ``ids`` and ``signs`` give
+    each letter's token number and exponent (+-1).  Slot r is the gap
+    before letter r, so letter q lies between slots q and q + 1.
+
+    A prefix ending in token u keeps, per letter of u, the signed count of
+    its embeddings whose last X sits there.  A new X at letter q follows a
+    last X anywhere before slot q, or before slot q + 1 when q is x^-1 (a
+    run of X continues inside it): q reads one entry of the prefix sums of
+    u's counts, times its sign.  ``self[u]`` is u's row, built on first
+    use: per token v in order, the ``itemgetter`` of the entries that v's
+    letters read, v's signs, and the weights W_v read at the end slots of
+    u's letters, where W_v[r] is the signed count of v's letters that read
+    at slot r or later, so the coefficient of prefix.v is the dot product
+    of u's counts with them.
+    """
+
+    def __init__(self, ids: list, signs: list, count: int):
+        self.ids = ids
+        self.ends = [[] for _ in range(count)]
+        self.reads = [[] for _ in range(count)]
+        self.signs = [[] for _ in range(count)]
+        for q, (v, e) in enumerate(zip(ids, signs)):
+            self.ends[v].append(q + 1)
+            self.reads[v].append(q + (e < 0))
+            self.signs[v].append(e)
+        self.weights = []
+        for reads, signs in zip(self.reads, self.signs):
+            dense = [0] * (len(ids) + 1)
+            for r, e in zip(reads, signs):
+                dense[r] += e
+            self.weights.append([*accumulate(reversed(dense))][::-1])
+
+    def __missing__(self, u: int) -> list:
+        # before[r]: how many of u's letters lie before slot r
+        before = [*accumulate(map(eq, self.ids, repeat(u)), initial=0)]
+        ends = self.ends[u]
+        row = []
+        for reads, signs, weights in zip(self.reads, self.signs,
+                                         self.weights):
+            at = [*map(before.__getitem__, reads)]
+            # itemgetter returns a bare item for one index, so a one-letter
+            # token reads its index twice and map stops at the shorter
+            gather = itemgetter(*at) if len(at) > 1 else itemgetter(at[0],
+                                                                     at[0])
+            row.append((gather, signs, [*map(weights.__getitem__, ends)]))
+        self[u] = row
+        return row
+
+
+def _magnus_walk(tables: _MagnusTables, u: int, counts: list,
+                 depth: int) -> int:
+    """Sign of the lex-first nonzero coefficient among the extensions of
+    the prefix, which ends in token u with these counts, by depth tokens;
+    0 if all vanish."""
+    row = tables[u]
+    if depth == 1:
+        for _, _, weights in row:
+            coeff = sum(map(mul, counts, weights))
+            if coeff:
+                return (coeff > 0) - (coeff < 0)
+        return 0
+    prefix = [*accumulate(counts, initial=0)]
+    for v, (gather, signs, _) in enumerate(row):
+        child = [*map(mul, signs, gather(prefix))]
+        if any(child):
+            s = _magnus_walk(tables, v, child, depth - 1)
+            if s:
+                return s
+    return 0
+
+
 def _magnus_first_sign(letters, max_degree: int) -> tuple[int, int]:
     """Sign and degree of the first nonzero coefficient (graded-lex) of
-    the Magnus expansion x -> 1 + X; (0, max_degree) if every coefficient
-    up to max_degree vanishes.
+    the Magnus expansion x -> 1 + X of the (token, +-1) letters;
+    (0, max_degree) if every coefficient up to max_degree vanishes.
 
     The coefficient of X_t1...X_tm is a signed count of embeddings into
     the letters: a letter x takes at most one X, a letter x^-1 any run
-    X^k with weight (-1)^k.  A monomial prefix keeps, per letter position,
-    the signed count of embeddings whose last X sits at that letter, so
-    one pass over the letters extends it by every token at once.  Degrees
-    are tried in increasing order, each by a depth-first walk over prefixes
-    in lex order, which meets the monomials of that degree in lex order
-    and keeps one prefix per level in memory; a prefix with no embeddings
-    has no nonzero extension and is dropped.
+    X^k with weight (-1)^k.  A monomial prefix keeps the signed count of
+    embeddings whose last X sits at each letter of its last token, and
+    ``_MagnusTables`` extends it by a token with one gather, or, at the
+    last level, gives the coefficient as one dot product.  Degree 1 is the
+    exponent sum of each token.  Degrees are tried in increasing order,
+    each by a depth-first walk over prefixes in lex order, which meets the
+    monomials of that degree in lex order and keeps one prefix per level in
+    memory; a prefix with no embeddings has no nonzero extension and is
+    dropped.
     """
-    toks = [tok for tok, _ in letters]
-    inv = [e < 0 for _, e in letters]
-
-    def first(counts: dict, run: int, start: int, depth: int) -> int:
-        # sign of the lex-first nonzero coefficient among the extensions of
-        # the prefix by depth tokens; run counts embeddings ending before
-        # letter start
-        children: dict = {}
-        for i in range(start, len(toks)):
-            old = counts.get(i, 0)
-            # new X at letter i: after any earlier last X, or, inside
-            # x^-1, after an X already at letter i
-            new = -(run + old) if inv[i] else run
-            if new:
-                children.setdefault(toks[i], {})[i] = new
-            run += old
-        for tok in sorted(children):
-            child = children[tok]
-            if depth == 1:
-                coeff = sum(child.values())
-                s = (coeff > 0) - (coeff < 0)
-            else:
-                s = first(child, 0, next(iter(child)), depth - 1)
+    totals: dict = {}
+    for tok, e in letters:
+        totals[tok] = totals.get(tok, 0) + e
+    tokens = sorted(totals)
+    if max_degree >= 1:
+        for tok in tokens:
+            coeff = totals[tok]
+            if coeff:
+                return (coeff > 0) - (coeff < 0), 1
+    rank = {tok: v for v, tok in enumerate(tokens)}
+    tables = _MagnusTables([rank[tok] for tok, _ in letters],
+                           [e for _, e in letters], len(tokens))
+    for degree in range(2, max_degree + 1):
+        # the empty prefix has one embedding, so its child by v has v's
+        # signs as counts
+        for v, signs in enumerate(tables.signs):
+            s = _magnus_walk(tables, v, signs, degree - 1)
             if s:
-                return s
-        return 0
-
-    for degree in range(1, max_degree + 1):
-        s = first({}, 1, 0, degree)  # the empty prefix: one embedding
-        if s:
-            return s, degree
+                return s, degree
     return 0, max_degree
 
 

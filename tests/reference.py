@@ -147,6 +147,49 @@ def magnus_first_sign_stepped(letters, max_degree: int) -> tuple[int, int]:
     return 0, max_degree
 
 
+def magnus_first_sign_by_letters(letters, max_degree: int) -> tuple[int, int]:
+    """(sign, least degree) of the first nonzero Magnus coefficient, by
+    the letter-loop search that ``orders._magnus_first_sign`` replaced: a
+    monomial prefix keeps, per letter position, the signed count of its
+    embeddings whose last X sits at that letter, and one pass over all the
+    letters extends it by every token at once.  Degrees in increasing
+    order, each a depth-first walk over prefixes in lex order; a prefix
+    with no embeddings is dropped.  (0, max_degree) if none up to
+    max_degree."""
+    toks = [tok for tok, _ in letters]
+    inv = [e < 0 for _, e in letters]
+
+    def first(counts: dict, run: int, start: int, depth: int) -> int:
+        # sign of the lex-first nonzero coefficient among the extensions of
+        # the prefix by depth tokens; run counts embeddings ending before
+        # letter start
+        children: dict = {}
+        for i in range(start, len(toks)):
+            old = counts.get(i, 0)
+            # new X at letter i: after any earlier last X, or, inside
+            # x^-1, after an X already at letter i
+            new = -(run + old) if inv[i] else run
+            if new:
+                children.setdefault(toks[i], {})[i] = new
+            run += old
+        for tok in sorted(children):
+            child = children[tok]
+            if depth == 1:
+                coeff = sum(child.values())
+                s = (coeff > 0) - (coeff < 0)
+            else:
+                s = first(child, 0, next(iter(child)), depth - 1)
+            if s:
+                return s
+        return 0
+
+    for degree in range(1, max_degree + 1):
+        s = first({}, 1, 0, degree)  # the empty prefix: one embedding
+        if s:
+            return s, degree
+    return 0, max_degree
+
+
 def cover_increasing(*points) -> bool:
     """True iff the lifted points are strictly increasing on the cover
     line, left to right."""

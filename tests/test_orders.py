@@ -1,5 +1,6 @@
 """Tests for the positive-cone oracles and order families."""
 
+import gc
 import random
 import time
 
@@ -19,7 +20,8 @@ from twobridge.orders import (ConeOracle, G1Realization, Sign, Z2Order,
                               _t_weight, family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
 from reference import (decide_by_test_points, four_test_points,
-                       lifted_by_powers, magnus_first_sign_stepped)
+                       lifted_by_powers, magnus_first_sign_by_letters,
+                       magnus_first_sign_stepped)
 
 W = Word.parse
 
@@ -670,6 +672,7 @@ def nested_commutators(depth):
     ((3, 6), 5, Sign.NEGATIVE, 6, 0.5),
     ((3, 6), 6, Sign.POSITIVE, 7, 2.0),
     ((3, 8), 4, Sign.NEGATIVE, 5, None),
+    ((3, 6), 7, Sign.POSITIVE, 8, 2.0),
 ])
 def test_deep_commutators_pinned(knot, depth, sign, degree, seconds):
     p = knot_params(*knot)
@@ -689,6 +692,35 @@ def test_undecided_magnus_answer_raises(monkeypatch):
                         lambda letters, max_degree: (0, max_degree))
     with pytest.raises(InternalCheckFailed, match="syllable count"):
         g2_sign_trace(knot_params(3, 6), nested_commutators(1)[0])
+
+
+def test_magnus_kernel_matches_the_letter_loop_on_deep_commutators():
+    # the dense reference cannot reach these degrees; the letter-loop
+    # search it replaced can
+    x = W("x")
+    for knot, depth in (((3, 6), 6), ((3, 8), 5), ((3, 12), 4),
+                        ((5, -6), 4)):
+        p = knot_params(*knot)
+        for w in nested_commutators(depth):
+            for word in (w, x * w * x.inverse()):
+                letters = _kernel_letters(p, word)
+                k = _syllables(letters)
+                got = _magnus_first_sign(letters, k)
+                assert got[0] and got == \
+                    magnus_first_sign_by_letters(letters, k), (knot, word)
+
+
+def test_magnus_search_leaves_no_cyclic_garbage():
+    # the per-query tables are freed by reference counting when the call
+    # returns, not held until the cyclic collector runs
+    letters = _kernel_letters(knot_params(3, 6), nested_commutators(3)[-1])
+    gc.collect()
+    gc.disable()
+    try:
+        assert _magnus_first_sign(letters, _syllables(letters))[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --------------------------------------------------------------------------

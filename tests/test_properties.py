@@ -19,6 +19,7 @@ from twobridge.orders import (ConeOracle, _magnus_first_sign,  # noqa: E402
 from reference import (cocycle_by_evaluation,  # noqa: E402
                        decide_by_test_points, g1_normal_form_by_letters,
                        g2_normal_form_by_letters, lifted_by_powers,
+                       magnus_first_sign_by_letters,
                        magnus_first_sign_stepped, moebius_product_entrywise,
                        reference_sign, sum_of_products_by_loop,
                        word_product_by_reduce)
@@ -192,18 +193,23 @@ def test_cocycle_matches_evaluation_reference(knot, w1, w2):
         cocycle_by_evaluation(m1, m2, prod)
 
 
-@st.composite
-def kernel_letters(draw):
-    """A nonempty freely reduced word over four Schreier-basis tokens."""
-    tokens = [(1, 1, 0), (1, 1, 1), (1, -1, 2), (2, 2, 0)]
+def _reduced(letters):
     word = []
-    for t, e in draw(st.lists(st.tuples(st.sampled_from(tokens),
-                                        st.sampled_from((1, -1))),
-                              min_size=1, max_size=10)):
+    for t, e in letters:
         if word and word[-1] == (t, -e):
             word.pop()
         else:
             word.append((t, e))
+    return word
+
+
+@st.composite
+def kernel_letters(draw):
+    """A nonempty freely reduced word over four Schreier-basis tokens."""
+    tokens = [(1, 1, 0), (1, 1, 1), (1, -1, 2), (2, 2, 0)]
+    word = _reduced(draw(st.lists(st.tuples(st.sampled_from(tokens),
+                                            st.sampled_from((1, -1))),
+                                  min_size=1, max_size=10)))
     hypothesis.assume(word)
     return word
 
@@ -214,3 +220,37 @@ def test_sparse_magnus_matches_stepped_dense_reference(word):
     syllables = 1 + sum(t1 != t2 for (t1, _), (t2, _) in zip(word, word[1:]))
     assert _magnus_first_sign(word, syllables) == \
         magnus_first_sign_stepped(word, syllables)
+
+
+def _letter_commutator(u, v):
+    return _reduced(u + v + [(t, -e) for t, e in reversed(u)] +
+                    [(t, -e) for t, e in reversed(v)])
+
+
+@st.composite
+def long_kernel_letters(draw):
+    """A nonempty freely reduced word of up to 40 letters over up to six
+    Schreier-basis tokens: a drawn word u, or [u, v], or [[u, v], v], of
+    drawn words short enough to stay within 40 letters.  A commutator
+    has no degree-1 term, and a nested one none of degree 2 either."""
+    tokens = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3),
+                                     st.integers(0, 2)),
+                           min_size=1, max_size=6, unique=True))
+    nesting = draw(st.sampled_from((0, 1, 2)))
+    u, v = (draw(st.lists(st.tuples(st.sampled_from(tokens),
+                                    st.sampled_from((1, -1))),
+                          min_size=1, max_size=(40, 10, 4)[nesting]))
+            for _ in range(2))
+    word = _reduced(u)
+    for _ in range(nesting):
+        word = _letter_commutator(word, v)
+    hypothesis.assume(word)
+    return word
+
+
+@PROPERTY
+@given(word=long_kernel_letters())
+def test_magnus_kernel_matches_the_letter_loop(word):
+    syllables = 1 + sum(t1 != t2 for (t1, _), (t2, _) in zip(word, word[1:]))
+    assert _magnus_first_sign(word, syllables) == \
+        magnus_first_sign_by_letters(word, syllables)
