@@ -6,8 +6,10 @@ the gluing:
 
 * ``audit_cone`` - the sign oracle of one piece really describes a positive
   cone: trichotomy on a full ball of words, closure under products on
-  sampled positive pairs (signed through the oracle's ``product_sign``),
-  and agreement with the normal-form word problem about the identity.
+  sampled positive pairs (signed in one call to the oracle's
+  ``product_signs``), and agreement with the normal-form word problem
+  about the identity.  Each ball word is signed once; sign(w^-1) is read
+  through the ball's inverse index.
 * ``check_navas_law`` - in every conjugate of the base G1 order, peripheral
   elements mu^r h^s are signed lexicographically: by s, then by r with the
   direction set by the conjugated sign of mu.
@@ -27,21 +29,27 @@ any counterexample localizes an implementation defect.
 
 Each check asks the cone oracles it is given, which alone represent
 elements; ``run_checks`` builds one per piece group for every check.  The
-peripheral checks compare sign patterns, mapping each (r, s) of the box to
-the sign of mu^r h^s (or its G2 image) in a conjugated family member.  The
-mutation self-tests corrupt signs through ``_CorruptedOracle``, the one
-injection seam, and prove that each corruption is detected.
+peripheral checks compare sign patterns, the signs of the box words
+mu^r h^s (or their G2 images) in a conjugated family member.  A pattern is
+computed once per oracle, member and box bound, so the checks that meet
+the same member (restrict and compat on 1 and x, navas and compat on short
+G1 conjugators) share it.  Passes are tallied per sub-check; each failure
+is recorded in sample order, so the first counterexamples are those of a
+sample-by-sample run.  The mutation self-tests corrupt signs through
+``_CorruptedOracle``, the one injection seam, on every read, and prove that
+each corruption is detected.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import contextmanager
+from itertools import repeat
 from typing import NamedTuple
 
 from .cfrac import TwoBridgeParams
 from .errors import InternalCheckFailed, ParseError
-from .groups import Word, _syllable, peripheral_word
+from .groups import Word, ball, random_reduced_word
 from .orders import (ConeOracle, Sign, Z2Order, family_is_positive,
                      z2_is_positive)
 
@@ -121,6 +129,13 @@ class CertificateReport:
                     len(self.counterexamples) < _MAX_RECORDED:
                 self.counterexamples.append(counterexample)
 
+    def tally(self, subcheck: str, passes: int):
+        """Count passes in bulk; failures go through ``record`` one by one,
+        in sample order.  No passes add no slot."""
+        if passes:
+            self.counts.setdefault(
+                subcheck, {"passes": 0, "failures": 0})["passes"] += passes
+
     @property
     def verdict(self) -> str:
         if self.error is not None:
@@ -153,44 +168,10 @@ def _surfaced(report: CertificateReport):
         report.error = "%s: %s" % (type(exc).__name__, exc)
 
 
-def ball(alphabet, radius: int) -> list[Word]:
-    """All freely reduced words of length <= radius, in breadth-first
-    order; 485 words for a two-letter alphabet at radius 5."""
-    steps = [_syllable(g, e) for g in alphabet for e in (1, -1)]
-    out = [Word()]
-    layer = [()]
-    for _ in range(radius):
-        longer = []
-        for w in layer:
-            g0, e0 = w[-1] if w else (None, 0)
-            for step in steps:
-                g, e = step
-                if g != g0:
-                    longer.append(w + (step,))
-                elif (e0 > 0) == (e > 0):
-                    longer.append(w[:-1] + (_syllable(g, e0 + e),))
-        layer = longer
-        out.extend(Word._of(ls) for ls in layer)
-    return out
-
-
 def _rng_for(budget: SampleBudget, check: str,
              params: TwoBridgeParams) -> random.Random:
     return random.Random("%d:%s:%d:%d"
                          % (budget.seed, check, params.c1, params.c2))
-
-
-def _random_reduced_word(rng: random.Random, alphabet,
-                         max_len: int) -> Word:
-    k = rng.randrange(0, max_len + 1)
-    letters = []
-    while len(letters) < k:
-        g = alphabet[rng.randrange(len(alphabet))]
-        e = 1 if rng.random() < 0.5 else -1
-        if letters and letters[-1] == (g, -e):
-            continue
-        letters.append((g, e))
-    return Word(tuple(letters))
 
 
 def _sample_conjugators(rng: random.Random, alphabet, max_len: int,
@@ -200,7 +181,7 @@ def _sample_conjugators(rng: random.Random, alphabet, max_len: int,
     for _ in range(200 * count):
         if len(chosen) >= count:
             break
-        chosen.setdefault(_random_reduced_word(rng, alphabet, max_len))
+        chosen.setdefault(random_reduced_word(rng, alphabet, max_len))
     if len(chosen) < count:
         raise InternalCheckFailed("sampled %d of %d distinct conjugators"
                                   % (len(chosen), count))
@@ -213,62 +194,69 @@ def _sample_conjugators(rng: random.Random, alphabet, max_len: int,
 
 def audit_cone(oracle, budget: SampleBudget) -> CertificateReport:
     """Trichotomy on the full ball, semigroup closure on sampled positive
-    pairs, and identity agreement with the normal form."""
+    pairs, and identity agreement with the normal form.  Each ball word is
+    signed once: the ball is closed under inversion, so sign(w^-1) is read
+    through an inverse index, and the pairs are drawn as index pairs and
+    signed in one ``product_signs`` call."""
     report = CertificateReport("cone-%s" % oracle.group,
                                (oracle.params.c1, oracle.params.c2), budget)
     with _surfaced(report):
         words = ball(BALL_ALPHABETS[oracle.group], budget.ball_radius)
-        positives = []
-        for w in words:
-            s = oracle.is_positive(w)
-            s_inv = oracle.is_positive(w.inverse())
-            ok = s_inv is s.flipped()
-            report.record("trichotomy", ok, None if ok else Counterexample(
-                "trichotomy", (str(w), str(w.inverse())),
-                (s.label, s_inv.label),
-                note="sign of the inverse does not mirror the sign"))
+        index = dict(zip(words, range(len(words))))
+        inverse = [*map(index.get, map(Word.inverse, words))]
+        signs = [*map(oracle.is_positive, words)]
+        mirrored = agreed = 0
+        for w, s, k in zip(words, signs, inverse):
+            if signs[k] is s.flipped():
+                mirrored += 1
+            else:
+                report.record("trichotomy", False, Counterexample(
+                    "trichotomy", (str(w), str(words[k])),
+                    (s.label, signs[k].label),
+                    note="sign of the inverse does not mirror the sign"))
             trivial = oracle.word_is_identity(w)
-            ok = (s is Sign.IDENTITY) == trivial
-            report.record("identity", ok, None if ok else Counterexample(
-                "identity", (str(w),), (s.label,),
-                note="normal form says trivial=%s" % trivial))
-            if s is Sign.POSITIVE:
-                positives.append(w)
+            if (s is Sign.IDENTITY) == trivial:
+                agreed += 1
+            else:
+                report.record("identity", False, Counterexample(
+                    "identity", (str(w),), (s.label,),
+                    note="normal form says trivial=%s" % trivial))
+        report.tally("trichotomy", mirrored)
+        report.tally("identity", agreed)
+        positives = [k for k, s in enumerate(signs) if s is Sign.POSITIVE]
         rng = _rng_for(budget, "cone-%s" % oracle.group, oracle.params)
-        for _ in range(budget.semigroup_samples):
-            w1 = positives[rng.randrange(len(positives))]
-            w2 = positives[rng.randrange(len(positives))]
-            s = oracle.product_sign(w1, w2)
-            ok = s is Sign.POSITIVE
-            report.record("semigroup", ok, None if ok else Counterexample(
-                "semigroup", (str(w1), str(w2)),
-                ("Positive", "Positive", s.label),
-                note="product of positives is not positive"))
+        pairs = [(positives[rng.randrange(len(positives))],
+                  positives[rng.randrange(len(positives))])
+                 for _ in range(budget.semigroup_samples)]
+        closed = 0
+        for (i, j), s in zip(pairs, oracle.product_signs(
+                words, [*map(words.__getitem__, inverse)], pairs)):
+            if s is Sign.POSITIVE:
+                closed += 1
+            else:
+                report.record("semigroup", False, Counterexample(
+                    "semigroup", (str(words[i]), str(words[j])),
+                    ("Positive", "Positive", s.label),
+                    note="product of positives is not positive"))
+        report.tally("semigroup", closed)
     return report
 
 
 # --------------------------------------------------------------------------
 # peripheral sign patterns, and the sign law in conjugated G1 orders
-
-
-def _box(params: TwoBridgeParams, group: str, bound: int) -> dict:
-    """mu^r h^s (g1) or y^r (z x^2)^s (g2) for each |r|, |s| <= bound."""
-    span = range(-bound, bound + 1)
-    return {(r, s): peripheral_word(params, group, r, s)
-            for r in span for s in span}
-
-
-def _pattern(oracle, box: dict, c: Word) -> dict:
-    """The sign of each box word in the member conjugated by c."""
-    return dict(zip(box, oracle.conjugate_signs(c, box.values())))
+#
+# A pattern is the tuple of signs of the words of ``oracle.box(bound)`` in
+# one member, in box order, as ``oracle.pattern(c, bound)`` gives it; the
+# rows of ``_lattice`` are tuples in the same order.
 
 
 def _cross_check(report: CertificateReport, oracle, box: dict, c: Word,
-                 pattern: dict, vectors) -> None:
+                 pattern: tuple, vectors) -> None:
     """The pattern agrees with the plain word-route family oracle."""
+    signs = dict(zip(box, pattern))
     for r, s in vectors:
         via_words = family_is_positive(oracle, c, box[(r, s)])
-        ok = via_words is pattern[(r, s)]
+        ok = via_words is signs[(r, s)]
         report.record("word-route-agreement", ok,
                       None if ok else Counterexample(
                           report.check, (str(c),), (via_words.label,),
@@ -282,17 +270,24 @@ def _variant_for(mu_sign: Sign) -> Z2Order:
         else Z2Order.MINUS_FIRST
 
 
-def _lattice(box: dict) -> dict:
-    """Each lattice order's sign of every box vector, one row per order.
+def _lattice(vectors) -> dict:
+    """Each lattice order's signs of the vectors, in order, one row per
+    order.
 
-    >>> from twobridge.cfrac import knot_params
-    >>> vs = (1, 0), (-1, 0), (0, 1), (0, 0)
-    >>> for order, row in _lattice(_box(knot_params(3, 4), "g1", 1)).items():
-    ...     print(order.value, *(row[v].label for v in vs))
+    >>> for order, row in _lattice([(1, 0), (-1, 0), (0, 1), (0, 0)]).items():
+    ...     print(order.value, *(s.label for s in row))
     PlusFirst Positive Negative Positive Identity
     MinusFirst Negative Positive Positive Identity
     """
-    return {o: {v: z2_is_positive(o, v) for v in box} for o in Z2Order}
+    return {o: tuple(map(z2_is_positive, repeat(o), vectors))
+            for o in Z2Order}
+
+
+def _mismatches(pattern: tuple, row: tuple) -> list:
+    """The indices at which the pattern leaves the row, in box order."""
+    return [] if pattern == row else [
+        k for k, (got, want) in enumerate(zip(pattern, row))
+        if got is not want]
 
 
 def check_navas_law(g1, budget: SampleBudget) -> CertificateReport:
@@ -302,30 +297,31 @@ def check_navas_law(g1, budget: SampleBudget) -> CertificateReport:
     params = g1.params
     report = CertificateReport("navas", (params.c1, params.c2), budget)
     with _surfaced(report):
-        box = _box(params, "g1", budget.peripheral_bound)
-        rows = _lattice(box)
-        conjugators = ball(("a", "b"), budget.conjugator_length)
-        for idx, c in enumerate(conjugators):
-            pattern = _pattern(g1, box, c)
-            mu_sign = pattern[(1, 0)]
+        bound = budget.peripheral_bound
+        box = g1.box(bound)
+        vectors, words = [*box], [*box.values()]
+        mu, origin = vectors.index((1, 0)), vectors.index((0, 0))
+        rows = _lattice(vectors)
+        for idx, c in enumerate(ball(("a", "b"), budget.conjugator_length)):
+            pattern = g1.pattern(c, bound)
+            mu_sign = pattern[mu]
             if mu_sign is Sign.IDENTITY:
                 report.record("mu-nontrivial", False, Counterexample(
                     "navas", (str(c),), (mu_sign.label,),
                     member="conjugator %r" % str(c),
                     note="conjugated meridian reported trivial"))
                 continue
-            report.record("mu-nontrivial", True)
+            report.tally("mu-nontrivial", 1)
             row = rows[_variant_for(mu_sign)]
-            for (r, s), got in pattern.items():
-                if (r, s) == (0, 0):
-                    continue
-                ok = got is row[(r, s)]
-                report.record("peripheral-law", ok,
-                              None if ok else Counterexample(
-                                  "navas", (str(box[(r, s)]),), (got.label,),
-                                  member="conjugator %r" % str(c),
-                                  note="expected %s at (r,s)=(%d,%d)"
-                                       % (row[(r, s)].label, r, s)))
+            # the law leaves out (0, 0), the identity
+            bad = [k for k in _mismatches(pattern, row) if k != origin]
+            report.tally("peripheral-law", len(row) - 1 - len(bad))
+            for k in bad:
+                report.record("peripheral-law", False, Counterexample(
+                    "navas", (str(words[k]),), (pattern[k].label,),
+                    member="conjugator %r" % str(c),
+                    note="expected %s at (r,s)=(%d,%d)"
+                         % (row[k].label, *vectors[k])))
             if idx % 40 == 0:
                 _cross_check(report, g1, box, c, pattern,
                              ((1, 0), (0, 1), (-1, -1)))
@@ -344,24 +340,27 @@ def check_restriction_law(g2, budget: SampleBudget) -> CertificateReport:
     params = g2.params
     report = CertificateReport("restriction", (params.c1, params.c2), budget)
     with _surfaced(report):
-        box = _box(params, "g2", budget.peripheral_bound)
+        bound = budget.peripheral_bound
+        box = g2.box(bound)
+        vectors, words = [*box], [*box.values()]
+        mu = vectors.index((1, 0))
         rng = _rng_for(budget, "restriction", params)
         conjugators = _sample_conjugators(
             rng, ("x", "y", "z"), budget.conjugator_length,
             budget.member_samples, forced=(Word(), Word((("x", 1),))))
-        rows = _lattice(box)
+        rows = _lattice(vectors)
         witnessed = set()
         for c in conjugators:
-            pattern = _pattern(g2, box, c)
-            variant = _variant_for(pattern[(1, 0)])
-            bad = next((v for v in ((1, 0), *box)
-                        if pattern[v] is not rows[variant][v]), None)
-            if bad is None:
+            pattern = g2.pattern(c, bound)
+            variant = _variant_for(pattern[mu])
+            bad = _mismatches(pattern, rows[variant])
+            if not bad:
                 witnessed.add(variant)
                 report.record("exactly-one-variant", True)
                 continue
+            bad = mu if mu in bad else bad[0]
             report.record("exactly-one-variant", False, Counterexample(
-                "restriction", (str(box[bad]),), (pattern[bad].label,),
+                "restriction", (str(words[bad]),), (pattern[bad].label,),
                 member="conjugator %r" % str(c),
                 note="restriction matches neither lattice order"))
         both = len(witnessed) == 2
@@ -386,14 +385,17 @@ def certify_compatibility(g1, g2, budget: SampleBudget) -> CertificateReport:
     report = CertificateReport("compatibility", (params.c1, params.c2),
                                budget)
     with _surfaced(report):
-        box1 = _box(params, "g1", budget.peripheral_bound)
-        box2 = _box(params, "g2", budget.peripheral_bound)
+        bound = budget.peripheral_bound
+        box1, box2 = g1.box(bound), g2.box(bound)
+        # both boxes list the vectors (r, s) in one order
+        vectors, words1, words2 = [*box1], [*box1.values()], [*box2.values()]
+        mu = vectors.index((1, 0))
         # members 1 and x, keyed by the lattice order each follows (first wins)
-        rows = _lattice(box2)
+        rows = _lattice(vectors)
         candidates = {}
         for d in (Word(), Word((("x", 1),))):
-            image = _pattern(g2, box2, d)
-            variant = _variant_for(image[(1, 0)])
+            image = g2.pattern(d, bound)
+            variant = _variant_for(image[mu])
             if image == rows[variant]:
                 candidates.setdefault(variant, d)
         rng = _rng_for(budget, "compatibility", params)
@@ -401,28 +403,26 @@ def certify_compatibility(g1, g2, budget: SampleBudget) -> CertificateReport:
             rng, ("a", "b"), 2 * budget.conjugator_length,
             budget.member_samples, forced=(Word(),))
         for idx, c in enumerate(conjugators):
-            pattern = _pattern(g1, box1, c)
-            variant = _variant_for(pattern[(1, 0)])
+            pattern = g1.pattern(c, bound)
+            variant = _variant_for(pattern[mu])
             if variant not in candidates:
                 report.record("member-selection", False, Counterexample(
-                    "compatibility", (str(c),), (pattern[(1, 0)].label,),
+                    "compatibility", (str(c),), (pattern[mu].label,),
                     member="conjugator %r" % str(c),
                     note="no candidate G2 member restricts to the needed "
                          "lattice order"))
                 continue
-            report.record("member-selection", True)
+            report.tally("member-selection", 1)
             d, image = candidates[variant], rows[variant]
-            for (r, s), s1 in pattern.items():
-                ok = s1 is image[(r, s)]
-                report.record("peripheral-sign-match", ok,
-                              None if ok else Counterexample(
-                                  "compatibility",
-                                  (str(box1[(r, s)]), str(box2[(r, s)])),
-                                  (s1.label, image[(r, s)].label),
-                                  member="G1 conjugator %r, G2 member %r"
-                                         % (str(c), str(d)),
-                                  note="signs disagree at (r,s)=(%d,%d)"
-                                       % (r, s)))
+            bad = _mismatches(pattern, image)
+            report.tally("peripheral-sign-match", len(image) - len(bad))
+            for k in bad:
+                report.record("peripheral-sign-match", False, Counterexample(
+                    "compatibility", (str(words1[k]), str(words2[k])),
+                    (pattern[k].label, image[k].label),
+                    member="G1 conjugator %r, G2 member %r"
+                           % (str(c), str(d)),
+                    note="signs disagree at (r,s)=(%d,%d)" % vectors[k]))
             if idx % 50 == 0:
                 _cross_check(report, g1, box1, c, pattern, ((1, 0), (0, 1)))
     return report
@@ -478,8 +478,10 @@ def overall_verdict(reports) -> str:
 class _CorruptedOracle:
     """Wrap a cone oracle, passing each sign it gives for a word w in the
     member conjugated by c (c = 1 for base queries) through
-    ``override(c, w, sign)``.  ``sign_trace``, the word route, and
-    ``word_is_identity`` pass through uncorrupted."""
+    ``override(c, w, sign)`` on every read: a product's w is w1 w2, and a
+    pattern's are the box words, read from the base's shared pattern.
+    ``sign_trace``, the word route, ``box`` and ``word_is_identity`` pass
+    through uncorrupted."""
 
     def __init__(self, base: ConeOracle, override):
         self.base = base
@@ -488,16 +490,22 @@ class _CorruptedOracle:
         self._override = override
         self.sign_trace = base.sign_trace
         self.word_is_identity = base.word_is_identity
+        self.box = base.box
 
     def is_positive(self, w: Word) -> Sign:
         return self._override(Word(), w, self.base.is_positive(w))
 
-    def product_sign(self, w1: Word, w2: Word) -> Sign:
-        return self._override(Word(), w1 * w2, self.base.product_sign(w1, w2))
+    def product_signs(self, words, inverses, pairs) -> list[Sign]:
+        return [self._override(Word(), words[i] * words[j], sign)
+                for (i, j), sign in zip(
+                    pairs, self.base.product_signs(words, inverses, pairs))]
 
-    def conjugate_signs(self, c: Word, words) -> list[Sign]:
-        return [self._override(c, w, sign) for w, sign in
-                zip(words, self.base.conjugate_signs(c, words))]
+    product_sign = ConeOracle.product_sign
+
+    def pattern(self, c: Word, bound: int) -> tuple[Sign, ...]:
+        return tuple(map(self._override, repeat(c),
+                         self.base.box(bound).values(),
+                         self.base.pattern(c, bound)))
 
 
 MUTATIONS = ("cone-sign-flip", "cone-identity-positive",
@@ -517,8 +525,8 @@ def mutation_reports(params: TwoBridgeParams) -> dict:
     budget = SELFTEST_BUDGET
     g1, g2 = ConeOracle(params, "g1"), ConeOracle(params, "g2")
     target = Word((("a", 1),))
-    negative_side = {w for (r, s), w in _box(
-        params, "g1", budget.peripheral_bound).items() if s < 0}
+    negative_side = {w for (r, s), w in g1.box(
+        budget.peripheral_bound).items() if s < 0}
     return {
         "cone-sign-flip": audit_cone(_CorruptedOracle(
             g1, lambda c, w, s: s.flipped() if w == target else s), budget),

@@ -166,6 +166,41 @@ def _reduce(syllables):
 W = Word.parse
 
 
+def ball(alphabet, radius: int) -> list[Word]:
+    """All freely reduced words of length <= radius, in breadth-first
+    order; 485 words for a two-letter alphabet at radius 5."""
+    steps = [_syllable(g, e) for g in alphabet for e in (1, -1)]
+    out = [Word()]
+    layer = [()]
+    for _ in range(radius):
+        longer = []
+        for w in layer:
+            g0, e0 = w[-1] if w else (None, 0)
+            for step in steps:
+                g, e = step
+                if g != g0:
+                    longer.append(w + (step,))
+                elif (e0 > 0) == (e > 0):
+                    longer.append(w[:-1] + (_syllable(g, e0 + e),))
+        layer = longer
+        out.extend(Word._of(ls) for ls in layer)
+    return out
+
+
+def random_reduced_word(rng, alphabet, max_len: int) -> Word:
+    """A freely reduced word of at most max_len letters of the alphabet,
+    drawn from the random generator rng."""
+    k = rng.randrange(0, max_len + 1)
+    letters = []
+    while len(letters) < k:
+        g = alphabet[rng.randrange(len(alphabet))]
+        e = 1 if rng.random() < 0.5 else -1
+        if letters and letters[-1] == (g, -e):
+            continue
+        letters.append((g, e))
+    return Word(tuple(letters))
+
+
 class Presentation(NamedTuple):
     generators: tuple
     relators: tuple
@@ -209,6 +244,14 @@ def peripheral_word(params: TwoBridgeParams, side: str, r: int, s: int) -> Word:
         return (Word._of((_syllable("y", 1),)) ** r
                 * Word._of((_syllable("z", 1), _syllable("x", 2))) ** s)
     raise ParseError("side must be g1 or g2, got %r" % side)
+
+
+def peripheral_box(params: TwoBridgeParams, side: str, bound: int) -> dict:
+    """``peripheral_word`` at every (r, s) with |r|, |s| <= bound, keyed by
+    (r, s) in lexicographic order."""
+    span = range(-bound, bound + 1)
+    return {(r, s): peripheral_word(params, side, r, s)
+            for r in span for s in span}
 
 
 # ---------------------------------------------------------------- G1

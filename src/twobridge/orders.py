@@ -20,12 +20,9 @@ lexicographic tower:
   (-1)^i (well defined on the kernel relations);
 * layer 3: on ker t, which is free, the Magnus power-series order (first
   nonzero coefficient in graded-lexicographic order) after rewriting in an
-  explicit Schreier basis.  Monomials are searched one degree at a time,
-  and the search stops at the least degree with a nonzero coefficient,
-  which is at most the syllable count of the reduced word.  A monomial
-  prefix keeps its embedding counts on its last token's letters only;
-  one gather of their prefix sums extends it by a token, and at the last
-  level each coefficient is one dot product with a weight vector.
+  explicit Schreier basis, searched by ``twobridge.magnus`` up to the
+  least degree with a nonzero coefficient, which is at most the syllable
+  count of the reduced word.
 
 Both oracles are total and exact.  Their conjugates form the normal
 families used by the certification harness; a family member is named by
@@ -36,14 +33,15 @@ in the base order.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import accumulate, repeat
-from operator import eq, itemgetter, mul
+from itertools import repeat
 
 from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
-from .groups import G1Element, G2Element, Word, g1_normal_form, g2_normal_form
+from .groups import (G1Element, G2Element, Word, g1_normal_form,
+                     g2_normal_form, peripheral_box)
 from .lifted import (LiftedMoebius, LiftedPoint, order_n_rotation,
                      order_two_rotation)
+from .magnus import _magnus_first_sign, _schreier_letters
 from .numberfield import real_cyclotomic_field
 
 
@@ -194,7 +192,7 @@ class G1Realization:
             acc = acc * f
         return acc
 
-    def decide(self, factors, points=None) -> tuple[Sign, dict]:
+    def sign(self, factors, points=None) -> Sign:
         """Sign of the product g of ``factors``, lifts listed left to
         right, by the first test point it moves.
 
@@ -204,19 +202,11 @@ class G1Realization:
         windings sum to ``rest``, the point ends rest + 0..k levels above
         its current one; once that range leaves the start level, the walk
         stops.  ``points`` replaces the test points by their images m(p_i)
-        under an increasing map m of the line: g is then decided as
+        under an increasing map m of the line: g is then signed as
         m^-1 g m, which moves p_i exactly when g moves m(p_i), in the same
-        direction.  At b1 = 1, a^6 = h^3 winds three levels up and b~ 0 or
-        1 more, so a^6 b is decided before any point moves:
-
-        >>> from twobridge.groups import W
-        >>> real = G1Realization(1)
-        >>> real.decide(real.factors(W("a^6 b")))
-        (<Sign.POSITIVE: 1>, {'decided_by': 'test-point', 'test_point': 0})
-        """
+        direction."""
         wind = sum(f.wind for f in factors)
-        for idx, p in enumerate(self.test_points if points is None
-                                else points):
+        for p in self.test_points if points is None else points:
             q, rest, k = p, wind, len(factors)
             # the final level shift from p lies in low..low + k
             while -k <= (low := q.wind + rest - p.wind) <= 0 < k:
@@ -224,8 +214,25 @@ class G1Realization:
                 q, rest = factors[k].apply(q), rest - factors[k].wind
             c = (low > 0) - (low < 0) or q.cmp(p)
             if c:
-                return (Sign.POSITIVE if c > 0 else Sign.NEGATIVE,
-                        {"decided_by": "test-point", "test_point": idx})
+                return Sign.POSITIVE if c > 0 else Sign.NEGATIVE
+        return Sign.IDENTITY
+
+    def decide(self, factors, points=None) -> tuple[Sign, dict]:
+        """``sign`` with its trace: the index of the first test point that
+        moves, walked one point at a time.  At b1 = 1, a^6 = h^3 winds
+        three levels up and b~ 0 or 1 more, so a^6 b is decided before any
+        point moves:
+
+        >>> from twobridge.groups import W
+        >>> real = G1Realization(1)
+        >>> real.decide(real.factors(W("a^6 b")))
+        (<Sign.POSITIVE: 1>, {'decided_by': 'test-point', 'test_point': 0})
+        """
+        for idx, p in enumerate(self.test_points if points is None
+                                else points):
+            sign = self.sign(factors, (p,))
+            if sign is not Sign.IDENTITY:
+                return sign, {"decided_by": "test-point", "test_point": idx}
         return Sign.IDENTITY, {"decided_by": "identity"}
 
 
@@ -251,11 +258,13 @@ def g1_sign_trace(params: TwoBridgeParams, w: Word) -> tuple[Sign, dict]:
 
 
 def _check_identity(sign: Sign, trivial: bool, w: Word,
-                    w2: Word = Word()) -> None:
+                    w2: Word = Word()) -> Sign:
+    """The sign, once the identity verdict of the normal form agrees."""
     if (sign is Sign.IDENTITY) != trivial:
         raise InternalCheckFailed(
             "lifted action and normal form disagree about "
             "the identity for %s" % (w * w2))
+    return sign
 
 
 # --------------------------------------------------------------------------
@@ -268,158 +277,6 @@ def _t_weight(beta: int, elem: G2Element) -> int:
     for i, r in elem.tail:
         total += -r if i % 2 else r
     return total
-
-
-def _schreier_letters(beta: int, tail) -> list[tuple[tuple[int, int, int],
-                                                     int]]:
-    """Rewrite a weight-zero kernel element as a freely reduced word in a
-    Schreier basis of the free kernel.
-
-    The element is given by its syllables prod z_(i_j)^(r_j) (image in the
-    free product of order-beta cyclic groups).  Coset bookkeeping walks the
-    transversal exponent T; letters at index 0 are transversal moves and
-    emit nothing.  One basis letter per index is then eliminated through
-    the order relation, leaving letters in a free basis, tagged by sortable
-    tokens (|i|, i, T).
-    """
-    raw = []
-    cursor = 0
-    for i, r in tail:
-        eps = -1 if i % 2 else 1
-        for _ in range(r):
-            if i != 0:
-                raw.append((cursor, i, eps))
-            cursor = (cursor + eps) % beta
-    if cursor != 0:
-        raise InternalCheckFailed(
-            "kernel rewrite ended in a nonzero coset: weight was not zero")
-    out = []
-    for cos, i, eps in raw:
-        t_star = (-eps) % beta
-        if cos != t_star:
-            out.append(((abs(i), i, cos), 1))
-            continue
-        for k in range(beta - 1, 0, -1):
-            out.append(((abs(i), i, (t_star + k * eps) % beta), -1))
-    reduced: list = []
-    for tok, e in out:
-        if reduced and reduced[-1][0] == tok and reduced[-1][1] == -e:
-            reduced.pop()
-        else:
-            reduced.append((tok, e))
-    return reduced
-
-
-class _MagnusTables(dict):
-    """Extension tables of one Magnus query, built per call and freed with
-    it.  Tokens are numbered in sorted order; ``ids`` and ``signs`` give
-    each letter's token number and exponent (+-1).  Slot r is the gap
-    before letter r, so letter q lies between slots q and q + 1.
-
-    A prefix ending in token u keeps, per letter of u, the signed count of
-    its embeddings whose last X sits there.  A new X at letter q follows a
-    last X anywhere before slot q, or before slot q + 1 when q is x^-1 (a
-    run of X continues inside it): q reads one entry of the prefix sums of
-    u's counts, times its sign.  ``self[u]`` is u's row, built on first
-    use: per token v in order, the ``itemgetter`` of the entries that v's
-    letters read, v's signs, and the weights W_v read at the end slots of
-    u's letters, where W_v[r] is the signed count of v's letters that read
-    at slot r or later, so the coefficient of prefix.v is the dot product
-    of u's counts with them.
-    """
-
-    def __init__(self, ids: list, signs: list, count: int):
-        self.ids = ids
-        self.ends = [[] for _ in range(count)]
-        self.reads = [[] for _ in range(count)]
-        self.signs = [[] for _ in range(count)]
-        for q, (v, e) in enumerate(zip(ids, signs)):
-            self.ends[v].append(q + 1)
-            self.reads[v].append(q + (e < 0))
-            self.signs[v].append(e)
-        self.weights = []
-        for reads, signs in zip(self.reads, self.signs):
-            dense = [0] * (len(ids) + 1)
-            for r, e in zip(reads, signs):
-                dense[r] += e
-            self.weights.append([*accumulate(reversed(dense))][::-1])
-
-    def __missing__(self, u: int) -> list:
-        # before[r]: how many of u's letters lie before slot r
-        before = [*accumulate(map(eq, self.ids, repeat(u)), initial=0)]
-        ends = self.ends[u]
-        row = []
-        for reads, signs, weights in zip(self.reads, self.signs,
-                                         self.weights):
-            at = [*map(before.__getitem__, reads)]
-            # itemgetter returns a bare item for one index, so a one-letter
-            # token reads its index twice and map stops at the shorter
-            gather = itemgetter(*at) if len(at) > 1 else itemgetter(at[0],
-                                                                     at[0])
-            row.append((gather, signs, [*map(weights.__getitem__, ends)]))
-        self[u] = row
-        return row
-
-
-def _magnus_walk(tables: _MagnusTables, u: int, counts: list,
-                 depth: int) -> int:
-    """Sign of the lex-first nonzero coefficient among the extensions of
-    the prefix, which ends in token u with these counts, by depth tokens;
-    0 if all vanish."""
-    row = tables[u]
-    if depth == 1:
-        for _, _, weights in row:
-            coeff = sum(map(mul, counts, weights))
-            if coeff:
-                return (coeff > 0) - (coeff < 0)
-        return 0
-    prefix = [*accumulate(counts, initial=0)]
-    for v, (gather, signs, _) in enumerate(row):
-        child = [*map(mul, signs, gather(prefix))]
-        if any(child):
-            s = _magnus_walk(tables, v, child, depth - 1)
-            if s:
-                return s
-    return 0
-
-
-def _magnus_first_sign(letters, max_degree: int) -> tuple[int, int]:
-    """Sign and degree of the first nonzero coefficient (graded-lex) of
-    the Magnus expansion x -> 1 + X of the (token, +-1) letters;
-    (0, max_degree) if every coefficient up to max_degree vanishes.
-
-    The coefficient of X_t1...X_tm is a signed count of embeddings into
-    the letters: a letter x takes at most one X, a letter x^-1 any run
-    X^k with weight (-1)^k.  A monomial prefix keeps the signed count of
-    embeddings whose last X sits at each letter of its last token, and
-    ``_MagnusTables`` extends it by a token with one gather, or, at the
-    last level, gives the coefficient as one dot product.  Degree 1 is the
-    exponent sum of each token.  Degrees are tried in increasing order,
-    each by a depth-first walk over prefixes in lex order, which meets the
-    monomials of that degree in lex order and keeps one prefix per level in
-    memory; a prefix with no embeddings has no nonzero extension and is
-    dropped.
-    """
-    totals: dict = {}
-    for tok, e in letters:
-        totals[tok] = totals.get(tok, 0) + e
-    tokens = sorted(totals)
-    if max_degree >= 1:
-        for tok in tokens:
-            coeff = totals[tok]
-            if coeff:
-                return (coeff > 0) - (coeff < 0), 1
-    rank = {tok: v for v, tok in enumerate(tokens)}
-    tables = _MagnusTables([rank[tok] for tok, _ in letters],
-                           [e for _, e in letters], len(tokens))
-    for degree in range(2, max_degree + 1):
-        # the empty prefix has one embedding, so its child by v has v's
-        # signs as counts
-        for v, signs in enumerate(tables.signs):
-            s = _magnus_walk(tables, v, signs, degree - 1)
-            if s:
-                return s, degree
-    return 0, max_degree
 
 
 def g2_sign_trace(params: TwoBridgeParams,
@@ -467,12 +324,17 @@ class ConeOracle:
     Each word has one stored normal form, computed once from the word:
     ``element(w)`` on g2, ``g1_normal_form(w)`` (never the lift) on g1.
     Every identity verdict reads these forms.  On g1, ``is_positive`` and
-    ``product_sign`` check the lift's identity verdict against them, and
+    ``product_signs`` check the lift's identity verdict against them, and
     ``sign_trace`` against the form it computes, raising InternalCheckFailed
-    on disagreement; ``conjugate_signs`` is not checked.  On g2 a product
+    on disagreement; conjugate signs are not checked.  On g2 a product
     or conjugate is signed by the invariants pi and t of its factors'
     forms, and by the word route only when both vanish, so no g2 answer
-    has an independent check."""
+    has an independent check.
+
+    Signs are read in bulk where the checks ask in bulk: ``product_signs``
+    signs many pairs of one word list from per-word lists read once, and
+    ``pattern`` signs a peripheral box in a member once per member and
+    bound, for every check that asks."""
 
     def __init__(self, params: TwoBridgeParams, group: str):
         if group not in ("g1", "g2"):
@@ -482,7 +344,8 @@ class ConeOracle:
         self._realization = g1_realization(params) if group == "g1" else None
         self._elements: dict[Word, LiftedMoebius | G2Element] = {}
         self._forms: dict[Word, G1Element] = {}
-        self._inverse_forms: dict[Word, G1Element] = {}
+        self._boxes = {}
+        self._patterns = {}
 
     def element(self, w: Word) -> LiftedMoebius | G2Element:
         """The lift (g1) or normal form (g2) of w, computed once."""
@@ -502,13 +365,6 @@ class ConeOracle:
             f = self._forms[w] = g1_normal_form(self.params, w)
         return f
 
-    def _inverse_form(self, w: Word) -> G1Element:
-        """The normal form of w^-1, read once per word w."""
-        f = self._inverse_forms.get(w)
-        if f is None:
-            f = self._inverse_forms[w] = self._form(w.inverse())
-        return f
-
     def sign_trace(self, w: Word) -> tuple[Sign, dict]:
         """Sign and trace of a word by the word route."""
         if self.group == "g1":
@@ -518,39 +374,67 @@ class ConeOracle:
     def is_positive(self, w: Word) -> Sign:
         if self.group == "g2":
             return g2_sign_trace(self.params, self.element(w))[0]
-        sign = self._realization.decide([self.element(w)])[0]
-        _check_identity(sign, self.word_is_identity(w), w)
-        return sign
+        return _check_identity(self._realization.sign([self.element(w)]),
+                               self.word_is_identity(w), w)
+
+    def product_signs(self, words, inverses, pairs) -> list[Sign]:
+        """Sign of w1 w2 = words[i] words[j] for each index pair (i, j),
+        where inverses[i] = words[i]^-1, from per-word lists read once.
+        For g2, pi(w1 w2) = pi1 + pi2 and t(w1 w2) = (-1)^pi2 t1 + t2, and
+        the first nonzero one gives the sign; when both vanish, the word
+        w1 w2 is signed.  For g1 the test points move through the two
+        lifts, and the identity is cross-checked: normal forms are unique,
+        so w1 w2 = 1 exactly when the forms of w1^-1 and w2 coincide."""
+        elements = [*map(self.element, words)]
+        if self.group == "g2":
+            signs = []
+            pis = [e.xpow for e in elements]
+            ts = [*map(_t_weight, repeat(abs(self.params.b2)), elements)]
+            for i, j in pairs:
+                key = pis[i] + pis[j] or (ts[j] - ts[i] if pis[j] % 2
+                                          else ts[j] + ts[i])
+                signs.append(_sign_of_int(key) if key else
+                             self.sign_trace(words[i] * words[j])[0])
+            return signs
+        sign = self._realization.sign
+        forms = [*map(self._form, words)]
+        inverse_forms = [*map(self._form, inverses)]
+        return [_check_identity(sign([elements[i], elements[j]]),
+                                inverse_forms[i] == forms[j],
+                                words[i], words[j]) for i, j in pairs]
 
     def product_sign(self, w1: Word, w2: Word) -> Sign:
-        """Sign of w1 w2 from the elements of its factors.  For g2,
-        pi(w1 w2) = pi1 + pi2 and t(w1 w2) = (-1)^pi2 t1 + t2, and the first
-        nonzero one gives the sign; when both vanish, the word w1 w2 is
-        signed (layer 3 or the identity).  For g1 the test points move
-        through the two lifts, w2's first, and no matrix product is formed;
-        the level bound decides before any move when the summed winding k
-        is >= 1 or <= -3.  The g1 identity is cross-checked always: normal
-        forms are unique, so w1 w2 = 1 exactly when the stored forms of
-        w1^-1 and w2 coincide; no product is normalized, and w1^-1 is
-        built once per word w1."""
-        e1, e2 = self.element(w1), self.element(w2)
-        if self.group == "g2":
-            t1, t2 = (_t_weight(abs(self.params.b2), e) for e in (e1, e2))
-            key = e1.xpow + e2.xpow or (t2 - t1 if e2.xpow % 2 else t2 + t1)
-            return _sign_of_int(key) if key else self.sign_trace(w1 * w2)[0]
-        sign = self._realization.decide([e1, e2])[0]
-        _check_identity(sign, self._inverse_form(w1) == self._form(w2),
-                        w1, w2)
-        return sign
+        """Sign of w1 w2: the one-pair case of ``product_signs``."""
+        return self.product_signs((w1, w2), (w1.inverse(), w2.inverse()),
+                                  ((0, 1),))[0]
 
-    def conjugate_signs(self, c: Word, words) -> list[Sign]:
-        """Signs of c w c^-1 for each word w, from the elements of c and w.
-        For g1, c^-1 is an increasing map of the line, so c w c^-1 moves
-        the test point p_i as w moves c^-1(p_i): the points move once
-        instead.  For g2, c w c^-1 has the pi of w, and when that is 0,
-        the t of w times (-1)^pi(c); when both vanish, the word c w c^-1
-        is signed.  On (3,4), conjugation by x inverts y = z^2 and keeps
-        the x-exponent of z x^2:
+    def box(self, bound: int) -> dict:
+        """The group's ``peripheral_box`` at this bound, built once and
+        held with its words' elements."""
+        if bound not in self._boxes:
+            box = peripheral_box(self.params, self.group, bound)
+            self._boxes[bound] = box, [*map(self.element, box.values())]
+        return self._boxes[bound][0]
+
+    def pattern(self, c: Word, bound: int) -> tuple[Sign, ...]:
+        """The conjugate signs of the words of ``box(bound)``, in its
+        order, in the member conjugated by c; computed once per (c, bound)
+        from the held elements."""
+        key = c, bound
+        if key not in self._patterns:
+            words = self.box(bound).values()
+            self._patterns[key] = tuple(self.conjugate_signs(
+                c, words, self._boxes[bound][1]))
+        return self._patterns[key]
+
+    def conjugate_signs(self, c: Word, words, elements=None) -> list[Sign]:
+        """Signs of c w c^-1 for each word w, from the elements of c and w
+        (given as ``elements``, or looked up).  For g1, c^-1 is an
+        increasing map of the line, so c w c^-1 moves the test point p_i as
+        w moves c^-1(p_i): the points move once instead.  For g2, c w c^-1
+        has the pi of w, and when that is 0, the t of w times (-1)^pi(c);
+        when both vanish, the word c w c^-1 is signed.  On (3,4),
+        conjugation by x inverts y = z^2 and keeps the x-exponent of z x^2:
 
         >>> from twobridge.cfrac import knot_params
         >>> from twobridge.groups import W
@@ -559,16 +443,17 @@ class ConeOracle:
         [<Sign.NEGATIVE: -1>, <Sign.POSITIVE: 1>, <Sign.IDENTITY: 0>]
         """
         element = self.element
+        elements = elements or [*map(element, words)]
         if self.group == "g1":
             real = self._realization
             c_inv = element(c).inverse()
-            points = [c_inv.apply(p) for p in real.test_points]
-            return [real.decide([element(w)], points)[0] for w in words]
+            points = [*map(c_inv.apply, real.test_points)]
+            # each element alone is its own list of factors
+            return [*map(real.sign, zip(elements), repeat(points))]
         beta = abs(self.params.b2)
         twist = -1 if element(c).xpow % 2 else 1
         signs = []
-        for w in words:
-            f = element(w)
+        for w, f in zip(words, elements):
             key = f.xpow or twist * _t_weight(beta, f)
             signs.append(_sign_of_int(key) if key
                          else family_sign_trace(self, c, w)[0])

@@ -5,11 +5,15 @@ from fractions import Fraction
 from functools import cache
 from math import ceil, floor
 
-from twobridge.groups import G1Element, G2Element, Word
+from twobridge.certify import (BALL_ALPHABETS, CertificateReport,
+                               Counterexample, _rng_for, _sample_conjugators,
+                               _surfaced, _variant_for, ball)
+from twobridge.groups import G1Element, G2Element, Word, peripheral_box
 from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
 from twobridge.numberfield import (FieldElement, _padd, _pdivmod, _pscale,
                                    _trim, _variations)
-from twobridge.orders import Sign, Z2Order, z2_is_positive
+from twobridge.orders import (Sign, Z2Order, family_is_positive,
+                              z2_is_positive)
 
 
 def evaluate_by_fractions(poly, t):
@@ -228,10 +232,28 @@ def variant_by_search(pattern: dict):
     return None
 
 
+def lattice_rows(box) -> dict:
+    """Each lattice order's sign of every box vector, one dict per order,
+    keyed as the box is."""
+    return {o: {v: z2_is_positive(o, v) for v in box} for o in Z2Order}
+
+
+def conjugate_pattern(oracle, box, c) -> dict:
+    """The sign of each word of a box, keyed as the box is, in the member
+    conjugated by c, by the oracle's ``conjugate_signs``; any dict of words
+    serves as a box."""
+    return dict(zip(box, oracle.conjugate_signs(c, box.values())))
+
+
+def read_pattern(oracle, bound, c) -> dict:
+    """``oracle.pattern(c, bound)`` keyed by the vectors (r, s)."""
+    return dict(zip(oracle.box(bound), oracle.pattern(c, bound)))
+
+
 def pattern_by_products(oracle, box, c) -> dict:
     """The G1 pattern of the member conjugated by c, deciding each box
     word w as the lifted product c w c^-1 at the fixed test points; the
-    reference for ``certify._pattern``."""
+    reference for ``ConeOracle.pattern`` and ``conjugate_pattern``."""
     real = oracle._realization
     c_lift = real.lifted(c)
     c_inv = c_lift.inverse()
@@ -484,3 +506,173 @@ def bound_table_by_fractions(degree, lo, hi, bits):
     scale = 1 << bits
     return (tuple(floor(lo ** i * scale) for i in range(degree)),
             tuple(ceil(hi ** i * scale) for i in range(degree)))
+
+
+# --------------------------------------------------------------------------
+# the certify checks one sample at a time, every pass and failure through
+# ``CertificateReport.record``, and the cone's signs asked word by word and
+# pair by pair: the reference for the tallied checks of ``twobridge.certify``
+
+
+def audit_cone_by_samples(oracle, budget):
+    """``audit_cone`` signing w and w^-1 separately for every ball word,
+    and each sampled pair by ``product_sign``."""
+    report = CertificateReport("cone-%s" % oracle.group,
+                               (oracle.params.c1, oracle.params.c2), budget)
+    with _surfaced(report):
+        words = ball(BALL_ALPHABETS[oracle.group], budget.ball_radius)
+        positives = []
+        for w in words:
+            s = oracle.is_positive(w)
+            s_inv = oracle.is_positive(w.inverse())
+            ok = s_inv is s.flipped()
+            report.record("trichotomy", ok, None if ok else Counterexample(
+                "trichotomy", (str(w), str(w.inverse())),
+                (s.label, s_inv.label),
+                note="sign of the inverse does not mirror the sign"))
+            trivial = oracle.word_is_identity(w)
+            ok = (s is Sign.IDENTITY) == trivial
+            report.record("identity", ok, None if ok else Counterexample(
+                "identity", (str(w),), (s.label,),
+                note="normal form says trivial=%s" % trivial))
+            if s is Sign.POSITIVE:
+                positives.append(w)
+        rng = _rng_for(budget, "cone-%s" % oracle.group, oracle.params)
+        for _ in range(budget.semigroup_samples):
+            w1 = positives[rng.randrange(len(positives))]
+            w2 = positives[rng.randrange(len(positives))]
+            s = oracle.product_sign(w1, w2)
+            ok = s is Sign.POSITIVE
+            report.record("semigroup", ok, None if ok else Counterexample(
+                "semigroup", (str(w1), str(w2)),
+                ("Positive", "Positive", s.label),
+                note="product of positives is not positive"))
+    return report
+
+
+def _cross_check_by_samples(report, oracle, box, c, pattern, vectors):
+    for r, s in vectors:
+        via_words = family_is_positive(oracle, c, box[(r, s)])
+        ok = via_words is pattern[(r, s)]
+        report.record("word-route-agreement", ok,
+                      None if ok else Counterexample(
+                          report.check, (str(c),), (via_words.label,),
+                          note="word route disagrees at (r,s)=(%d,%d)"
+                               % (r, s)))
+
+
+def navas_by_samples(g1, budget):
+    """``check_navas_law`` with a record per sample."""
+    params = g1.params
+    report = CertificateReport("navas", (params.c1, params.c2), budget)
+    with _surfaced(report):
+        box = peripheral_box(params, "g1", budget.peripheral_bound)
+        rows = lattice_rows(box)
+        conjugators = ball(("a", "b"), budget.conjugator_length)
+        for idx, c in enumerate(conjugators):
+            pattern = read_pattern(g1, budget.peripheral_bound, c)
+            mu_sign = pattern[(1, 0)]
+            if mu_sign is Sign.IDENTITY:
+                report.record("mu-nontrivial", False, Counterexample(
+                    "navas", (str(c),), (mu_sign.label,),
+                    member="conjugator %r" % str(c),
+                    note="conjugated meridian reported trivial"))
+                continue
+            report.record("mu-nontrivial", True)
+            row = rows[_variant_for(mu_sign)]
+            for (r, s), got in pattern.items():
+                if (r, s) == (0, 0):
+                    continue
+                ok = got is row[(r, s)]
+                report.record("peripheral-law", ok,
+                              None if ok else Counterexample(
+                                  "navas", (str(box[(r, s)]),), (got.label,),
+                                  member="conjugator %r" % str(c),
+                                  note="expected %s at (r,s)=(%d,%d)"
+                                       % (row[(r, s)].label, r, s)))
+            if idx % 40 == 0:
+                _cross_check_by_samples(report, g1, box, c, pattern,
+                                        ((1, 0), (0, 1), (-1, -1)))
+    return report
+
+
+def restriction_by_samples(g2, budget):
+    """``check_restriction_law`` with a record per sample."""
+    params = g2.params
+    report = CertificateReport("restriction", (params.c1, params.c2), budget)
+    with _surfaced(report):
+        box = peripheral_box(params, "g2", budget.peripheral_bound)
+        rng = _rng_for(budget, "restriction", params)
+        conjugators = _sample_conjugators(
+            rng, ("x", "y", "z"), budget.conjugator_length,
+            budget.member_samples, forced=(Word(), Word((("x", 1),))))
+        rows = lattice_rows(box)
+        witnessed = set()
+        for c in conjugators:
+            pattern = read_pattern(g2, budget.peripheral_bound, c)
+            variant = _variant_for(pattern[(1, 0)])
+            bad = next((v for v in ((1, 0), *box)
+                        if pattern[v] is not rows[variant][v]), None)
+            if bad is None:
+                witnessed.add(variant)
+                report.record("exactly-one-variant", True)
+                continue
+            report.record("exactly-one-variant", False, Counterexample(
+                "restriction", (str(box[bad]),), (pattern[bad].label,),
+                member="conjugator %r" % str(c),
+                note="restriction matches neither lattice order"))
+        both = len(witnessed) == 2
+        report.record("both-variants-witnessed", both,
+                      None if both else Counterexample(
+                          "restriction", (), tuple(
+                              sorted(v.value for v in witnessed)),
+                          note="only one lattice order was witnessed"))
+    return report
+
+
+def compatibility_by_samples(g1, g2, budget):
+    """``certify_compatibility`` with a record per sample."""
+    params = g1.params
+    report = CertificateReport("compatibility", (params.c1, params.c2),
+                               budget)
+    with _surfaced(report):
+        box1 = peripheral_box(params, "g1", budget.peripheral_bound)
+        box2 = peripheral_box(params, "g2", budget.peripheral_bound)
+        rows = lattice_rows(box2)
+        candidates = {}
+        for d in (Word(), Word((("x", 1),))):
+            image = read_pattern(g2, budget.peripheral_bound, d)
+            variant = _variant_for(image[(1, 0)])
+            if image == rows[variant]:
+                candidates.setdefault(variant, d)
+        rng = _rng_for(budget, "compatibility", params)
+        conjugators = _sample_conjugators(
+            rng, ("a", "b"), 2 * budget.conjugator_length,
+            budget.member_samples, forced=(Word(),))
+        for idx, c in enumerate(conjugators):
+            pattern = read_pattern(g1, budget.peripheral_bound, c)
+            variant = _variant_for(pattern[(1, 0)])
+            if variant not in candidates:
+                report.record("member-selection", False, Counterexample(
+                    "compatibility", (str(c),), (pattern[(1, 0)].label,),
+                    member="conjugator %r" % str(c),
+                    note="no candidate G2 member restricts to the needed "
+                         "lattice order"))
+                continue
+            report.record("member-selection", True)
+            d, image = candidates[variant], rows[variant]
+            for (r, s), s1 in pattern.items():
+                ok = s1 is image[(r, s)]
+                report.record("peripheral-sign-match", ok,
+                              None if ok else Counterexample(
+                                  "compatibility",
+                                  (str(box1[(r, s)]), str(box2[(r, s)])),
+                                  (s1.label, image[(r, s)].label),
+                                  member="G1 conjugator %r, G2 member %r"
+                                         % (str(c), str(d)),
+                                  note="signs disagree at (r,s)=(%d,%d)"
+                                       % (r, s)))
+            if idx % 50 == 0:
+                _cross_check_by_samples(report, g1, box1, c, pattern,
+                                        ((1, 0), (0, 1)))
+    return report

@@ -12,21 +12,24 @@ from twobridge import certify, orders
 from twobridge.cfrac import knot_params
 from twobridge.certify import (BALL_ALPHABETS, MUTATIONS, SELFTEST_BUDGET,
                                CertificateReport, Counterexample, SampleBudget,
-                               _box, _CorruptedOracle, _lattice, _pattern,
-                               _sample_conjugators, _variant_for, audit_cone,
+                               _CorruptedOracle, _lattice, _sample_conjugators,
+                               _variant_for, audit_cone,
                                ball, certify_compatibility, check_navas_law,
                                check_restriction_law, mutation_reports,
                                overall_verdict, run_checks,
                                run_mutation_selftests)
 from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import G1Element, Word, g2_normal_form, \
-    peripheral_word
+    peripheral_box, peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import FieldElement
 from twobridge.orders import (ConeOracle, G1Realization, Sign, Z2Order,
                               _t_weight, family_is_positive,
                               family_sign_trace, z2_is_positive)
-from reference import pattern_by_products, variant_by_search
+from reference import (audit_cone_by_samples, compatibility_by_samples,
+                       conjugate_pattern, navas_by_samples,
+                       pattern_by_products, restriction_by_samples,
+                       variant_by_search)
 
 SMALL = SampleBudget(ball_radius=3, conjugator_length=2, peripheral_bound=2,
                      semigroup_samples=300, member_samples=10, seed=1)
@@ -155,7 +158,8 @@ def test_internal_check_failed_propagates_from_every_check(monkeypatch):
         def __init__(self, group):
             self.group = group
 
-        is_positive = product_sign = conjugate_signs = sign_trace = fail
+        is_positive = product_sign = product_signs = conjugate_signs = \
+            pattern = box = sign_trace = fail
 
     g1, g2 = Failing("g1"), Failing("g2")
     runs = (lambda: audit_cone(g1, SMALL), lambda: audit_cone(g2, SMALL),
@@ -324,16 +328,16 @@ def test_counterexamples_capped_but_counted():
 @pytest.mark.parametrize("c1,c2", [(3, 4), (5, 4), (7, -6)])  # b1 = 1, 2, 3
 def test_g1_pattern_matches_conjugated_products(c1, c2):
     oracle = ConeOracle(knot_params(c1, c2), "g1")
-    box = _box(oracle.params, "g1", 2)
+    box = oracle.box(2)
     conjugators = ball(("a", "b"), 3)
     for c in conjugators:
-        assert _pattern(oracle, box, c) == \
+        assert dict(zip(box, oracle.pattern(c, 2))) == \
             pattern_by_products(oracle, box, c), str(c)
     # every conjugate of mu is positive and h is central, so the box is
     # signed alike in every member; words of length 4 are not
     box = {w: w for w in ball(("a", "b"), 4)[len(conjugators):]}
     for c in conjugators:
-        assert _pattern(oracle, box, c) == \
+        assert conjugate_pattern(oracle, box, c) == \
             pattern_by_products(oracle, box, c), str(c)
 
 
@@ -342,10 +346,10 @@ def test_g2_pattern_matches_family_word_route(c1, c2):
     # b2 = 2, -2, -3, 4: beta = 2 with both signs, an odd beta, beta = 4
     params = knot_params(c1, c2)
     oracle = ConeOracle(params, "g2")
-    box = _box(params, "g2", 2)
+    box = oracle.box(2)
     assert box[(1, -1)] == peripheral_word(params, "g2", 1, -1)
     for c in ball(("x", "y", "z"), 3):
-        assert _pattern(oracle, box, c) == {
+        assert dict(zip(box, oracle.pattern(c, 2))) == {
             v: family_is_positive(oracle, c, w)
             for v, w in box.items()}, str(c)
 
@@ -386,12 +390,12 @@ def test_g2_signs_a_word_only_when_pi_and_t_vanish(c1, c2, monkeypatch):
         return word_route(p, w)
 
     monkeypatch.setattr(orders, "g2_sign_trace", counted)
-    box = _box(params, "g2", 5)
+    box = oracle.box(5)
     rng = random.Random(c1 * 100 + c2)
     for c in _sample_conjugators(rng, ("x", "y", "z"), 4, 30,
                                  forced=(Word(), Word((("x", 1),)))):
         calls.clear()
-        pattern = _pattern(oracle, box, c)
+        pattern = dict(zip(box, oracle.pattern(c, 5)))
         # the (0, 0) entry, the identity, and no other
         assert calls == [Word()], str(c)
         assert pattern[(0, 0)] is Sign.IDENTITY
@@ -483,21 +487,18 @@ def test_product_sign_keeps_the_identity_cross_check():
     oracle._elements[a] = oracle._realization.lifted(b.inverse())
     with pytest.raises(InternalCheckFailed):
         oracle.product_sign(a, b)
-    # a stale form of a^-1, and a stale inverse form stored for a: either
-    # makes a b look trivial
+    # a stale form of a^-1 makes a b look trivial
     oracle = ConeOracle(knot_params(3, 4), "g1")
     oracle._forms[a.inverse()] = oracle._form(b)
     with pytest.raises(InternalCheckFailed):
         oracle.product_sign(a, b)
-    oracle = ConeOracle(knot_params(3, 4), "g1")
-    oracle._inverse_forms[a] = oracle._form(b)
-    with pytest.raises(InternalCheckFailed):
-        oracle.product_sign(a, b)
 
 
-def test_product_sign_inverts_each_left_factor_once(monkeypatch):
-    oracle = ConeOracle(knot_params(3, 4), "g1")
-    words = ball(BALL_ALPHABETS["g1"], 2)
+@pytest.mark.parametrize("group", ["g1", "g2"])
+def test_cone_audit_inverts_each_ball_word_once(group, monkeypatch):
+    # sign(w^-1) and the g1 identity checks of the sampled pairs read the
+    # ball's inverse index, so no word is inverted per sample
+    words = ball(BALL_ALPHABETS[group], 3)
     inverted = []
     inverse = Word.inverse
 
@@ -506,10 +507,8 @@ def test_product_sign_inverts_each_left_factor_once(monkeypatch):
         return inverse(w)
 
     monkeypatch.setattr(Word, "inverse", counted_inverse)
-    for _ in range(2):
-        for w1 in words:
-            for w2 in words:
-                oracle.product_sign(w1, w2)
+    rep = audit_cone(ConeOracle(knot_params(3, 4), group), SMALL)
+    assert rep.counts["semigroup"]["passes"] == SMALL.semigroup_samples
     assert Counter(inverted) == Counter(words)
 
 
@@ -665,7 +664,7 @@ def _member_one_corrupted(name):
     1's y^2 flipped, a row that mixes the two orders at s = 0, or its y
     made trivial."""
     p = knot_params(3, 4)
-    box = _box(p, "g2", SELFTEST_BUDGET.peripheral_bound)
+    box = peripheral_box(p, "g2", SELFTEST_BUDGET.peripheral_bound)
     v, corrupt = {"mixed-row": ((2, 0), Sign.flipped),
                   "trivial-meridian": ((1, 0), lambda s: Sign.IDENTITY)}[name]
     return check_restriction_law(_CorruptedOracle(
@@ -692,7 +691,8 @@ def _by_table(pattern):
     """The order that the pattern's (1, 0) entry selects if the pattern
     follows that order's row of the lattice table, else None."""
     variant = _variant_for(pattern[(1, 0)])
-    return variant if pattern == _lattice(pattern)[variant] else None
+    return variant if tuple(pattern.values()) == _lattice(pattern)[variant] \
+        else None
 
 
 def _random_pattern(rng, vectors, kind=None):
@@ -702,7 +702,7 @@ def _random_pattern(rng, vectors, kind=None):
     kind = kind or rng.choice(("row", "mixed", "trivial-mu", "noisy",
                                "random"))
     signs = list(Sign)
-    row = dict(_lattice(vectors)[rng.choice(list(Z2Order))])
+    row = dict(zip(vectors, _lattice(vectors)[rng.choice(list(Z2Order))]))
     if kind == "mixed":
         v = rng.choice([(r, s) for r, s in vectors if s == 0 and r])
         row[v] = row[v].flipped()
@@ -718,7 +718,7 @@ def _random_pattern(rng, vectors, kind=None):
 
 def test_table_agrees_with_the_search_on_random_patterns():
     rng = random.Random(23)
-    vectors = list(_box(knot_params(3, 4), "g2", 2))
+    vectors = list(peripheral_box(knot_params(3, 4), "g2", 2))
     outcomes = Counter()
     for kind in ("row", "mixed", "trivial-mu", "noisy", "random") * 400:
         pattern = _random_pattern(rng, vectors, kind)
@@ -737,14 +737,15 @@ def test_table_agrees_with_the_search_on_random_patterns():
 def test_table_agrees_with_the_search_on_judged_patterns(c1, c2,
                                                          monkeypatch):
     judged = []
+    read = ConeOracle.pattern
 
-    def recording(oracle, box, c):
-        pattern = _pattern(oracle, box, c)
+    def recording(oracle, c, bound):
+        pattern = read(oracle, c, bound)
         if oracle.group == "g2":
-            judged.append(pattern)
+            judged.append(dict(zip(oracle.box(bound), pattern)))
         return pattern
 
-    monkeypatch.setattr(certify, "_pattern", recording)
+    monkeypatch.setattr(ConeOracle, "pattern", recording)
     p = knot_params(c1, c2)
     g2 = ConeOracle(p, "g2")
     reports = [check_restriction_law(g2, SELFTEST_BUDGET),
@@ -764,7 +765,7 @@ def test_restriction_judges_planted_patterns_as_the_search_does(seed):
     two-order search finds no order, and each names the first vector,
     (1, 0) first, whose sign leaves the order its (1, 0) entry selects."""
     p = knot_params(3, 4)
-    box = _box(p, "g2", 2)
+    box = peripheral_box(p, "g2", 2)
     vector_of = {w: v for v, w in box.items()}
     planted = {}
 
@@ -797,3 +798,162 @@ def test_restriction_judges_planted_patterns_as_the_search_does(seed):
         assert ce.words[0] and ce.signs[0]
     both = {v for v in found.values() if v} == set(Z2Order)
     assert rep.counts["both-variants-witnessed"]["passes"] == both
+
+
+# ----------------------------- bulk signs against the one-at-a-time route
+
+CERTIFY_KNOTS = [(3, 4), (3, -4), (5, 4), (7, -6)]
+
+
+@pytest.mark.parametrize("group", ["g1", "g2"])
+@pytest.mark.parametrize("knot", CERTIFY_KNOTS)
+def test_product_signs_match_product_sign_pair_by_pair(knot, group):
+    params = knot_params(*knot)
+    words = ball(BALL_ALPHABETS[group], 3)
+    inverses = [w.inverse() for w in words]
+    index = {w: k for k, w in enumerate(words)}
+    pairs = [(i, j) for i in range(len(words)) for j in range(len(words))]
+    assert {(i, index[inverses[i]]) for i in range(len(words))} <= set(pairs)
+    got = ConeOracle(params, group).product_signs(words, inverses, pairs)
+    single, reference = ConeOracle(params, group), ConeOracle(params, group)
+    for (i, j), sign in zip(pairs, got):
+        w1, w2 = words[i], words[j]
+        assert sign is single.product_sign(w1, w2), (str(w1), str(w2))
+        assert sign is reference.is_positive(w1 * w2), (str(w1), str(w2))
+    # every (w, w^-1) pair is trivial, and the pairs (i, j) and
+    # (j^-1, i^-1) sign mutually inverse products
+    trivial = {p for p, sign in zip(pairs, got) if sign is Sign.IDENTITY}
+    assert {(i, index[inverses[i]]) for i in range(len(words))} <= trivial
+    assert Counter(got)[Sign.POSITIVE] == Counter(got)[Sign.NEGATIVE]
+
+
+def test_product_signs_keep_the_identity_cross_check():
+    params = knot_params(3, 4)
+    words = ball(BALL_ALPHABETS["g1"], 3)
+    inverses = [w.inverse() for w in words]
+    pairs = [(i, j) for i in range(len(words)) for j in range(len(words))]
+    oracle = ConeOracle(params, "g1")
+    oracle.product_signs(words, inverses, pairs)
+    # one stale stored form: a now has the form of b, so a^-1 b looks
+    # trivial to the forms while its lift moves the test points
+    a, b = Word((("a", 1),)), Word((("b", 1),))
+    oracle._forms[a] = oracle._form(b)
+    with pytest.raises(InternalCheckFailed):
+        oracle.product_signs(words, inverses, pairs)
+
+
+# ------------------- tallied checks against the sample-by-sample reference
+
+REFERENCE_CHECKS = {audit_cone: audit_cone_by_samples,
+                    check_navas_law: navas_by_samples,
+                    check_restriction_law: restriction_by_samples,
+                    certify_compatibility: compatibility_by_samples}
+
+
+@pytest.mark.parametrize("knot", CERTIFY_KNOTS)
+def test_tallied_checks_match_the_sample_by_sample_reports(knot,
+                                                           monkeypatch):
+    params = knot_params(*knot)
+    tallied = mutation_reports(params)
+    # the same five corruptions, each check run by its reference
+    for check, reference in REFERENCE_CHECKS.items():
+        monkeypatch.setattr(certify, check.__name__, reference)
+    by_samples = mutation_reports(params)
+    for name in MUTATIONS:
+        assert tallied[name].verdict == "Refuted", name
+        assert tallied[name].as_dict() == by_samples[name].as_dict(), name
+
+
+def _heavy_corruption(c, w, s):
+    """Members whose conjugator length is 2 mod 3 stay clean; in the
+    others the identity turns positive (at even length) and words whose
+    length plus the conjugator's is 0 mod 3 flip."""
+    if len(c) % 3 == 2:
+        return s
+    if not w.syllables:
+        return Sign.POSITIVE if len(c) % 2 == 0 else s
+    return s.flipped() if (len(c) + len(w)) % 3 == 0 else s
+
+
+@pytest.mark.parametrize("knot", CERTIFY_KNOTS)
+def test_tallied_checks_keep_the_first_counterexamples_in_order(knot):
+    """A corruption failing more samples than are recorded, interleaved
+    with passes and across sub-checks, gives the reference's counts and
+    its first _MAX_RECORDED counterexamples in the same order."""
+    params = knot_params(*knot)
+    budget = SampleBudget(ball_radius=3, conjugator_length=2,
+                          peripheral_bound=2, semigroup_samples=300,
+                          member_samples=30, seed=5)
+
+    def run(check, groups):
+        return check(*[_CorruptedOracle(ConeOracle(params, g),
+                                        _heavy_corruption) if corrupt
+                       else ConeOracle(params, g)
+                       for g, corrupt in groups], budget)
+
+    capped = 0
+    for check, groups in ((audit_cone, [("g1", True)]),
+                          (audit_cone, [("g2", True)]),
+                          (check_navas_law, [("g1", True)]),
+                          (check_restriction_law, [("g2", True)]),
+                          (certify_compatibility, [("g1", True),
+                                                   ("g2", False)])):
+        got = run(check, groups)
+        assert got.as_dict() == run(REFERENCE_CHECKS[check],
+                                    groups).as_dict(), got.check
+        counts = got.counts.values()
+        assert got.verdict == "Refuted"
+        assert sum(slot["passes"] for slot in counts) > 0
+        failures = sum(slot["failures"] for slot in counts)
+        assert len(got.counterexamples) == min(failures, certify._MAX_RECORDED)
+        capped += failures > certify._MAX_RECORDED
+    assert capped == 4  # all but restrict
+
+
+# ------------------------------------------- one pattern per member and box
+
+
+@pytest.mark.parametrize("knot", CERTIFY_KNOTS)
+def test_each_pattern_is_computed_once_per_oracle_member_and_bound(
+        knot, monkeypatch):
+    computed, read = Counter(), Counter()
+    compute, pattern = ConeOracle.conjugate_signs, ConeOracle.pattern
+
+    def counted_compute(oracle, c, words, elements=None):
+        computed[oracle.group, c, len(words)] += 1
+        return compute(oracle, c, words, elements)
+
+    def counted_read(oracle, c, bound):
+        read[oracle.group, c, (2 * bound + 1) ** 2] += 1
+        return pattern(oracle, c, bound)
+
+    monkeypatch.setattr(ConeOracle, "conjugate_signs", counted_compute)
+    monkeypatch.setattr(ConeOracle, "pattern", counted_read)
+    reports = run_checks(knot_params(*knot), SampleBudget(
+        ball_radius=3, conjugator_length=2, peripheral_bound=2,
+        semigroup_samples=300, member_samples=10), "all")
+    assert overall_verdict(reports) == "Certified"
+    assert set(computed) == set(read)
+    assert set(computed.values()) == {1}
+    # restrict and compat both read the g2 members 1 and x, and compat
+    # shares some g1 members with navas
+    for c in (Word(), Word((("x", 1),))):
+        assert read["g2", c, 25] == 2
+    assert sum(read.values()) > len(computed) + 2
+
+
+def test_corrupted_reads_of_a_cached_pattern():
+    base = ConeOracle(knot_params(3, 4), "g1")
+    c = Word((("b", 1), ("a", -1)))
+    clean = base.pattern(c, 2)
+    corrupted = _CorruptedOracle(base, lambda c, w, s: s.flipped())
+    flipped = tuple(s.flipped() for s in clean)
+    assert corrupted.pattern(c, 2) == flipped
+    assert corrupted.pattern(c, 2) == flipped  # on every read
+    assert base.pattern(c, 2) == clean
+    assert base.pattern(c, 2) is clean  # computed once
+    assert clean == tuple(conjugate_pattern(base, base.box(2), c).values())
+    # each bound has its own box and pattern
+    small = base.pattern(c, 1)
+    assert len(small) == len(base.box(1)) == 9
+    assert small == tuple(conjugate_pattern(base, base.box(1), c).values())

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from twobridge.certify import _random_reduced_word, ball
 from twobridge.cfrac import knot_params
 from twobridge.errors import ParseError
 from twobridge.groups import (_INVERSE, _SHARED, G1Element, G2Element, W,
-                              Word, g1_normal_form, g2_normal_form,
-                              parse_int, peripheral_word, presentations)
+                              Word, ball, g1_normal_form, g2_normal_form,
+                              parse_int, peripheral_word, presentations,
+                              random_reduced_word)
 from twobridge.orders import _t_weight
 from reference import (g1_element_word, g1_normal_form_by_letters,
                        g2_element_word, g2_normal_form_by_letters, letters_of,
@@ -117,7 +117,7 @@ def test_word_algebra():
 
 def test_word_power_by_squaring_matches_repeated_products():
     rng = random.Random(53)
-    words = [_random_reduced_word(rng, alphabet, 9)
+    words = [random_reduced_word(rng, alphabet, 9)
              for alphabet in (("a", "b"), ("x", "y", "z")) for _ in range(30)]
     words += [W("a b a^-1"), W("b^-3"), Word()]
     for w in words:
@@ -138,7 +138,7 @@ def test_every_syllable_is_the_tables_entry():
     words = [W("p^3 q^-2 p"), Word((("q", 2), ("q", -5), ("p", 7))),
              W("p q^2") * W("q^3 p"), W("p q^-1") * W("q p^4"),
              W("r^-2 s") ** 3, W("s^2 r^5") ** -2, W("r^6 s^-9").inverse(),
-             _random_reduced_word(rng, ("r", "s"), 12)]
+             random_reduced_word(rng, ("r", "s"), 12)]
     words += ball(("p", "q"), 3) + ball(("r", "s"), 2)
     words += [peripheral_word(k, side, r, s) for k in KNOTS_8
               for side in ("g1", "g2") for r in (-2, 0, 3) for s in (-1, 2)]
