@@ -24,10 +24,12 @@ lexicographic tower:
   least degree with a nonzero coefficient, which is at most the syllable
   count of the reduced word.
 
-Both oracles are total and exact.  Their conjugates form the normal
-families used by the certification harness; a family member is named by
-its conjugator c alone, and w is positive in it when c w c^-1 is positive
-in the base order.
+``G1Oracle`` and ``G2Oracle`` give these two orders, one class per group
+over the shared base ``ConeOracle``; ``ConeOracle(params, group)`` builds
+the group's class.  Both oracles are total and exact.  Their conjugates
+form the normal families used by the certification harness; a family
+member is named by its conjugator c alone, and w is positive in it when
+c w c^-1 is positive in the base order.
 """
 
 from __future__ import annotations
@@ -316,92 +318,41 @@ def g2_sign_trace(params: TwoBridgeParams,
 
 
 class ConeOracle:
-    """Total sign oracle for one piece group ("g1" or "g2").  It alone
-    represents elements: the lift (g1) or normal form (g2) of w is built
-    once, by ``element(w)``, and read by every other sign it gives for w
-    except ``sign_trace``'s, which keeps the word route.
-
-    Each word has one stored normal form, computed once from the word:
-    ``element(w)`` on g2, ``g1_normal_form(w)`` (never the lift) on g1.
-    Every identity verdict reads these forms.  On g1, ``is_positive`` and
-    ``product_signs`` check the lift's identity verdict against them, and
-    ``sign_trace`` against the form it computes, raising InternalCheckFailed
-    on disagreement; conjugate signs are not checked.  On g2 a product
-    or conjugate is signed by the invariants pi and t of its factors'
-    forms, and by the word route only when both vanish, so no g2 answer
-    has an independent check.
+    """Total sign oracle for one piece group: ``ConeOracle(params, group)``
+    builds the ``G1Oracle`` (group "g1") or the ``G2Oracle`` ("g2") of the
+    knot.  It alone represents elements: the group's representation of w
+    is built once, by ``element(w)``, and read by every other sign it gives
+    for w except ``sign_trace``'s, which keeps the word route and stores
+    nothing.  Each word has one stored normal form, computed once from the
+    word, and every identity verdict reads it.
 
     Signs are read in bulk where the checks ask in bulk: ``product_signs``
     signs many pairs of one word list from per-word lists read once, and
     ``pattern`` signs a peripheral box in a member once per member and
-    bound, for every check that asks."""
+    bound, for every check that asks.
 
-    def __init__(self, params: TwoBridgeParams, group: str):
-        if group not in ("g1", "g2"):
-            raise ValueError("group must be 'g1' or 'g2', got %r" % (group,))
+    A group's class may also be built directly, as ``G1Oracle(params)``;
+    any group other than its own raises ValueError."""
+
+    def __new__(cls, params: TwoBridgeParams, group: str | None = None):
+        if cls is ConeOracle and group in ("g1", "g2"):
+            cls = G1Oracle if group == "g1" else G2Oracle
+        if cls is ConeOracle or group not in (None, cls.group):
+            raise ValueError("no %s has group %r" % (cls.__name__, group))
+        return super().__new__(cls)
+
+    def __init__(self, params: TwoBridgeParams, group: str | None = None):
         self.params = params
-        self.group = group
-        self._realization = g1_realization(params) if group == "g1" else None
         self._elements: dict[Word, LiftedMoebius | G2Element] = {}
-        self._forms: dict[Word, G1Element] = {}
         self._boxes = {}
         self._patterns = {}
 
     def element(self, w: Word) -> LiftedMoebius | G2Element:
-        """The lift (g1) or normal form (g2) of w, computed once."""
+        """The group's representation of w, computed once."""
         e = self._elements.get(w)
         if e is None:
-            e = self._elements[w] = (
-                self._realization.lifted(w) if self.group == "g1"
-                else g2_normal_form(self.params, w))
+            e = self._elements[w] = self._element(w)
         return e
-
-    def _form(self, w: Word) -> G1Element | G2Element:
-        """The normal form of w, computed once from the word."""
-        if self.group == "g2":
-            return self.element(w)
-        f = self._forms.get(w)
-        if f is None:
-            f = self._forms[w] = g1_normal_form(self.params, w)
-        return f
-
-    def sign_trace(self, w: Word) -> tuple[Sign, dict]:
-        """Sign and trace of a word by the word route."""
-        if self.group == "g1":
-            return g1_sign_trace(self.params, w)
-        return g2_sign_trace(self.params, w)
-
-    def is_positive(self, w: Word) -> Sign:
-        if self.group == "g2":
-            return g2_sign_trace(self.params, self.element(w))[0]
-        return _check_identity(self._realization.sign([self.element(w)]),
-                               self.word_is_identity(w), w)
-
-    def product_signs(self, words, inverses, pairs) -> list[Sign]:
-        """Sign of w1 w2 = words[i] words[j] for each index pair (i, j),
-        where inverses[i] = words[i]^-1, from per-word lists read once.
-        For g2, pi(w1 w2) = pi1 + pi2 and t(w1 w2) = (-1)^pi2 t1 + t2, and
-        the first nonzero one gives the sign; when both vanish, the word
-        w1 w2 is signed.  For g1 the test points move through the two
-        lifts, and the identity is cross-checked: normal forms are unique,
-        so w1 w2 = 1 exactly when the forms of w1^-1 and w2 coincide."""
-        elements = [*map(self.element, words)]
-        if self.group == "g2":
-            signs = []
-            pis = [e.xpow for e in elements]
-            ts = [*map(_t_weight, repeat(abs(self.params.b2)), elements)]
-            for i, j in pairs:
-                key = pis[i] + pis[j] or (ts[j] - ts[i] if pis[j] % 2
-                                          else ts[j] + ts[i])
-                signs.append(_sign_of_int(key) if key else
-                             self.sign_trace(words[i] * words[j])[0])
-            return signs
-        sign = self._realization.sign
-        forms = [*map(self._form, words)]
-        inverse_forms = [*map(self._form, inverses)]
-        return [_check_identity(sign([elements[i], elements[j]]),
-                                inverse_forms[i] == forms[j],
-                                words[i], words[j]) for i, j in pairs]
 
     def product_sign(self, w1: Word, w2: Word) -> Sign:
         """Sign of w1 w2: the one-pair case of ``product_signs``."""
@@ -427,14 +378,116 @@ class ConeOracle:
                 c, words, self._boxes[bound][1]))
         return self._patterns[key]
 
+    def word_is_identity(self, w: Word) -> bool:
+        """Normal-form equality oracle: the verdict of w's stored form."""
+        return self._form(w).is_identity()
+
+
+class G1Oracle(ConeOracle):
+    """The cone oracle of G1, ordered by the lifted circle action.  An
+    element is a word's lift; its stored normal form comes from
+    ``g1_normal_form`` of the word, never from the lift.  ``is_positive``
+    and ``product_signs`` check the lift's identity verdict against the
+    forms, and ``sign_trace`` against the form it computes, raising
+    InternalCheckFailed on disagreement; conjugate signs are not checked."""
+
+    group = "g1"
+
+    def __init__(self, params: TwoBridgeParams, group: str | None = None):
+        super().__init__(params, group)
+        self._realization = g1_realization(params)
+        self._forms: dict[Word, G1Element] = {}
+
+    def _element(self, w: Word) -> LiftedMoebius:
+        return self._realization.lifted(w)
+
+    def _form(self, w: Word) -> G1Element:
+        """The normal form of w, computed once from the word."""
+        f = self._forms.get(w)
+        if f is None:
+            f = self._forms[w] = g1_normal_form(self.params, w)
+        return f
+
+    def sign_trace(self, w: Word) -> tuple[Sign, dict]:
+        """Sign and trace of a word by the word route."""
+        return g1_sign_trace(self.params, w)
+
+    def is_positive(self, w: Word) -> Sign:
+        return _check_identity(self._realization.sign([self.element(w)]),
+                               self.word_is_identity(w), w)
+
+    def product_signs(self, words, inverses, pairs) -> list[Sign]:
+        """Sign of w1 w2 = words[i] words[j] for each index pair (i, j),
+        where inverses[i] = words[i]^-1, from per-word lists read once.
+        The test points move through the two lifts, and the identity is
+        cross-checked: normal forms are unique, so w1 w2 = 1 exactly when
+        the forms of w1^-1 and w2 coincide."""
+        elements = [*map(self.element, words)]
+        sign = self._realization.sign
+        forms = [*map(self._form, words)]
+        inverse_forms = [*map(self._form, inverses)]
+        return [_check_identity(sign([elements[i], elements[j]]),
+                                inverse_forms[i] == forms[j],
+                                words[i], words[j]) for i, j in pairs]
+
     def conjugate_signs(self, c: Word, words, elements=None) -> list[Sign]:
         """Signs of c w c^-1 for each word w, from the elements of c and w
-        (given as ``elements``, or looked up).  For g1, c^-1 is an
-        increasing map of the line, so c w c^-1 moves the test point p_i as
-        w moves c^-1(p_i): the points move once instead.  For g2, c w c^-1
-        has the pi of w, and when that is 0, the t of w times (-1)^pi(c);
-        when both vanish, the word c w c^-1 is signed.  On (3,4),
-        conjugation by x inverts y = z^2 and keeps the x-exponent of z x^2:
+        (given as ``elements``, or looked up).  c^-1 is an increasing map
+        of the line, so c w c^-1 moves the test point p_i as w moves
+        c^-1(p_i): the points move once instead."""
+        elements = elements or [*map(self.element, words)]
+        real = self._realization
+        c_inv = self.element(c).inverse()
+        points = [*map(c_inv.apply, real.test_points)]
+        # each element alone is its own list of factors
+        return [*map(real.sign, zip(elements), repeat(points))]
+
+
+class G2Oracle(ConeOracle):
+    """The cone oracle of G2, ordered by the pi / t / Magnus tower.  An
+    element is a word's normal form, which is also its stored form.  A
+    product or conjugate is signed by the invariants pi and t of its
+    factors' forms, and by the word route only when both vanish, so no g2
+    answer has an independent check."""
+
+    group = "g2"
+
+    def _element(self, w: Word) -> G2Element:
+        return g2_normal_form(self.params, w)
+
+    def _form(self, w: Word) -> G2Element:
+        return self.element(w)
+
+    def sign_trace(self, w: Word) -> tuple[Sign, dict]:
+        """Sign and trace of a word by the word route."""
+        return g2_sign_trace(self.params, w)
+
+    def is_positive(self, w: Word) -> Sign:
+        return g2_sign_trace(self.params, self.element(w))[0]
+
+    def product_signs(self, words, inverses, pairs) -> list[Sign]:
+        """Sign of w1 w2 = words[i] words[j] for each index pair (i, j),
+        from per-word lists read once (``inverses`` is not read):
+        pi(w1 w2) = pi1 + pi2 and t(w1 w2) = (-1)^pi2 t1 + t2, and the
+        first nonzero one gives the sign; when both vanish, the word w1 w2
+        is signed."""
+        elements = [*map(self.element, words)]
+        signs = []
+        pis = [e.xpow for e in elements]
+        ts = [*map(_t_weight, repeat(abs(self.params.b2)), elements)]
+        for i, j in pairs:
+            key = pis[i] + pis[j] or (ts[j] - ts[i] if pis[j] % 2
+                                      else ts[j] + ts[i])
+            signs.append(_sign_of_int(key) if key else
+                         self.sign_trace(words[i] * words[j])[0])
+        return signs
+
+    def conjugate_signs(self, c: Word, words, elements=None) -> list[Sign]:
+        """Signs of c w c^-1 for each word w, from the normal forms of c
+        and w (given as ``elements``, or looked up): c w c^-1 has the pi of
+        w, and when that is 0, the t of w times (-1)^pi(c); when both
+        vanish, the word c w c^-1 is signed.  On (3,4), conjugation by x
+        inverts y = z^2 and keeps the x-exponent of z x^2:
 
         >>> from twobridge.cfrac import knot_params
         >>> from twobridge.groups import W
@@ -442,26 +495,15 @@ class ConeOracle:
         >>> g2.conjugate_signs(W("x"), [W("y"), W("z x x"), W("1")])
         [<Sign.NEGATIVE: -1>, <Sign.POSITIVE: 1>, <Sign.IDENTITY: 0>]
         """
-        element = self.element
-        elements = elements or [*map(element, words)]
-        if self.group == "g1":
-            real = self._realization
-            c_inv = element(c).inverse()
-            points = [*map(c_inv.apply, real.test_points)]
-            # each element alone is its own list of factors
-            return [*map(real.sign, zip(elements), repeat(points))]
+        elements = elements or [*map(self.element, words)]
         beta = abs(self.params.b2)
-        twist = -1 if element(c).xpow % 2 else 1
+        twist = -1 if self.element(c).xpow % 2 else 1
         signs = []
         for w, f in zip(words, elements):
             key = f.xpow or twist * _t_weight(beta, f)
             signs.append(_sign_of_int(key) if key
                          else family_sign_trace(self, c, w)[0])
         return signs
-
-    def word_is_identity(self, w: Word) -> bool:
-        """Normal-form equality oracle: the verdict of w's stored form."""
-        return self._form(w).is_identity()
 
 
 def family_sign_trace(oracle: ConeOracle, c: Word,

@@ -23,8 +23,8 @@ from twobridge.groups import G1Element, Word, g2_normal_form, \
     peripheral_box, peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import FieldElement
-from twobridge.orders import (ConeOracle, G1Realization, Sign, Z2Order,
-                              _t_weight, family_is_positive,
+from twobridge.orders import (ConeOracle, G1Oracle, G1Realization, G2Oracle,
+                              Sign, Z2Order, _t_weight, family_is_positive,
                               family_sign_trace, z2_is_positive)
 from reference import (audit_cone_by_samples, compatibility_by_samples,
                        conjugate_pattern, navas_by_samples,
@@ -267,9 +267,9 @@ def test_run_checks_builds_one_oracle_per_group(which, groups, monkeypatch):
     built = []
 
     class Counted(ConeOracle):
-        def __init__(self, params, group):
+        def __new__(cls, params, group):
             built.append(group)
-            super().__init__(params, group)
+            return ConeOracle(params, group)
 
     monkeypatch.setattr(certify_mod, "ConeOracle", Counted)
     reports = run_checks(knot_params(3, 4), SMALL, which)
@@ -917,17 +917,21 @@ def test_tallied_checks_keep_the_first_counterexamples_in_order(knot):
 def test_each_pattern_is_computed_once_per_oracle_member_and_bound(
         knot, monkeypatch):
     computed, read = Counter(), Counter()
-    compute, pattern = ConeOracle.conjugate_signs, ConeOracle.pattern
+    pattern = ConeOracle.pattern
 
-    def counted_compute(oracle, c, words, elements=None):
-        computed[oracle.group, c, len(words)] += 1
-        return compute(oracle, c, words, elements)
+    def counted_compute(compute):
+        def counted(oracle, c, words, elements=None):
+            computed[oracle.group, c, len(words)] += 1
+            return compute(oracle, c, words, elements)
+        return counted
 
     def counted_read(oracle, c, bound):
         read[oracle.group, c, (2 * bound + 1) ** 2] += 1
         return pattern(oracle, c, bound)
 
-    monkeypatch.setattr(ConeOracle, "conjugate_signs", counted_compute)
+    for cls in (G1Oracle, G2Oracle):
+        monkeypatch.setattr(cls, "conjugate_signs",
+                            counted_compute(cls.conjugate_signs))
     monkeypatch.setattr(ConeOracle, "pattern", counted_read)
     reports = run_checks(knot_params(*knot), SampleBudget(
         ball_radius=3, conjugator_length=2, peripheral_bound=2,

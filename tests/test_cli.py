@@ -524,6 +524,10 @@ def test_usage_errors_exit_64():
     with pytest.raises(SystemExit) as exc_info:
         cli.main(["certify", "--c1", "3", "--c2", "4", "--check", "bogus"])
     assert exc_info.value.code == 64
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["order-sign", "--c1", "3", "--c2", "4", "--group", "g3",
+                  "a"])
+    assert exc_info.value.code == 64
 
 
 def test_parser_is_built_once_and_reads_the_seed_per_run(capsys,

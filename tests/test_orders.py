@@ -2,7 +2,9 @@
 
 import gc
 import random
+import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -15,9 +17,10 @@ from twobridge.groups import Word, g1_normal_form, g2_normal_form, \
     peripheral_word
 from twobridge.lifted import Moebius
 from twobridge.numberfield import real_cyclotomic_field
-from twobridge.orders import (ConeOracle, G1Realization, Sign, Z2Order,
-                              _magnus_first_sign, _schreier_letters,
-                              _t_weight, family_is_positive, g1_realization,
+from twobridge.orders import (ConeOracle, G1Oracle, G1Realization, G2Oracle,
+                              Sign, Z2Order, _magnus_first_sign,
+                              _schreier_letters, _t_weight,
+                              family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
 from reference import (decide_by_test_points, four_test_points,
                        lifted_by_powers, magnus_first_sign_by_letters,
@@ -721,6 +724,83 @@ def test_magnus_search_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --------------------------------------------------------------------------
+# one oracle class per group
+
+ORACLE_NAMES = {"params", "group", "element", "sign_trace", "is_positive",
+                "product_sign", "product_signs", "box", "pattern",
+                "conjugate_signs", "word_is_identity"}
+
+
+@pytest.mark.parametrize("group", ["g3", None, ["g1"], "G1", ""])
+def test_cone_oracle_rejects_other_groups(group):
+    with pytest.raises(ValueError, match=re.escape(repr(group))):
+        ConeOracle(knot_params(3, 4), group)
+
+
+def test_group_classes_reject_the_other_group():
+    p = knot_params(3, 4)
+    for cls, other in ((G1Oracle, "g2"), (G2Oracle, "g1")):
+        with pytest.raises(ValueError, match=other):
+            cls(p, other)
+        assert cls(p).group == cls(p, cls.group).group == cls.group
+
+
+@pytest.mark.parametrize("group, cls", [("g1", G1Oracle), ("g2", G2Oracle)])
+def test_each_group_builds_its_class_with_one_public_surface(group, cls):
+    oracle = ConeOracle(knot_params(3, 4), group)
+    assert type(oracle) is cls
+    assert oracle.group == group
+    assert isinstance(oracle, ConeOracle)
+    assert {n for n in dir(oracle) if not n.startswith("_")} == ORACLE_NAMES
+    # no state of the other group's order
+    if group == "g2":
+        assert not hasattr(oracle, "_realization")
+        assert not hasattr(oracle, "_forms")
+
+
+def test_oracles_call_traced_names_at_call_time(monkeypatch):
+    """Each oracle calls the module's sign routes and normal forms, and the
+    realization's ``lifted``, through names looked up at each call, so a
+    wrapper installed after the oracle is built sees every call.  The word
+    route stores no element."""
+    p = knot_params(3, 4)
+    g1, g2 = ConeOracle(p, "g1"), ConeOracle(p, "g2")
+    g1.element(W("a")), g2.element(W("x"))
+    # [z, x^-1 z x] has pi = t = 0, so its conjugate takes the word route
+    kernel, c = W("z x^-1 z x z^-1 x^-1 z^-1 x"), W("x")
+    conjugate = g2_sign_trace(p, c * kernel * c.inverse())[0]
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("g1_sign_trace", "g2_sign_trace", "g1_normal_form",
+                 "g2_normal_form", "family_sign_trace"):
+        monkeypatch.setattr(orders, name, counted(name, getattr(orders, name)))
+    monkeypatch.setattr(G1Realization, "lifted",
+                        counted("lifted", G1Realization.lifted))
+
+    for oracle, w in ((g1, W("a b a")), (g2, W("x y z"))):
+        held = dict(oracle._elements)
+        oracle.sign_trace(w)
+        assert oracle._elements == held
+    assert calls == {"g1_sign_trace": 1, "g1_normal_form": 1,
+                     "g2_sign_trace": 1, "g2_normal_form": 1}
+    calls.clear()
+    g1.element(W("b a")), g1.word_is_identity(W("b a"))
+    assert calls == {"lifted": 1, "g1_normal_form": 1}
+    calls.clear()
+    g2.element(W("y x")), g2.word_is_identity(W("y x"))
+    assert calls == {"g2_normal_form": 1}
+    calls.clear()
+    assert g2.conjugate_signs(c, [kernel]) == [conjugate]
+    assert calls["family_sign_trace"] == calls["g2_sign_trace"] == 1
 
 
 # --------------------------------------------------------------------------
