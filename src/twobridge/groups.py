@@ -254,6 +254,15 @@ def peripheral_box(params: TwoBridgeParams, side: str, bound: int) -> dict:
             for r in span for s in span}
 
 
+def foreign_generators(w: Word, piece: str, alphabet: str) -> ParseError:
+    """The error for a word of ``piece`` with a generator outside
+    ``alphabet``; it names every such generator, sorted.  Built only once
+    a normal form or word scan meets one, so no scan builds the set."""
+    bad = w.generators() - set(alphabet)
+    return ParseError("%s words use generators %s only, got %s"
+                      % (piece, ", ".join(alphabet), ", ".join(sorted(bad))))
+
+
 # ---------------------------------------------------------------- G1
 
 
@@ -272,18 +281,20 @@ def g1_normal_form(params: TwoBridgeParams, w: Word) -> G1Element:
     """Total normal form for G1; two words are equal in G1 iff their
     normal forms coincide."""
     n = 2 * params.b1 + 1
-    bad = w.generators() - {"a", "b"}
-    if bad:
-        raise ParseError("G1 words use generators a, b only, got %s"
-                         % ", ".join(sorted(bad)))
     # a^e = a^(e mod 2) h^(e div 2) and b^e = b^(e mod n) h^(e div n),
     # merged with an equal generator left on the stack
     stack = []
     central = 0
     for g, e in w.syllables:
+        if g == "a":
+            order = 2
+        elif g == "b":
+            order = n
+        else:
+            raise foreign_generators(w, "G1", "ab")
         if stack and stack[-1][0] == g:
             e += stack.pop()[1]
-        q, r = divmod(e, 2 if g == "a" else n)
+        q, r = divmod(e, order)
         central += q
         if r:
             stack.append((g, r))
@@ -310,10 +321,6 @@ def g2_normal_form(params: TwoBridgeParams, w: Word) -> G2Element:
     """Total normal form for G2; equality in G2 iff forms coincide."""
     b2 = params.b2
     beta = abs(b2)
-    bad = w.generators() - {"x", "y", "z"}
-    if bad:
-        raise ParseError("G2 words use generators x, y, z only, got %s"
-                         % ", ".join(sorted(bad)))
     # w = x^xpow * prod z_i^k over its z- and y-syllables (y^e = z^(b2*e)),
     # where i is the x-exponent sum strictly to the right of the syllable.
     # In K, z_i^k = z_i^(k mod beta) * w0^((-1)^i * (k div beta)).
@@ -325,7 +332,12 @@ def g2_normal_form(params: TwoBridgeParams, w: Word) -> G2Element:
         if g == "x":
             right -= e
             continue
-        k = b2 * e if g == "y" else e
+        if g == "y":
+            k = b2 * e
+        elif g == "z":
+            k = e
+        else:
+            raise foreign_generators(w, "G2", "xyz")
         if stack and stack[-1][0] == right:
             k += stack.pop()[1]
         q, r = divmod(k, beta)

@@ -20,10 +20,15 @@ classical cocycle of the universal cover of PSL(2, R); Ghys, "Groups
 acting on the circle", 2001, section 6).  Composing never evaluates the
 action; only ``apply`` moves points.
 
-A ``LiftedPoint`` is the one point type: a level and a point [u : v] of
-the circle in canonical form.  Moving a point signs one new ring element,
-the image's denominator, and that sign both canonicalizes the image and
-picks its level.
+A ``LiftedPoint`` is a level and a point [u : v] of the circle in
+canonical form.  Every point move runs one routine, ``lift0_move``, on
+the point's coordinate tuples (level, u, v, finite): two products by the
+ring's kernel, one sign by the ring's ``sign_of``, and the canonical
+flip.  Moving a point signs one new ring element, the image's
+denominator, and that sign both canonicalizes the image and picks its
+level.  ``lift0_apply`` wraps the routine for ``LiftedPoint``s, and a
+walk through many factors carries the tuples and builds no point objects;
+``cover_cmp`` orders such tuples.
 
 A ``Moebius`` is stored exactly as built in SL(2) and stands for its
 class in PSL(2): m and -m are equal, and no representative is chosen.
@@ -37,6 +42,8 @@ All arithmetic is exact over a ``NumberField``.
 """
 
 from __future__ import annotations
+
+from operator import neg
 
 from .errors import InternalCheckFailed
 from .numberfield import FieldElement, NumberField, mul_add
@@ -56,31 +63,21 @@ class LiftedPoint:
 
     def __init__(self, wind: int, u: FieldElement, v: FieldElement):
         v_sign = v.sign()
-        self._store(wind, u, v, v_sign != 0, v_sign or u.sign())
-
-    def _store(self, wind: int, u: FieldElement, v: FieldElement,
-               finite: bool, sign: int) -> None:
-        """Keep [u : v] at level ``wind`` in canonical form, given whether
-        v != 0 and the sign of v, or of u when v == 0."""
+        sign = v_sign or u.sign()
         if not sign:
             raise InternalCheckFailed("[0 : 0] is not a projective point")
         if sign < 0:
             u, v = -u, -v
-        self.wind = wind
-        self.u = u
-        self.v = v
-        self.finite = finite
+        self.wind, self.u, self.v, self.finite = wind, u, v, v_sign != 0
+
+    def coords(self) -> tuple:
+        """(level, u, v, finite), with u and v as coordinate tuples."""
+        return self.wind, self.u.coeffs, self.v.coeffs, self.finite
 
     def cmp(self, other: "LiftedPoint") -> int:
         """-1, 0 or 1 as this point lies below, at or above ``other`` on
         the cover line."""
-        if self.wind != other.wind:
-            return 1 if self.wind > other.wind else -1
-        if self.finite and other.finite:
-            # u/v against u'/v', both denominators positive
-            return mul_add(self.u, other.v, -other.u, self.v).sign()
-        # the level's infinity sits above every finite point
-        return other.finite - self.finite
+        return cover_cmp(self.u.field, self.coords(), other.coords())
 
     def __eq__(self, other):
         if not isinstance(other, LiftedPoint):
@@ -152,8 +149,10 @@ class Moebius:
         return "[[%r, %r], [%r, %r]]" % (self.a, self.b, self.c, self.d)
 
 
-def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
-    """Apply the distinguished lift of ``m`` to a cover point.
+def lift0_move(m: Moebius, level: int, u: tuple, v: tuple) -> tuple:
+    """Apply the distinguished lift of ``m`` to the point [u : v] at
+    ``level``, given as coordinate tuples: the image as (level, u, v,
+    finite), in canonical form.  Every point move runs this routine.
 
     The image's denominator c*u + d*v is signed once.  That sign puts the
     image in canonical form and, times sign(c), picks its level: the point
@@ -162,14 +161,45 @@ def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
     infinity, has numerator a*u + b*v of sign -sign(c), as c*(a*u + b*v) =
     -v < 0; only infinity under c == 0 signs its numerator.
     """
-    u, v = p.u, p.v
-    denom = mul_add(m.c, u, m.d, v)
-    num = mul_add(m.a, u, m.b, v)
-    denom_sign = denom.sign()
+    field = m.field
+    kernel = field._mul_add
+    denom = kernel(m.c.coeffs, u, m.d.coeffs, v)
+    num = kernel(m.a.coeffs, u, m.b.coeffs, v)
+    sign = field.sign_of(denom)
+    finite = sign != 0
+    if finite:
+        if sign == m.c_sign:
+            level += 1
+    else:
+        sign = -m.c_sign or field.sign_of(num)
+        if not sign:
+            raise InternalCheckFailed("[0 : 0] is not a projective point")
+    if sign < 0:
+        return level, tuple(map(neg, num)), tuple(map(neg, denom)), finite
+    return level, num, denom, finite
+
+
+def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
+    """Apply the distinguished lift of ``m`` to a cover point, by
+    ``lift0_move`` on its coordinates."""
+    level, u, v, finite = lift0_move(m, p.wind, p.u.coeffs, p.v.coeffs)
     q = LiftedPoint.__new__(LiftedPoint)
-    q._store(p.wind + (1 if denom_sign * m.c_sign > 0 else 0), num, denom,
-             denom_sign != 0, denom_sign or -m.c_sign or num.sign())
+    q.wind, q.finite = level, finite
+    q.u, q.v = FieldElement(m.field, u), FieldElement(m.field, v)
     return q
+
+
+def cover_cmp(field: NumberField, p: tuple, q: tuple) -> int:
+    """-1, 0 or 1 as the point p = (level, u, v, finite) of coordinate
+    tuples in canonical form lies below, at or above q on the cover line."""
+    if p[0] != q[0]:
+        return 1 if p[0] > q[0] else -1
+    if p[3] and q[3]:
+        # u/v against u'/v', both denominators positive
+        return field.sign_of(field._mul_add(p[1], q[2],
+                                            tuple(map(neg, q[1])), p[2]))
+    # the level's infinity sits above every finite point
+    return q[3] - p[3]
 
 
 def _cocycle(m1: Moebius, m2: Moebius, prod: Moebius) -> int:

@@ -19,9 +19,11 @@ below width 2^-(K+8) by integer bisection over one common denominator,
 and stores the bound table floor(a^i * 2^K / Q^i) <= lambda^i * 2^K <=
 ceil(b^i * 2^K / Q^i) (a > 0, so the powers are monotone).  K is
 max(128, 2 * degree): the table's error grows like 2^i, so a fixed K
-would fail to settle signs at high degree.  ``sign()`` forms the integer
-lower and upper bounds of 2^K * value from that table and answers when
-they exclude zero.  When they do not, it doubles K, narrows a local copy
+would fail to settle signs at high degree.  Every sign is decided by one
+method, ``NumberField.sign_of(coordinates)``, which ``FieldElement.sign``
+calls and code working on raw coordinate tuples calls directly.  It forms
+the integer lower and upper bounds of 2^K * value from that table and
+answers when they exclude zero.  When they do not, it doubles K, narrows a local copy
 of the interval below 2^-(K+8) the same way, rebuilds the table and tests
 again.  Nothing is written to the field: a field is immutable after
 construction, so every sign is independent of the queries made before it.
@@ -295,6 +297,37 @@ class NumberField:
             "cannot certify an isolating interval for the largest root "
             "of %s near 2*cos(pi/%d)" % (list(self.psi), self.n))
 
+    def sign_of(self, coeffs: tuple) -> int:
+        """Exact sign, -1, 0 or +1, of the element with coordinate tuple
+        ``coeffs``: the one sign decision of the ring.
+
+        The bound table settles almost every sign.  Otherwise the loop
+        doubles K, narrows a local copy of the interval and tests again
+        with a rebuilt table.  Nothing is written to the field."""
+        if not any(coeffs):
+            return 0
+        bounds, bits = self._bounds, self._bits
+        a, b, q = self._interval
+        while True:
+            low = high = 0
+            for c, lo_i, hi_i in zip(coeffs, *bounds):
+                if c > 0:
+                    low += c * lo_i
+                    high += c * hi_i
+                elif c:
+                    low += c * hi_i
+                    high += c * lo_i
+            if low > 0:
+                return 1
+            if high < 0:
+                return -1
+            if a == b:  # lambda = a/q is rational: evaluate exactly
+                v = _phom(coeffs, a, q)
+                return (v > 0) - (v < 0)
+            bits *= 2
+            a, b, q = _narrowed(self.psi, a, b, q, bits)
+            bounds = _bound_table(self.degree, a, b, q, bits)
+
     # -------------------------------------------------------- constructors
 
     def element(self, coeffs) -> "FieldElement":
@@ -388,35 +421,8 @@ class FieldElement:
         return not any(self.coeffs)
 
     def sign(self) -> int:
-        """Exact sign: -1, 0, or +1.
-
-        The field's bound table settles almost every sign.  Otherwise the
-        loop doubles K, narrows a local copy of the interval and tests
-        again with a rebuilt table.  Nothing is written to the field."""
-        if self.is_zero():
-            return 0
-        field = self.field
-        bounds, bits = field._bounds, field._bits
-        a, b, q = field._interval
-        while True:
-            low = high = 0
-            for c, lo_i, hi_i in zip(self.coeffs, *bounds):
-                if c > 0:
-                    low += c * lo_i
-                    high += c * hi_i
-                elif c:
-                    low += c * hi_i
-                    high += c * lo_i
-            if low > 0:
-                return 1
-            if high < 0:
-                return -1
-            if a == b:  # lambda = a/q is rational: evaluate exactly
-                v = _phom(self.coeffs, a, q)
-                return (v > 0) - (v < 0)
-            bits *= 2
-            a, b, q = _narrowed(field.psi, a, b, q, bits)
-            bounds = _bound_table(field.degree, a, b, q, bits)
+        """Exact sign: -1, 0, or +1, by the ring's ``sign_of``."""
+        return self.field.sign_of(self.coeffs)
 
     def __eq__(self, other):
         if type(other) is not FieldElement or other.field is not self.field:

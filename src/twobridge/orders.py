@@ -11,6 +11,8 @@ r != 0, so the two points separate every element.  A point moves right to
 left through a list of table lifts, with no matrix product, and stops once
 its final level is bounded off the start level: lift0(m) T1^k sends level
 L into levels L+k..L+k+1, so most signs are known before any point moves.
+The walk carries each point as coordinate tuples and moves it by
+``lifted.lift0_move``, so no ring element or point object is built.
 
 G2 = <x, y, z | x^-1 y x y, y z^-b2> is ordered by a three-layer
 lexicographic tower:
@@ -23,6 +25,9 @@ lexicographic tower:
   explicit Schreier basis, searched by ``twobridge.magnus`` up to the
   least degree with a nonzero coefficient, which is at most the syllable
   count of the reduced word.
+
+A word's pi and t are read from its syllables in one pass, and its normal
+form is built only when both vanish, for the identity test and layer 3.
 
 ``G1Oracle`` and ``G2Oracle`` give these two orders, one class per group
 over the shared base ``ConeOracle``; ``ConeOracle(params, group)`` builds
@@ -39,10 +44,10 @@ from itertools import repeat
 
 from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
-from .groups import (G1Element, G2Element, Word, g1_normal_form,
-                     g2_normal_form, peripheral_box)
-from .lifted import (LiftedMoebius, LiftedPoint, order_n_rotation,
-                     order_two_rotation)
+from .groups import (G1Element, G2Element, Word, foreign_generators,
+                     g1_normal_form, g2_normal_form, peripheral_box)
+from .lifted import (LiftedMoebius, LiftedPoint, cover_cmp, lift0_move,
+                     order_n_rotation, order_two_rotation)
 from .magnus import _magnus_first_sign, _schreier_letters
 from .numberfield import real_cyclotomic_field
 
@@ -198,7 +203,8 @@ class G1Realization:
         """Sign of the product g of ``factors``, lifts listed left to
         right, by the first test point it moves.
 
-        Each point moves right to left through the factors, and no matrix
+        Each point moves right to left through the factors, carried as
+        coordinate tuples and moved by ``lift0_move``, and no matrix
         product is formed.  A factor lift0(m) T1^k sends level L into
         levels L+k..L+k+1, so with k factors still to apply, whose
         windings sum to ``rest``, the point ends rest + 0..k levels above
@@ -209,12 +215,18 @@ class G1Realization:
         direction."""
         wind = sum(f.wind for f in factors)
         for p in self.test_points if points is None else points:
-            q, rest, k = p, wind, len(factors)
+            start = p.coords()
+            level, u, v, finite = start
+            rest, k = wind, len(factors)
             # the final level shift from p lies in low..low + k
-            while -k <= (low := q.wind + rest - p.wind) <= 0 < k:
+            while -k <= (low := level + rest - start[0]) <= 0 < k:
                 k -= 1
-                q, rest = factors[k].apply(q), rest - factors[k].wind
-            c = (low > 0) - (low < 0) or q.cmp(p)
+                f = factors[k]
+                level, u, v, finite = lift0_move(f.matrix, level + f.wind,
+                                                 u, v)
+                rest -= f.wind
+            c = (low > 0) - (low < 0) or cover_cmp(
+                self.field, (level, u, v, finite), start)
             if c:
                 return Sign.POSITIVE if c > 0 else Sign.NEGATIVE
         return Sign.IDENTITY
@@ -281,18 +293,45 @@ def _t_weight(beta: int, elem: G2Element) -> int:
     return total
 
 
+def _word_pi_t(b2: int, w: Word) -> tuple[int, int]:
+    """pi and t of a word, read from its syllables in one pass: the
+    x-exponent sum, and the sum of (-1)^i k over its z^k and y^e
+    syllables (k = b2*e), i the x-exponent sum to the syllable's right.
+    The pass weighs each syllable by the parity of the sum to its left
+    instead, which differs by pi, and flips the total once when pi is
+    odd.  The result is ``xpow`` and ``_t_weight`` of the normal form,
+    which the pass never builds."""
+    pi = t = 0
+    for g, e in w.syllables:
+        if g == "x":
+            pi += e
+            continue
+        if g == "y":
+            e *= b2
+        elif g != "z":
+            raise foreign_generators(w, "G2", "xyz")
+        t += -e if pi % 2 else e
+    return pi, -t if pi % 2 else t
+
+
 def g2_sign_trace(params: TwoBridgeParams,
                   w: Word | G2Element) -> tuple[Sign, dict]:
-    """Sign of a word, or of an element given by its normal form."""
+    """Sign of a word, or of an element given by its normal form.  A word
+    is normalized only when its pi and t, read from the word, vanish."""
     beta = abs(params.b2)
-    nf = w if isinstance(w, G2Element) else g2_normal_form(params, w)
-    if nf.xpow:
-        return _sign_of_int(nf.xpow), {
-            "group": "g2", "decided_by": "layer-1-pi", "pi": nf.xpow}
-    t = _t_weight(beta, nf)
+    if isinstance(w, G2Element):
+        nf, pi = w, w.xpow
+        t = 0 if pi else _t_weight(beta, nf)
+    else:
+        nf, (pi, t) = None, _word_pi_t(params.b2, w)
+    if pi:
+        return _sign_of_int(pi), {
+            "group": "g2", "decided_by": "layer-1-pi", "pi": pi}
     if t:
         return _sign_of_int(t), {
             "group": "g2", "decided_by": "layer-2-t", "t": t}
+    if nf is None:
+        nf = g2_normal_form(params, w)
     if nf.is_identity():
         return Sign.IDENTITY, {"group": "g2", "decided_by": "identity"}
     letters = _schreier_letters(beta, nf.tail)

@@ -11,7 +11,7 @@ from twobridge.certify import (BALL_ALPHABETS, CertificateReport,
 from twobridge.groups import G1Element, G2Element, Word, peripheral_box
 from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
 from twobridge.numberfield import (FieldElement, _padd, _pdivmod, _pscale,
-                                   _trim, _variations)
+                                   _trim, _variations, mul_add)
 from twobridge.orders import (Sign, Z2Order, family_is_positive,
                               z2_is_positive)
 
@@ -270,15 +270,39 @@ def four_test_points(field):
             infinity(field))
 
 
+def lift0_apply_by_elements(m, p):
+    """lift0(m) applied to a cover point in ``FieldElement`` arithmetic,
+    every sign decided afresh (sign(c) included) and the image
+    canonicalized by ``LiftedPoint``: the reference for
+    ``lifted.lift0_move``, which moves coordinate tuples."""
+    denom = mul_add(m.c, p.u, m.d, p.v)
+    num = mul_add(m.a, p.u, m.b, p.v)
+    up = denom.sign() * m.c.sign() > 0
+    return LiftedPoint(p.wind + up, num, denom)
+
+
+def cmp_by_elements(p, q) -> int:
+    """-1, 0 or 1 as the cover point p lies below, at or above q, in
+    ``FieldElement`` arithmetic: the reference for ``lifted.cover_cmp``."""
+    if p.wind != q.wind:
+        return 1 if p.wind > q.wind else -1
+    if p.finite and q.finite:
+        return (p.u * q.v - q.u * p.v).sign()
+    return q.finite - p.finite
+
+
 def decide_by_test_points(real, g, points=None):
     """Sign and trace of a lifted element by the first test point it moves,
     moving every point it tries, by default the four of
     ``four_test_points``: the reference for ``G1Realization.decide``,
-    which walks two points through the factors, bounded by level."""
+    which walks two points through the factors, bounded by level.  Each
+    point is moved by the product matrix in ``FieldElement`` arithmetic."""
     if points is None:
         points = four_test_points(real.field)
     for idx, p in enumerate(points):
-        c = g.apply(p).cmp(p)
+        q = lift0_apply_by_elements(g.matrix, p)
+        q.wind += g.wind
+        c = cmp_by_elements(q, p)
         if c:
             return (Sign.POSITIVE if c > 0 else Sign.NEGATIVE,
                     {"decided_by": "test-point", "test_point": idx})

@@ -22,7 +22,7 @@ from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import G1Element, Word, g2_normal_form, \
     peripheral_box, peripheral_word
 from twobridge.lifted import Moebius
-from twobridge.numberfield import FieldElement
+from twobridge.numberfield import NumberField
 from twobridge.orders import (ConeOracle, G1Oracle, G1Realization, G2Oracle,
                               Sign, Z2Order, _t_weight, family_is_positive,
                               family_sign_trace, z2_is_positive)
@@ -463,18 +463,18 @@ def test_product_decided_by_winding_multiplies_and_signs_nothing(
     expected = [reference.is_positive(w1 * w2) for w1, w2 in pairs]
     assert {Sign.POSITIVE, Sign.NEGATIVE} <= set(expected)
     calls = []
-    product, sign = Moebius.__mul__, FieldElement.sign
+    product, sign_of = Moebius.__mul__, NumberField.sign_of
 
     def counted_product(m1, m2):
         calls.append("mul")
         return product(m1, m2)
 
-    def counted_sign(e):
+    def counted_sign(field, coeffs):
         calls.append("sign")
-        return sign(e)
+        return sign_of(field, coeffs)
 
     monkeypatch.setattr(Moebius, "__mul__", counted_product)
-    monkeypatch.setattr(FieldElement, "sign", counted_sign)
+    monkeypatch.setattr(NumberField, "sign_of", counted_sign)
     for (w1, w2), want in zip(pairs, expected):
         assert oracle.product_sign(w1, w2) is want, (str(w1), str(w2))
     assert calls == []

@@ -15,7 +15,7 @@ from twobridge.certify import CertificateReport, Counterexample, SampleBudget
 from twobridge.cfrac import knot_params
 from twobridge.errors import InternalCheckFailed
 from twobridge.groups import W, g1_normal_form, g2_normal_form, presentations
-from twobridge.numberfield import FieldElement
+from twobridge.numberfield import NumberField
 from twobridge.orders import g1_realization
 
 GOLDEN_KNOT_INFO_3_4 = {
@@ -217,12 +217,12 @@ def test_certify_internal_check_failed_exit_4(capsys, monkeypatch):
     # the lifted action then calls a nontrivial word the identity, and the
     # normal-form cross-check must end the run with exit 4, not a verdict
     g1_realization(knot_params(3, 4))  # built with exact signs
-    exact = FieldElement.sign
+    exact = NumberField.sign_of
 
-    def lossy(self):
-        return 0 if max(abs(c) for c in self.coeffs) > 1 else exact(self)
+    def lossy(self, coeffs):
+        return 0 if max(abs(c) for c in coeffs) > 1 else exact(self, coeffs)
 
-    monkeypatch.setattr(FieldElement, "sign", lossy)
+    monkeypatch.setattr(NumberField, "sign_of", lossy)
     code, doc = run_cli(capsys, [
         "certify", "--c1", "3", "--c2", "4", "--radius", "3",
         "--conj-len", "2", "--peripheral-box", "2", "--samples", "50",
@@ -237,7 +237,7 @@ def test_certify_broken_lift_invariant_exit_4(capsys, monkeypatch):
     # canonicalize a point to [0 : 0]: a broken internal invariant, which
     # must end the run with exit 4 rather than an Error verdict
     g1_realization(knot_params(3, 4))  # built with exact signs
-    monkeypatch.setattr(FieldElement, "sign", lambda self: 0)
+    monkeypatch.setattr(NumberField, "sign_of", lambda self, coeffs: 0)
     code, doc = run_cli(capsys, [
         "certify", "--c1", "3", "--c2", "4", "--radius", "1",
         "--samples", "1", "--check", "cone"])

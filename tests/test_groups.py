@@ -236,6 +236,16 @@ def test_g1_alphabet_check():
         g1_normal_form(knot_params(3, 4), W("a x"))
 
 
+def test_alphabet_errors_name_every_foreign_generator_sorted():
+    k = knot_params(3, 4)
+    with pytest.raises(ParseError) as e1:
+        g1_normal_form(k, W("a q b x a"))
+    assert str(e1.value) == "G1 words use generators a, b only, got q, x"
+    with pytest.raises(ParseError) as e2:
+        g2_normal_form(k, W("x z w y a z"))
+    assert str(e2.value) == "G2 words use generators x, y, z only, got a, w"
+
+
 def test_g1_normal_form_shape():
     k = knot_params(5, 4)  # n = 5
     e = g1_normal_form(k, W("b^7"))

@@ -8,7 +8,8 @@ from twobridge.errors import InternalCheckFailed
 from twobridge.lifted import (LiftedMoebius, LiftedPoint, Moebius,
                               lift0_apply, order_n_rotation,
                               order_two_rotation)
-from twobridge.numberfield import FieldElement, real_cyclotomic_field
+from twobridge.numberfield import (FieldElement, NumberField,
+                                   real_cyclotomic_field)
 from twobridge.orders import G1Realization
 from reference import (cocycle_by_evaluation, cover_increasing, infinity,
                        moebius_product_entrywise)
@@ -130,14 +131,14 @@ def test_moving_a_point_signs_one_element(monkeypatch):
              (r, LiftedPoint(-1, -F5.lam, F5.one)),
              (_negated(r), LiftedPoint(2, F5.lam, -F5.one))]
     signed = []
-    sign = FieldElement.sign
+    sign, sign_of = FieldElement.sign, NumberField.sign_of
 
-    def counted(self):
-        signed.append(self)
-        return sign(self)
+    def counted(self, coeffs):
+        signed.append(coeffs)
+        return sign_of(self, coeffs)
 
     far = infinity(F5, 2)
-    monkeypatch.setattr(FieldElement, "sign", counted)
+    monkeypatch.setattr(NumberField, "sign_of", counted)
     for m, p in cases:
         signed.clear()
         lift0_apply(m, p)
@@ -269,7 +270,7 @@ def test_composition_never_evaluates_the_action(monkeypatch):
     def evaluation(*args):
         raise AssertionError("the group law evaluated the action")
 
-    monkeypatch.setattr(lifted, "lift0_apply", evaluation)
+    monkeypatch.setattr(lifted, "lift0_move", evaluation)
     for g, h, e, prod, inv, power in cases:
         assert g * h == prod
         assert g.inverse() == inv
@@ -315,10 +316,10 @@ def test_inverse_reads_its_lower_left_sign(monkeypatch):
     corrupt = Moebius(F5.one, F5.lam, F5.zero, F5.one)
     corrupt.d = F5.lam
 
-    def sign(self):
+    def sign(self, coeffs):
         raise AssertionError("inverse decided a sign")
 
-    monkeypatch.setattr(FieldElement, "sign", sign)
+    monkeypatch.setattr(NumberField, "sign_of", sign)
     for m, want in zip(matrices, expected):
         inv = m.inverse()
         assert (inv.a, inv.b, inv.c, inv.d) == (want.a, want.b, want.c,

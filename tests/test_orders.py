@@ -8,21 +8,22 @@ from collections import Counter
 
 import pytest
 
-from twobridge import lifted, orders
+from twobridge import orders
 from twobridge.certify import ball
 from twobridge.cfrac import knot_params
 from twobridge.errors import ConstructionFailed, InternalCheckFailed, \
     ParseError
 from twobridge.groups import Word, g1_normal_form, g2_normal_form, \
     peripheral_word
-from twobridge.lifted import Moebius
-from twobridge.numberfield import real_cyclotomic_field
+from twobridge.lifted import LiftedMoebius, Moebius, lift0_apply
+from twobridge.numberfield import NumberField, real_cyclotomic_field
 from twobridge.orders import (ConeOracle, G1Oracle, G1Realization, G2Oracle,
                               Sign, Z2Order, _magnus_first_sign,
-                              _schreier_letters, _t_weight,
+                              _schreier_letters, _t_weight, _word_pi_t,
                               family_is_positive, g1_realization,
                               g1_sign_trace, g2_sign_trace, z2_is_positive)
-from reference import (decide_by_test_points, four_test_points,
+from reference import (cmp_by_elements, decide_by_test_points,
+                       four_test_points, lift0_apply_by_elements,
                        lifted_by_powers, magnus_first_sign_by_letters,
                        magnus_first_sign_stepped)
 
@@ -312,9 +313,9 @@ def test_level_bound_decides_before_and_between_moves(monkeypatch):
     real = G1Realization(1)
     point_0 = {"decided_by": "test-point", "test_point": 0}
     moves = []
-    apply = lifted.lift0_apply
-    monkeypatch.setattr(lifted, "lift0_apply",
-                        lambda m, p: moves.append(p) or apply(m, p))
+    move = orders.lift0_move
+    monkeypatch.setattr(orders, "lift0_move",
+                        lambda m, *p: moves.append(p) or move(m, *p))
     # a^6 = h^3 winds three levels up and b~ adds 0 or 1: no point moves;
     # at the edges of the bound, a^2 b ends 1 or 2 levels up and a^-4 b
     # 1 or 2 levels down
@@ -347,6 +348,57 @@ def test_decide_shifts_no_point_or_table_lift_in_place():
         real.decide(real.factors(w))
         real.decide(real.factors(w), moved)
     assert state() == before
+
+
+@pytest.mark.parametrize("b1", [1, 2, 3, 4, 5, 62])
+def test_tuple_walk_matches_the_element_reference(b1):
+    # the walk on coordinate tuples against the product matrix moved in
+    # FieldElement arithmetic, at the test points and at their images
+    # under c^-1, which conjugate_signs passes as ``points``
+    params = knot_params(2 * b1 + 1, 4)
+    real = g1_realization(params)
+    rng = random.Random(b1)
+    words = random_g1_words(rng, real.n, 60 if b1 < 62 else 15)
+    words += [W("1"), meridian(params), W("a^2") * meridian(params)]
+    oracle = G1Oracle(params)
+    for c in [W("1")] + random_g1_words(rng, real.n, 4 if b1 < 62 else 2):
+        c_inv = real.lifted(c).inverse()
+        points = [c_inv.apply(p) for p in real.test_points]
+        reference_points = [lift0_apply_by_elements(c_inv.matrix, p)
+                            for p in real.test_points]
+        for p, q in zip(points, reference_points):
+            q.wind += c_inv.wind
+            assert cmp_by_elements(p, q) == 0 and p.wind == q.wind
+        wants = []
+        for w in words:
+            want = decide_by_test_points(real, real.lifted(w),
+                                         reference_points)
+            factors = real.factors(w)
+            assert real.decide(factors, points) == want, (str(c), str(w))
+            assert real.sign(factors, points) is want[0]
+            wants.append(want[0])
+        assert oracle.conjugate_signs(c, words) == wants
+        if c.is_identity():
+            assert {Sign.POSITIVE, Sign.NEGATIVE, Sign.IDENTITY} <= set(wants)
+            for w, want in zip(words, wants):
+                assert real.decide(real.factors(w)) == \
+                    decide_by_test_points(real, real.lifted(w)), str(w)
+
+
+def test_walk_raises_on_a_move_to_zero_zero(monkeypatch):
+    # with every sign 0, a move by a matrix with c == 0 (here the identity
+    # table lift b~^0, wound one level back: a level shift of -1 or 0,
+    # which the bound cannot decide before the move) has no sign to
+    # canonicalize its image by: [0 : 0]
+    real = G1Realization(2)
+    still = LiftedMoebius(real._powers[0].matrix, -1)
+    assert real.sign([still]) is Sign.NEGATIVE
+    monkeypatch.setattr(NumberField, "sign_of", lambda self, coeffs: 0)
+    for call in (real.sign, real.decide):
+        with pytest.raises(InternalCheckFailed, match=r"\[0 : 0\]"):
+            call([still])
+    with pytest.raises(InternalCheckFailed, match=r"\[0 : 0\]"):
+        lift0_apply(still.matrix, real.test_points[0])
 
 
 # --------------------------------------------------------------------------
@@ -507,6 +559,68 @@ def test_g2_layer3_commutator_fixture():
         assert trace == {"group": "g2", "decided_by": "layer-3-magnus",
                          "truncation_degree": 1}
         assert ConeOracle(p, "g2").is_positive(comm.inverse()) is Sign.POSITIVE
+
+
+GRID = [(2 * b1 + 1, 2 * b2) for b1 in range(1, 6)
+        for b2 in (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6)]
+
+
+def test_word_pi_t_matches_the_normal_form_on_the_grid():
+    # pi and t read from the word against xpow and t of the normal form,
+    # and the word route against the normal-form route, trace included.
+    # Each random word w (y-syllables, exponents up to 7, empty words) is
+    # also tried as w x^-pi, in ker pi, and as a commutator, in ker t
+    rng = random.Random(34)
+    layers = Counter()
+    for c1, c2 in GRID:
+        params = knot_params(c1, c2)
+        beta = abs(params.b2)
+        words = [Word()]
+        for _ in range(12):
+            w = Word(tuple((rng.choice("xyz"), rng.choice((-1, 1))
+                            * rng.randint(1, 7))
+                           for _ in range(rng.randint(0, 6))))
+            v = Word(tuple((rng.choice("xyz"), rng.choice((-1, 1)))
+                           for _ in range(rng.randint(0, 3))))
+            kernel = w * W("x") ** -g2_normal_form(params, w).xpow
+            words += [w, kernel, kernel * v * kernel.inverse() * v.inverse()]
+        for w in words:
+            nf = g2_normal_form(params, w)
+            assert _word_pi_t(params.b2, w) == (nf.xpow,
+                                                _t_weight(beta, nf)), str(w)
+            got = g2_sign_trace(params, w)
+            assert got == g2_sign_trace(params, nf), str(w)
+            layers[got[1]["decided_by"]] += 1
+    assert set(layers) == {"layer-1-pi", "layer-2-t", "layer-3-magnus",
+                           "identity"}, layers
+
+
+def test_word_route_normalizes_only_when_pi_and_t_vanish(monkeypatch):
+    params = knot_params(5, -6)
+    normalized = []
+    form = orders.g2_normal_form
+    monkeypatch.setattr(orders, "g2_normal_form",
+                        lambda p, w: normalized.append(w) or form(p, w))
+    kernel = W("z x^-1 z x z^-1 x^-1 z^-1 x")
+    for text, layer in (("x y z", "layer-1-pi"), ("z x^2 z x^-2", "layer-2-t"),
+                        ("y^-2 x^4 z^3 x^-4", "layer-2-t"),
+                        ("y z^3", "identity")):
+        assert g2_sign_trace(params, W(text))[1]["decided_by"] == layer
+    assert normalized == [W("y z^3")]
+    assert g2_sign_trace(params, kernel)[1]["decided_by"] == "layer-3-magnus"
+    assert normalized == [W("y z^3"), kernel]
+
+
+def test_word_route_rejects_foreign_generators_as_the_normal_form_does():
+    params = knot_params(3, 4)
+    for text in ("x q y w", "w x q", "y^3 z^-2 a"):
+        with pytest.raises(ParseError) as from_form:
+            g2_normal_form(params, W(text))
+        with pytest.raises(ParseError) as from_word:
+            g2_sign_trace(params, W(text))
+        assert str(from_word.value) == str(from_form.value)
+    assert str(from_word.value) == \
+        "G2 words use generators x, y, z only, got a"
 
 
 def test_g2_identity_trace():
@@ -786,7 +900,8 @@ def test_oracles_call_traced_names_at_call_time(monkeypatch):
     monkeypatch.setattr(G1Realization, "lifted",
                         counted("lifted", G1Realization.lifted))
 
-    for oracle, w in ((g1, W("a b a")), (g2, W("x y z"))):
+    # the g2 word route normalizes only a word whose pi and t vanish
+    for oracle, w in ((g1, W("a b a")), (g2, kernel)):
         held = dict(oracle._elements)
         oracle.sign_trace(w)
         assert oracle._elements == held
