@@ -18,17 +18,20 @@ translation T1 is central, so composition only needs one integer cocycle,
 and that cocycle is read from three signs of lower-left entries (the
 classical cocycle of the universal cover of PSL(2, R); Ghys, "Groups
 acting on the circle", 2001, section 6).  Composing never evaluates the
-action; only ``apply`` moves points.
+action; only ``apply`` and ``lift0_apply`` move points.
 
-A ``LiftedPoint`` is a level and a point [u : v] of the circle in
-canonical form.  Every point move runs one routine, ``lift0_move``, on
-the point's coordinate tuples (level, u, v, finite): two products by the
-ring's kernel, one sign by the ring's ``sign_of``, and the canonical
-flip.  Moving a point signs one new ring element, the image's
-denominator, and that sign both canonicalizes the image and picks its
-level.  ``lift0_apply`` wraps the routine for ``LiftedPoint``s, and a
-walk through many factors carries the tuples and builds no point objects;
-``cover_cmp`` orders such tuples.
+A cover point is a tuple (level, u, v, finite): the point [u : v] of the
+circle at that level, u and v the coordinate tuples of ring elements, in
+canonical form v > 0, or v == 0 and u > 0, so v == 0 exactly at the
+level's infinity, the one point not ``finite``.  Within a level the
+finite points come first in real order, then the level's infinity; then
+the next level starts.  Canonical form fixes the sign of [u : v], not its
+scale, so tuple equality is not point equality: points compare only
+through ``cover_cmp``.  Every point move runs one routine,
+``lift0_apply``: two products by the ring's kernel, one sign by the
+ring's ``sign_of``, and the canonical flip.  Moving a point signs one new
+ring element, the image's denominator, and that sign both canonicalizes
+the image and picks its level.
 
 A ``Moebius`` is stored exactly as built in SL(2) and stands for its
 class in PSL(2): m and -m are equal, and no representative is chosen.
@@ -47,47 +50,6 @@ from operator import neg
 
 from .errors import InternalCheckFailed
 from .numberfield import FieldElement, NumberField, mul_add
-
-
-class LiftedPoint:
-    """A point of the cover: the point [u : v] of the boundary circle at
-    level ``wind``.
-
-    [u : v] is kept in canonical form, v > 0, or v == 0 and u > 0, so
-    v == 0 exactly at the level's infinity, the one point not ``finite``.
-    Within a level the finite points come first in real order, then the
-    level's infinity; then the next level starts.
-    """
-
-    __slots__ = ("wind", "u", "v", "finite")
-
-    def __init__(self, wind: int, u: FieldElement, v: FieldElement):
-        v_sign = v.sign()
-        sign = v_sign or u.sign()
-        if not sign:
-            raise InternalCheckFailed("[0 : 0] is not a projective point")
-        if sign < 0:
-            u, v = -u, -v
-        self.wind, self.u, self.v, self.finite = wind, u, v, v_sign != 0
-
-    def coords(self) -> tuple:
-        """(level, u, v, finite), with u and v as coordinate tuples."""
-        return self.wind, self.u.coeffs, self.v.coeffs, self.finite
-
-    def cmp(self, other: "LiftedPoint") -> int:
-        """-1, 0 or 1 as this point lies below, at or above ``other`` on
-        the cover line."""
-        return cover_cmp(self.u.field, self.coords(), other.coords())
-
-    def __eq__(self, other):
-        if not isinstance(other, LiftedPoint):
-            return NotImplemented
-        return self.cmp(other) == 0
-
-    def __repr__(self):
-        if not self.finite:
-            return "(%d, [inf])" % self.wind
-        return "(%d, [%r : %r])" % (self.wind, self.u, self.v)
 
 
 class Moebius:
@@ -149,10 +111,11 @@ class Moebius:
         return "[[%r, %r], [%r, %r]]" % (self.a, self.b, self.c, self.d)
 
 
-def lift0_move(m: Moebius, level: int, u: tuple, v: tuple) -> tuple:
+def lift0_apply(m: Moebius, level: int, u: tuple, v: tuple) -> tuple:
     """Apply the distinguished lift of ``m`` to the point [u : v] at
-    ``level``, given as coordinate tuples: the image as (level, u, v,
-    finite), in canonical form.  Every point move runs this routine.
+    ``level``, given as coordinate tuples: the image as a cover point
+    (level, u, v, finite), in canonical form.  Every point move runs this
+    routine.
 
     The image's denominator c*u + d*v is signed once.  That sign puts the
     image in canonical form and, times sign(c), picks its level: the point
@@ -179,19 +142,9 @@ def lift0_move(m: Moebius, level: int, u: tuple, v: tuple) -> tuple:
     return level, num, denom, finite
 
 
-def lift0_apply(m: Moebius, p: LiftedPoint) -> LiftedPoint:
-    """Apply the distinguished lift of ``m`` to a cover point, by
-    ``lift0_move`` on its coordinates."""
-    level, u, v, finite = lift0_move(m, p.wind, p.u.coeffs, p.v.coeffs)
-    q = LiftedPoint.__new__(LiftedPoint)
-    q.wind, q.finite = level, finite
-    q.u, q.v = FieldElement(m.field, u), FieldElement(m.field, v)
-    return q
-
-
 def cover_cmp(field: NumberField, p: tuple, q: tuple) -> int:
-    """-1, 0 or 1 as the point p = (level, u, v, finite) of coordinate
-    tuples in canonical form lies below, at or above q on the cover line."""
+    """-1, 0 or 1 as the cover point p lies below, at or above q on the
+    cover line."""
     if p[0] != q[0]:
         return 1 if p[0] > q[0] else -1
     if p[3] and q[3]:
@@ -236,10 +189,9 @@ class LiftedMoebius:
     def translation(cls, field: NumberField, k: int) -> "LiftedMoebius":
         return cls(Moebius.identity(field), k)
 
-    def apply(self, p: LiftedPoint) -> LiftedPoint:
-        q = lift0_apply(self.matrix, p)
-        q.wind += self.wind
-        return q
+    def apply(self, p: tuple) -> tuple:
+        """The image of the cover point p = (level, u, v, finite)."""
+        return lift0_apply(self.matrix, p[0] + self.wind, p[1], p[2])
 
     def __mul__(self, other: "LiftedMoebius") -> "LiftedMoebius":
         # composing with a deck translation adds winding only and needs no

@@ -11,8 +11,9 @@ r != 0, so the two points separate every element.  A point moves right to
 left through a list of table lifts, with no matrix product, and stops once
 its final level is bounded off the start level: lift0(m) T1^k sends level
 L into levels L+k..L+k+1, so most signs are known before any point moves.
-The walk carries each point as coordinate tuples and moves it by
-``lifted.lift0_move``, so no ring element or point object is built.
+Every point is a cover point of ``twobridge.lifted``, a coordinate tuple
+(level, u, v, finite) moved by ``lifted.lift0_apply`` and compared only
+through ``lifted.cover_cmp``, so the walk builds no ring element.
 
 G2 = <x, y, z | x^-1 y x y, y z^-b2> is ordered by a three-layer
 lexicographic tower:
@@ -46,7 +47,7 @@ from .cfrac import TwoBridgeParams
 from .errors import ConstructionFailed, InternalCheckFailed, ParseError
 from .groups import (G1Element, G2Element, Word, foreign_generators,
                      g1_normal_form, g2_normal_form, peripheral_box)
-from .lifted import (LiftedMoebius, LiftedPoint, cover_cmp, lift0_move,
+from .lifted import (LiftedMoebius, cover_cmp, lift0_apply,
                      order_n_rotation, order_two_rotation)
 from .magnus import _magnus_first_sign, _schreier_letters
 from .numberfield import real_cyclotomic_field
@@ -139,11 +140,11 @@ class G1Realization:
             raise ConstructionFailed("meridian image is not parabolic")
         if self.mu_lift.matrix.is_identity():
             raise ConstructionFailed("meridian image is trivial")
-        p0 = LiftedPoint(0, f.zero, f.one)
-        if self.mu_lift.apply(p0) != p0:
+        p0 = (0, f.zero.coeffs, f.one.coeffs, True)
+        if cover_cmp(f, self.mu_lift.apply(p0), p0) != 0:
             raise ConstructionFailed(
                 "lifted meridian does not fix its boundary fixed point")
-        self.test_points = (p0, LiftedPoint(0, f.one, f.one))
+        self.test_points = (p0, (0, f.one.coeffs, f.one.coeffs, True))
         # b~^r and a~ b~^r for 0 <= r < n; b~^n = h~ was checked above
         powers = [LiftedMoebius.translation(f, 0)]
         for _ in range(1, n):
@@ -203,9 +204,10 @@ class G1Realization:
         """Sign of the product g of ``factors``, lifts listed left to
         right, by the first test point it moves.
 
-        Each point moves right to left through the factors, carried as
-        coordinate tuples and moved by ``lift0_move``, and no matrix
-        product is formed.  A factor lift0(m) T1^k sends level L into
+        Each test point, a cover point tuple (level, u, v, finite), moves
+        right to left through the factors by ``lift0_apply``, and no
+        matrix product is formed; its image is compared with it by
+        ``cover_cmp``.  A factor lift0(m) T1^k sends level L into
         levels L+k..L+k+1, so with k factors still to apply, whose
         windings sum to ``rest``, the point ends rest + 0..k levels above
         its current one; once that range leaves the start level, the walk
@@ -215,15 +217,14 @@ class G1Realization:
         direction."""
         wind = sum(f.wind for f in factors)
         for p in self.test_points if points is None else points:
-            start = p.coords()
-            level, u, v, finite = start
+            level, u, v, finite = start = p
             rest, k = wind, len(factors)
             # the final level shift from p lies in low..low + k
             while -k <= (low := level + rest - start[0]) <= 0 < k:
                 k -= 1
                 f = factors[k]
-                level, u, v, finite = lift0_move(f.matrix, level + f.wind,
-                                                 u, v)
+                level, u, v, finite = lift0_apply(f.matrix, level + f.wind,
+                                                  u, v)
                 rest -= f.wind
             c = (low > 0) - (low < 0) or cover_cmp(
                 self.field, (level, u, v, finite), start)

@@ -9,7 +9,7 @@ from twobridge.certify import (BALL_ALPHABETS, CertificateReport,
                                Counterexample, _rng_for, _sample_conjugators,
                                _surfaced, _variant_for, ball)
 from twobridge.groups import G1Element, G2Element, Word, peripheral_box
-from twobridge.lifted import LiftedMoebius, LiftedPoint, lift0_apply
+from twobridge.lifted import LiftedMoebius
 from twobridge.numberfield import (FieldElement, _padd, _pdivmod, _pscale,
                                    _trim, _variations, mul_add)
 from twobridge.orders import (Sign, Z2Order, family_is_positive,
@@ -194,15 +194,16 @@ def magnus_first_sign_by_letters(letters, max_degree: int) -> tuple[int, int]:
     return 0, max_degree
 
 
-def cover_increasing(*points) -> bool:
-    """True iff the lifted points are strictly increasing on the cover
-    line, left to right."""
-    return all(p.cmp(q) < 0 for p, q in zip(points, points[1:]))
+def cover_increasing(field, *points) -> bool:
+    """True iff the cover points are strictly increasing on the cover
+    line, left to right, by ``cmp_by_elements``."""
+    return all(cmp_by_elements(field, p, q) < 0
+               for p, q in zip(points, points[1:]))
 
 
 def infinity(field, wind=0):
     """The point at infinity of a level of the cover."""
-    return LiftedPoint(wind, field.one, field.zero)
+    return wind, field.one.coeffs, field.zero.coeffs, False
 
 
 def g1_element_word(elem) -> Word:
@@ -264,31 +265,47 @@ def pattern_by_products(oracle, box, c) -> dict:
 def four_test_points(field):
     """The fixed point 0 of the lifted meridian, [1:1], [-1:1] and
     infinity, all at level 0: the test points of the reference route."""
-    return (LiftedPoint(0, field.zero, field.one),
-            LiftedPoint(0, field.one, field.one),
-            LiftedPoint(0, -field.one, field.one),
+    return (point_by_elements(0, field.zero, field.one),
+            point_by_elements(0, field.one, field.one),
+            point_by_elements(0, -field.one, field.one),
             infinity(field))
 
 
-def lift0_apply_by_elements(m, p):
-    """lift0(m) applied to a cover point in ``FieldElement`` arithmetic,
-    every sign decided afresh (sign(c) included) and the image
-    canonicalized by ``LiftedPoint``: the reference for
-    ``lifted.lift0_move``, which moves coordinate tuples."""
-    denom = mul_add(m.c, p.u, m.d, p.v)
-    num = mul_add(m.a, p.u, m.b, p.v)
+def point_by_elements(level, u, v):
+    """The cover point (level, u, v, finite) of [u : v] at ``level``, for
+    ``FieldElement``s u and v, flipped to canonical form (v > 0, or v == 0
+    and u > 0) by their signs."""
+    v_sign = v.sign()
+    sign = v_sign or u.sign()
+    if not sign:
+        raise ValueError("[0 : 0] is not a projective point")
+    if sign < 0:
+        u, v = -u, -v
+    return level, u.coeffs, v.coeffs, v_sign != 0
+
+
+def lift0_apply_by_elements(m, p, wind=0):
+    """lift0(m) T1^wind applied to a cover point in ``FieldElement``
+    arithmetic, every sign decided afresh (sign(c) included) and the image
+    canonicalized by ``point_by_elements``: the reference for
+    ``lifted.lift0_apply``, which shares no code with it."""
+    u, v = FieldElement(m.field, p[1]), FieldElement(m.field, p[2])
+    denom = mul_add(m.c, u, m.d, v)
+    num = mul_add(m.a, u, m.b, v)
     up = denom.sign() * m.c.sign() > 0
-    return LiftedPoint(p.wind + up, num, denom)
+    return point_by_elements(p[0] + wind + up, num, denom)
 
 
-def cmp_by_elements(p, q) -> int:
+def cmp_by_elements(field, p, q) -> int:
     """-1, 0 or 1 as the cover point p lies below, at or above q, in
     ``FieldElement`` arithmetic: the reference for ``lifted.cover_cmp``."""
-    if p.wind != q.wind:
-        return 1 if p.wind > q.wind else -1
-    if p.finite and q.finite:
-        return (p.u * q.v - q.u * p.v).sign()
-    return q.finite - p.finite
+    if p[0] != q[0]:
+        return 1 if p[0] > q[0] else -1
+    if p[3] and q[3]:
+        pu, pv, qu, qv = (FieldElement(field, x)
+                          for x in (p[1], p[2], q[1], q[2]))
+        return (pu * qv - qu * pv).sign()
+    return q[3] - p[3]
 
 
 def decide_by_test_points(real, g, points=None):
@@ -300,9 +317,8 @@ def decide_by_test_points(real, g, points=None):
     if points is None:
         points = four_test_points(real.field)
     for idx, p in enumerate(points):
-        q = lift0_apply_by_elements(g.matrix, p)
-        q.wind += g.wind
-        c = cmp_by_elements(q, p)
+        q = lift0_apply_by_elements(g.matrix, p, g.wind)
+        c = cmp_by_elements(real.field, q, p)
         if c:
             return (Sign.POSITIVE if c > 0 else Sign.NEGATIVE,
                     {"decided_by": "test-point", "test_point": idx})
@@ -312,12 +328,14 @@ def decide_by_test_points(real, g, points=None):
 def cocycle_by_evaluation(m1, m2, prod) -> int:
     """The reference cocycle: the level difference of lift0(m1) lift0(m2)
     and lift0(prod), prod = m1 m2, at the point 0 of level 0, whose
-    projections must agree."""
-    p = LiftedPoint(0, m1.field.zero, m1.field.one)
-    z1 = lift0_apply(m1, lift0_apply(m2, p))
-    z2 = lift0_apply(prod, p)
-    assert LiftedPoint(0, z1.u, z1.v) == LiftedPoint(0, z2.u, z2.v)
-    return z1.wind - z2.wind
+    projections must agree; each point moved by
+    ``lift0_apply_by_elements``."""
+    field = m1.field
+    p = point_by_elements(0, field.zero, field.one)
+    z1 = lift0_apply_by_elements(m1, lift0_apply_by_elements(m2, p))
+    z2 = lift0_apply_by_elements(prod, p)
+    assert cmp_by_elements(field, (0, *z1[1:]), (0, *z2[1:])) == 0
+    return z1[0] - z2[0]
 
 
 def reference_sign(e) -> int:

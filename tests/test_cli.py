@@ -565,6 +565,55 @@ def test_certify_from_a_cold_syllable_table():
     assert all(r["error"] is None for r in doc["reports"])
 
 
+TRACED_MAIN = "\n".join([
+    "import contextlib, io, json, sys",
+    "sys.path[:0] = sys.argv[2:]",
+    "import twobridge.cli as cli",
+    "if sys.argv[1] == 'traced':",
+    "    from tracer import Tracer",
+    "    tracer = Tracer()",
+    "    tracer.install()",
+    "outs = []",
+    "for argv in json.load(sys.stdin):",
+    "    buf = io.StringIO()",
+    "    with contextlib.redirect_stdout(buf):",
+    "        code = cli.main(argv)",
+    "    outs.append([code, buf.getvalue()])",
+    "metrics = tracer.metrics() if sys.argv[1] == 'traced' else {}",
+    "print(json.dumps({'outs': outs, 'metrics': metrics}))"])
+
+
+def test_perfbench_tracer_installs_and_changes_no_output():
+    # perfbench/tracer.py wraps program names in place; a renamed or
+    # deleted name fails its install, and a wrapper must not change what
+    # cli.main prints
+    root = Path(cli.__file__).parent.parent.parent
+    argvs = [["order-sign", "--c1", "3", "--c2", "4", "--group", "g1",
+              "--conjugator", "a b", "b^-1 a"],
+             ["order-sign", "--c1", "3", "--c2", "4", "--group", "g2",
+              "z x^-1 z x z^-1 x^-1 z^-1 x"],
+             ["certify", "--c1", "3", "--c2", "4", "--check", "navas",
+              "--conj-len", "1", "--peripheral-box", "1"]]
+    docs = {}
+    for mode in ("plain", "traced"):
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACED_MAIN, mode, str(root / "src"),
+             str(root / "perfbench")],
+            input=json.dumps(argvs), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        docs[mode] = json.loads(proc.stdout)
+    outs = docs["plain"]["outs"]
+    assert docs["traced"]["outs"] == outs
+    assert [code for code, _ in outs] == [0, 0, 0]
+    assert json.loads(outs[1][1])["trace"]["decided_by"] == "layer-3-magnus"
+    metrics = docs["traced"]["metrics"]
+    assert metrics["orders.g2.decided_by.layer-3-magnus"] == 1
+    # the construction check and the conjugate moves apply lifts, and each
+    # apply moves its point by lifted.lift0_apply
+    assert metrics["lifted.lift0_apply.calls"] == \
+        metrics["lifted.apply.calls"] > 0
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # without site, only the package's own imports load modules
     src = str(Path(cli.__file__).parent.parent)

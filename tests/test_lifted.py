@@ -5,34 +5,40 @@ import pytest
 from twobridge import lifted
 from twobridge.certify import ball
 from twobridge.errors import InternalCheckFailed
-from twobridge.lifted import (LiftedMoebius, LiftedPoint, Moebius,
+from twobridge.lifted import (LiftedMoebius, Moebius, cover_cmp,
                               lift0_apply, order_n_rotation,
                               order_two_rotation)
-from twobridge.numberfield import (FieldElement, NumberField,
-                                   real_cyclotomic_field)
+from twobridge.numberfield import NumberField, real_cyclotomic_field
 from twobridge.orders import G1Realization
 from reference import (cocycle_by_evaluation, cover_increasing, infinity,
-                       moebius_product_entrywise)
+                       moebius_product_entrywise, point_by_elements)
 
 F5 = real_cyclotomic_field(5)
 
 
-def lpt(field, wind, u, v=1) -> LiftedPoint:
-    """The point [u : v] of integers u, v, that is u/v, at level ``wind``."""
-    return LiftedPoint(wind, field.element([u]), field.element([v]))
+def lpt(field, wind, u, v=1) -> tuple:
+    """The cover point [u : v] of integers u, v, that is u/v, at level
+    ``wind``."""
+    return point_by_elements(wind, field.element([u]), field.element([v]))
+
+
+def move(m: Moebius, p: tuple) -> tuple:
+    """lift0(m) applied to the cover point p."""
+    return lift0_apply(m, p[0], p[1], p[2])
+
+
+def same(p: tuple, q: tuple) -> bool:
+    """p and q are one point of the cover over Q(2 cos(pi/5))."""
+    return cover_cmp(F5, p, q) == 0
 
 
 # ----------------------------------------------------------------- points
 
 def test_projective_canonicalization():
-    p = LiftedPoint(0, F5.one, -F5.one)  # [1 : -1] -> [-1 : 1]
-    assert p.v == F5.one and p.u == -F5.one
-    q = LiftedPoint(0, -2 * F5.one, F5.zero)  # [-2 : 0] -> [2 : 0]
-    assert not q.finite and q.v.is_zero() and q.u.sign() > 0
-    assert q == infinity(F5)
-    assert lpt(F5, 0, 3) == LiftedPoint(0, 6 * F5.one, 2 * F5.one)
-    with pytest.raises(InternalCheckFailed):
-        LiftedPoint(0, F5.zero, F5.zero)
+    # canonical form fixes the sign of [u : v], not its scale
+    assert same(lpt(F5, 0, 3), lpt(F5, 0, 6, 2))
+    q = lpt(F5, 0, -2, 0)  # [-2 : 0] -> [2 : 0]
+    assert not q[3] and same(q, infinity(F5))
 
 
 def test_lifted_point_order():
@@ -40,19 +46,20 @@ def test_lifted_point_order():
     b = lpt(F5, 0, 100)
     inf0 = infinity(F5)
     c = lpt(F5, 1, -77)
-    assert cover_increasing(a, b, inf0, c)
-    assert not cover_increasing(a, a) and not cover_increasing(b, a)
-    assert not cover_increasing(inf0, b) and inf0.cmp(inf0) == 0
-    assert a == a
-    assert lpt(F5, 2, 1) == lpt(F5, 2, 1)
-    assert infinity(F5, 3) == infinity(F5, 3)
-    assert infinity(F5, 3) != infinity(F5, 2)
+    points = (a, b, inf0, c)
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            assert cover_cmp(F5, p, q) == (i > j) - (i < j)
+    assert cover_increasing(F5, *points)
+    assert not cover_increasing(F5, a, a)
+    assert not cover_increasing(F5, b, a)
+    assert not cover_increasing(F5, inf0, b)
+    assert same(lpt(F5, 2, 1), lpt(F5, 2, 1))
+    assert same(infinity(F5, 3), infinity(F5, 3))
+    assert cover_cmp(F5, infinity(F5, 3), infinity(F5, 2)) == 1
 
 
-def test_points_not_hashable():
-    for p in (lpt(F5, 0, 0), infinity(F5)):
-        with pytest.raises(TypeError):
-            hash(p)
+def test_maps_not_hashable():
     for m in (Moebius.identity(F5), LiftedMoebius.translation(F5, 1)):
         with pytest.raises(TypeError):
             hash(m)
@@ -99,21 +106,17 @@ def _squared(m: Moebius) -> Moebius:
 
 def test_lift0_semantics_halfturn():
     s = order_two_rotation(F5)  # pole at 0, image of x is -1/x
-    below = lift0_apply(s, lpt(F5, 0, -2))
-    assert below == lpt(F5, 0, 1, 2)
-    at = lift0_apply(s, lpt(F5, 0, 0))
-    assert at == infinity(F5)
-    above = lift0_apply(s, lpt(F5, 0, 3))
-    assert above == lpt(F5, 1, -1, 3)
-    from_inf = lift0_apply(s, infinity(F5))
-    assert from_inf == lpt(F5, 1, 0)
+    assert same(move(s, lpt(F5, 0, -2)), lpt(F5, 0, 1, 2))
+    assert same(move(s, lpt(F5, 0, 0)), infinity(F5))
+    assert same(move(s, lpt(F5, 0, 3)), lpt(F5, 1, -1, 3))
+    assert same(move(s, infinity(F5)), lpt(F5, 1, 0))
 
 
 def test_lift0_level_preserving_when_upper_triangular():
     m = Moebius(F5.one, F5.lam, F5.zero, F5.one)
     p = lpt(F5, 4, 100)
-    assert lift0_apply(m, p).wind == 4
-    assert lift0_apply(m, infinity(F5, 2)) == infinity(F5, 2)
+    assert move(m, p)[0] == 4
+    assert same(move(m, infinity(F5, 2)), infinity(F5, 2))
 
 
 def test_moving_a_point_signs_one_element(monkeypatch):
@@ -128,10 +131,10 @@ def test_moving_a_point_signs_one_element(monkeypatch):
     cases += [(upper, p) for p in finite]
     # the half turn S on [0 : 1], its negation, and R at its pole -lambda
     poles = [(s, lpt(F5, 0, 0)), (_negated(s), lpt(F5, 3, 0)),
-             (r, LiftedPoint(-1, -F5.lam, F5.one)),
-             (_negated(r), LiftedPoint(2, F5.lam, -F5.one))]
+             (r, point_by_elements(-1, -F5.lam, F5.one)),
+             (_negated(r), point_by_elements(2, F5.lam, -F5.one))]
     signed = []
-    sign, sign_of = FieldElement.sign, NumberField.sign_of
+    sign_of = NumberField.sign_of
 
     def counted(self, coeffs):
         signed.append(coeffs)
@@ -141,19 +144,19 @@ def test_moving_a_point_signs_one_element(monkeypatch):
     monkeypatch.setattr(NumberField, "sign_of", counted)
     for m, p in cases:
         signed.clear()
-        lift0_apply(m, p)
+        move(m, p)
         assert len(signed) == 1, (m, p)
     for m, p in poles:
         signed.clear()
-        q = lift0_apply(m, p)
+        level, u, v, finite = move(m, p)
         assert len(signed) == 1, (m, p)
         # canonical infinity on the pole's own level
-        assert q.wind == p.wind and not q.finite
-        assert sign(q.u) > 0 and q.v.is_zero()
+        assert level == p[0] and not finite
+        assert sign_of(F5, u) > 0 and not any(v)
     signed.clear()
-    q = lift0_apply(upper, far)
+    level, u, v, finite = move(upper, far)
     assert len(signed) == 2
-    assert q.wind == 2 and not q.finite and sign(q.u) > 0
+    assert level == 2 and not finite and sign_of(F5, u) > 0
 
 
 def test_apply_raises_the_lift0_image_by_the_winding():
@@ -161,13 +164,10 @@ def test_apply_raises_the_lift0_image_by_the_winding():
     points = [lpt(F5, 0, 3), lpt(F5, 2, 0), lpt(F5, -1, 1, 3), infinity(F5)]
     for m in (s, r, s * r):
         for p in points:
-            before = (p.wind, p.u, p.v)
-            q = lift0_apply(m, p)
+            level, u, v, finite = move(m, p)
             for k in (-2, 0, 3):
-                got = LiftedMoebius(m, k).apply(p)
-                assert got.wind == q.wind + k
-                assert got == LiftedPoint(q.wind + k, q.u, q.v)
-                assert (p.wind, p.u, p.v) == before
+                assert LiftedMoebius(m, k).apply(p) == (level + k, u, v,
+                                                        finite)
 
 
 def test_halfturn_squared_is_deck_translation():
@@ -189,7 +189,7 @@ def test_translation_is_central():
     g = LiftedMoebius.lift0(order_n_rotation(F5))
     assert t * g == g * t
     p = lpt(F5, 0, 7)
-    assert t.apply(p) == lpt(F5, 3, 7)
+    assert same(t.apply(p), lpt(F5, 3, 7))
 
 
 def test_group_laws_random():
@@ -213,10 +213,10 @@ def test_group_laws_random():
             expect = p
             for g in reversed(word):
                 expect = g.apply(expect)
-            assert acc.apply(p) == expect
+            assert cover_cmp(f, acc.apply(p), expect) == 0
         # lifts are increasing maps
-        assert cover_increasing(*(acc.apply(points[i])
-                                  for i in (2, 0, 1, 3)))
+        assert cover_increasing(f, *(acc.apply(points[i])
+                                     for i in (2, 0, 1, 3)))
 
 
 def test_pow_matches_repeated_product():
@@ -270,7 +270,7 @@ def test_composition_never_evaluates_the_action(monkeypatch):
     def evaluation(*args):
         raise AssertionError("the group law evaluated the action")
 
-    monkeypatch.setattr(lifted, "lift0_move", evaluation)
+    monkeypatch.setattr(lifted, "lift0_apply", evaluation)
     for g, h, e, prod, inv, power in cases:
         assert g * h == prod
         assert g.inverse() == inv

@@ -15,7 +15,7 @@ from twobridge.errors import ConstructionFailed, InternalCheckFailed, \
     ParseError
 from twobridge.groups import Word, g1_normal_form, g2_normal_form, \
     peripheral_word
-from twobridge.lifted import LiftedMoebius, Moebius, lift0_apply
+from twobridge.lifted import LiftedMoebius, Moebius, cover_cmp, lift0_apply
 from twobridge.numberfield import NumberField, real_cyclotomic_field
 from twobridge.orders import (ConeOracle, G1Oracle, G1Realization, G2Oracle,
                               Sign, Z2Order, _magnus_first_sign,
@@ -103,7 +103,7 @@ def test_realization_identities():
         tr = mu.matrix.trace()
         assert (tr * tr - tr.field.element([4])).is_zero()
         p0 = real.test_points[0]
-        assert mu.apply(p0) == p0
+        assert cover_cmp(real.field, mu.apply(p0), p0) == 0
         # the realization (hence the number field work) is cached per b1
         assert g1_realization(p) is real
     # the stabilizer of p0 is <mu~>, whose powers all move p1: mu~^r moves
@@ -112,8 +112,9 @@ def test_realization_identities():
         real = g1_realization(knot_params(2 * b1 + 1, 4))
         p1 = real.test_points[1]
         for r in range(1, 7):
-            assert (real.mu_lift ** r).apply(p1).cmp(p1) == 1
-            assert (real.mu_lift ** -r).apply(p1).cmp(p1) == -1
+            for e in (r, -r):
+                q = (real.mu_lift ** e).apply(p1)
+                assert cover_cmp(real.field, q, p1) == (1 if e > 0 else -1)
 
 
 def test_realization_word_evaluation_is_homomorphic():
@@ -313,8 +314,8 @@ def test_level_bound_decides_before_and_between_moves(monkeypatch):
     real = G1Realization(1)
     point_0 = {"decided_by": "test-point", "test_point": 0}
     moves = []
-    move = orders.lift0_move
-    monkeypatch.setattr(orders, "lift0_move",
+    move = orders.lift0_apply
+    monkeypatch.setattr(orders, "lift0_apply",
                         lambda m, *p: moves.append(p) or move(m, *p))
     # a^6 = h^3 winds three levels up and b~ adds 0 or 1: no point moves;
     # at the edges of the bound, a^2 b ends 1 or 2 levels up and a^-4 b
@@ -339,7 +340,7 @@ def test_decide_shifts_no_point_or_table_lift_in_place():
 
     def state():
         return ([(g.wind, id(g.matrix)) for g in table],
-                [(p.wind, p.u, p.v) for p in real.test_points + tuple(moved)])
+                [*real.test_points, *moved])
 
     before = state()
     words = random_g1_words(random.Random(9), real.n, 200)
@@ -364,11 +365,11 @@ def test_tuple_walk_matches_the_element_reference(b1):
     for c in [W("1")] + random_g1_words(rng, real.n, 4 if b1 < 62 else 2):
         c_inv = real.lifted(c).inverse()
         points = [c_inv.apply(p) for p in real.test_points]
-        reference_points = [lift0_apply_by_elements(c_inv.matrix, p)
+        reference_points = [lift0_apply_by_elements(c_inv.matrix, p,
+                                                    c_inv.wind)
                             for p in real.test_points]
         for p, q in zip(points, reference_points):
-            q.wind += c_inv.wind
-            assert cmp_by_elements(p, q) == 0 and p.wind == q.wind
+            assert cmp_by_elements(real.field, p, q) == 0 and p[0] == q[0]
         wants = []
         for w in words:
             want = decide_by_test_points(real, real.lifted(w),
@@ -398,7 +399,7 @@ def test_walk_raises_on_a_move_to_zero_zero(monkeypatch):
         with pytest.raises(InternalCheckFailed, match=r"\[0 : 0\]"):
             call([still])
     with pytest.raises(InternalCheckFailed, match=r"\[0 : 0\]"):
-        lift0_apply(still.matrix, real.test_points[0])
+        lift0_apply(still.matrix, *real.test_points[0][:3])
 
 
 # --------------------------------------------------------------------------
