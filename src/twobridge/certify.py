@@ -35,9 +35,8 @@ computed once per oracle, member and box bound, so the checks that meet
 the same member (restrict and compat on 1 and x, navas and compat on short
 G1 conjugators) share it.  Passes are tallied per sub-check; each failure
 is recorded in sample order, so the first counterexamples are those of a
-sample-by-sample run.  The mutation self-tests corrupt signs through
-``_CorruptedOracle``, the one injection seam, on every read, and prove that
-each corruption is detected.
+sample-by-sample run.  The self-test battery that shows each check can
+refute a corrupted oracle lives in ``twobridge.selftest``.
 """
 
 from __future__ import annotations
@@ -429,7 +428,7 @@ def certify_compatibility(g1, g2, budget: SampleBudget) -> CertificateReport:
 
 
 # --------------------------------------------------------------------------
-# orchestration and mutation self-tests
+# orchestration
 
 
 CHECK_NAMES = ("cone", "navas", "restrict", "compat")
@@ -473,79 +472,3 @@ def overall_verdict(reports) -> str:
     verdicts = {r.verdict for r in reports}
     return next((v for v in ("Error", "Refuted") if v in verdicts),
                 "Certified")
-
-
-class _CorruptedOracle:
-    """Wrap a cone oracle, passing each sign it gives for a word w in the
-    member conjugated by c (c = 1 for base queries) through
-    ``override(c, w, sign)`` on every read: a product's w is w1 w2, and a
-    pattern's are the box words, read from the base's shared pattern.
-    ``sign_trace``, the word route, ``box`` and ``word_is_identity`` pass
-    through uncorrupted."""
-
-    def __init__(self, base: ConeOracle, override):
-        self.base = base
-        self.params = base.params
-        self.group = base.group
-        self._override = override
-        self.sign_trace = base.sign_trace
-        self.word_is_identity = base.word_is_identity
-        self.box = base.box
-
-    def is_positive(self, w: Word) -> Sign:
-        return self._override(Word(), w, self.base.is_positive(w))
-
-    def product_signs(self, words, inverses, pairs) -> list[Sign]:
-        return [self._override(Word(), words[i] * words[j], sign)
-                for (i, j), sign in zip(
-                    pairs, self.base.product_signs(words, inverses, pairs))]
-
-    product_sign = ConeOracle.product_sign
-
-    def pattern(self, c: Word, bound: int) -> tuple[Sign, ...]:
-        return tuple(map(self._override, repeat(c),
-                         self.base.box(bound).values(),
-                         self.base.pattern(c, bound)))
-
-
-MUTATIONS = ("cone-sign-flip", "cone-identity-positive",
-             "navas-negative-side-flip", "restriction-conjugation-dropped",
-             "compatibility-image-reversed")
-
-
-SELFTEST_BUDGET = SampleBudget(ball_radius=3, conjugator_length=2,
-                               peripheral_bound=2, semigroup_samples=300,
-                               member_samples=8, seed=0)
-
-
-def mutation_reports(params: TwoBridgeParams) -> dict:
-    """The report of each check run at SELFTEST_BUDGET under one of five
-    distinct corruptions injected through ``_CorruptedOracle``, keyed by
-    the names in MUTATIONS."""
-    budget = SELFTEST_BUDGET
-    g1, g2 = ConeOracle(params, "g1"), ConeOracle(params, "g2")
-    target = Word((("a", 1),))
-    negative_side = {w for (r, s), w in g1.box(
-        budget.peripheral_bound).items() if s < 0}
-    return {
-        "cone-sign-flip": audit_cone(_CorruptedOracle(
-            g1, lambda c, w, s: s.flipped() if w == target else s), budget),
-        "cone-identity-positive": audit_cone(_CorruptedOracle(
-            g2, lambda c, w, s: Sign.POSITIVE if s is Sign.IDENTITY else s),
-            budget),
-        "navas-negative-side-flip": check_navas_law(_CorruptedOracle(
-            g1, lambda c, w, s: s.flipped() if w in negative_side else s),
-            budget),
-        "restriction-conjugation-dropped": check_restriction_law(
-            _CorruptedOracle(g2, lambda c, w, s: g2.is_positive(w)), budget),
-        "compatibility-image-reversed": certify_compatibility(
-            g1, _CorruptedOracle(g2, lambda c, w, s: s.flipped()), budget),
-    }
-
-
-def run_mutation_selftests(params: TwoBridgeParams) -> dict:
-    """Inject five distinct corruptions through ``_CorruptedOracle`` and
-    report, for each, whether the harness detected it (verdict not
-    Certified)."""
-    reports = mutation_reports(params)
-    return {name: reports[name].verdict != "Certified" for name in MUTATIONS}

@@ -1,5 +1,6 @@
 """Command-line front end: invariant queries, presentation export, order
-sign queries, certification runs, and a self-test battery.
+sign queries, certification runs, and the self-test battery of
+``twobridge.selftest``.
 
 Every subcommand prints a single JSON document on standard output (pass
 ``--out FILE`` to also save a copy).  Failures print
@@ -29,17 +30,14 @@ import sys
 from contextlib import ExitStack
 from functools import cache
 
-from .alexander import (alexander_poly, alexander_poly_from_pq, evaluate,
-                        is_monic, lspace_surgery_verdict,
-                        normalize_symmetric, span)
-from .certify import (CHECK_NAMES, SampleBudget, overall_verdict,
-                      run_checks, run_mutation_selftests)
+from .alexander import (alexander_poly, evaluate, is_monic,
+                        lspace_surgery_verdict, span)
+from .certify import CHECK_NAMES, SampleBudget, overall_verdict, run_checks
 from .cfrac import knot_info, knot_params
-from .errors import (ConstructionFailed, InternalCheckFailed, OutOfFamily,
-                     ParseError)
+from .errors import InternalCheckFailed, OutOfFamily, ParseError
 from .groups import Word, parse_int, presentations
-from .numberfield import NumberField
-from .orders import ConeOracle, G1Realization, family_sign_trace
+from .orders import ConeOracle, family_sign_trace
+from .selftest import selftest_results
 
 SCHEMA_VERSION = 1
 
@@ -209,73 +207,8 @@ def _cmd_certify(args):
     return payload, 0 if verdict == "Certified" else 1
 
 
-def _selftest_results() -> list[dict]:
-    results = []
-
-    def run(name, fn):
-        try:
-            detail = fn()
-            results.append({"name": name, "passed": True,
-                            "detail": detail})
-        except Exception as exc:
-            results.append({"name": name, "passed": False,
-                            "detail": "%s: %s" % (type(exc).__name__, exc)})
-
-    def alexander_fixture(p, q, want_det, want_coeffs):
-        poly = normalize_symmetric(alexander_poly_from_pq(p, q))
-        assert poly == want_coeffs, poly
-        det = abs(evaluate(poly, -1))
-        assert det == want_det, det
-        assert abs(evaluate(poly, 1)) == 1
-        return "det=%d" % det
-
-    run("alexander-b(3,1)",
-        lambda: alexander_fixture(3, 1, 3, {-1: 1, 0: -1, 1: 1}))
-    run("alexander-b(5,3)",
-        lambda: alexander_fixture(5, 3, 5, {-1: 1, 0: -3, 1: 1}))
-
-    def family_fixture():
-        params = knot_params(3, 4)
-        poly = alexander_poly(params)
-        assert abs(evaluate(poly, -1)) == 11
-        verdict = lspace_surgery_verdict(params)
-        assert verdict.admits is False
-        return "det=11, admits=false"
-
-    run("alexander-family-(3,4)", family_fixture)
-
-    def lift_identities():
-        for b1 in (1, 2, 3):
-            real = G1Realization(b1)
-            assert real.a_lift * real.a_lift == real.h_lift
-            assert real.b_lift ** (2 * b1 + 1) == real.h_lift
-            assert real.h_lift.wind == 2 * b1 - 1
-        return "a~^2 = b~^(2b1+1) = T1^(2b1-1) for b1 in 1..3"
-
-    run("exact-lift-identities", lift_identities)
-
-    def corrupted_minpoly():
-        try:
-            NumberField(3, _minpoly=[-2, 1])
-        except ConstructionFailed:
-            return "ConstructionFailed raised as required"
-        raise AssertionError("corrupted minimal polynomial was accepted")
-
-    run("corrupted-minpoly-rejected", corrupted_minpoly)
-
-    def mutations():
-        outcome = run_mutation_selftests(knot_params(3, 4))
-        missed = [k for k, v in outcome.items() if not v]
-        assert not missed, "undetected mutations: %s" % missed
-        return "5 of 5 injected corruptions detected"
-
-    run("mutation-detection", mutations)
-
-    return results
-
-
 def _cmd_selftest(args):
-    results = _selftest_results()
+    results = selftest_results()
     passed = all(r["passed"] for r in results)
     return {"results": results, "passed": passed}, 0 if passed else 1
 

@@ -394,11 +394,6 @@ class ConeOracle:
             e = self._elements[w] = self._element(w)
         return e
 
-    def product_sign(self, w1: Word, w2: Word) -> Sign:
-        """Sign of w1 w2: the one-pair case of ``product_signs``."""
-        return self.product_signs((w1, w2), (w1.inverse(), w2.inverse()),
-                                  ((0, 1),))[0]
-
     def box(self, bound: int) -> dict:
         """The group's ``peripheral_box`` at this bound, built once and
         held with its words' elements."""

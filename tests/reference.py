@@ -556,6 +556,13 @@ def bound_table_by_fractions(degree, lo, hi, bits):
 # pair by pair: the reference for the tallied checks of ``twobridge.certify``
 
 
+def product_sign(oracle, w1, w2):
+    """Sign of w1 w2 by the oracle's ``product_signs``, as a one-pair
+    call."""
+    return oracle.product_signs((w1, w2), (w1.inverse(), w2.inverse()),
+                                ((0, 1),))[0]
+
+
 def audit_cone_by_samples(oracle, budget):
     """``audit_cone`` signing w and w^-1 separately for every ball word,
     and each sampled pair by ``product_sign``."""
@@ -583,7 +590,7 @@ def audit_cone_by_samples(oracle, budget):
         for _ in range(budget.semigroup_samples):
             w1 = positives[rng.randrange(len(positives))]
             w2 = positives[rng.randrange(len(positives))]
-            s = oracle.product_sign(w1, w2)
+            s = product_sign(oracle, w1, w2)
             ok = s is Sign.POSITIVE
             report.record("semigroup", ok, None if ok else Counterexample(
                 "semigroup", (str(w1), str(w2)),

@@ -21,13 +21,14 @@ from fractions import Fraction
 
 from twobridge.alexander import (alexander_poly, evaluate, is_monic,
                                  is_symmetric, lspace_surgery_verdict, span)
-from twobridge.certify import (MUTATIONS, SampleBudget, audit_cone,
+from twobridge.certify import (SampleBudget, audit_cone,
                                certify_compatibility, check_navas_law,
-                               check_restriction_law, run_mutation_selftests)
+                               check_restriction_law)
 from twobridge.cfrac import (double_branched_cover, eval_cf, even_expansion,
                              genus, is_fibered, knot_params)
 from twobridge.groups import Word, g1_normal_form, g2_normal_form
 from twobridge.orders import ConeOracle
+from twobridge.selftest import MUTATIONS, run_mutation_selftests
 from reference import letters_of
 
 GRID = [(2 * b1 + 1, 2 * b2)

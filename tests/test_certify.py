@@ -8,16 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from twobridge import certify, orders
+from twobridge import certify, orders, selftest
 from twobridge.cfrac import knot_params
-from twobridge.certify import (BALL_ALPHABETS, MUTATIONS, SELFTEST_BUDGET,
-                               CertificateReport, Counterexample, SampleBudget,
-                               _CorruptedOracle, _lattice, _sample_conjugators,
-                               _variant_for, audit_cone,
+from twobridge.certify import (BALL_ALPHABETS, CertificateReport,
+                               Counterexample, SampleBudget, _lattice,
+                               _sample_conjugators, _variant_for, audit_cone,
                                ball, certify_compatibility, check_navas_law,
-                               check_restriction_law, mutation_reports,
-                               overall_verdict, run_checks,
-                               run_mutation_selftests)
+                               check_restriction_law, overall_verdict,
+                               run_checks)
 from twobridge.errors import InternalCheckFailed, ParseError
 from twobridge.groups import G1Element, Word, g2_normal_form, \
     peripheral_box, peripheral_word
@@ -26,10 +24,12 @@ from twobridge.numberfield import NumberField
 from twobridge.orders import (ConeOracle, G1Oracle, G1Realization, G2Oracle,
                               Sign, Z2Order, _t_weight, family_is_positive,
                               family_sign_trace, z2_is_positive)
+from twobridge.selftest import (MUTATIONS, SELFTEST_BUDGET, _CorruptedOracle,
+                                mutation_reports, run_mutation_selftests)
 from reference import (audit_cone_by_samples, compatibility_by_samples,
                        conjugate_pattern, navas_by_samples,
-                       pattern_by_products, restriction_by_samples,
-                       variant_by_search)
+                       pattern_by_products, product_sign,
+                       restriction_by_samples, variant_by_search)
 
 SMALL = SampleBudget(ball_radius=3, conjugator_length=2, peripheral_bound=2,
                      semigroup_samples=300, member_samples=10, seed=1)
@@ -158,8 +158,8 @@ def test_internal_check_failed_propagates_from_every_check(monkeypatch):
         def __init__(self, group):
             self.group = group
 
-        is_positive = product_sign = product_signs = conjugate_signs = \
-            pattern = box = sign_trace = fail
+        is_positive = product_signs = conjugate_signs = pattern = box = \
+            sign_trace = fail
 
     g1, g2 = Failing("g1"), Failing("g2")
     runs = (lambda: audit_cone(g1, SMALL), lambda: audit_cone(g2, SMALL),
@@ -312,6 +312,21 @@ def test_mutation_selftests_all_detected():
     assert all(results.values()), results
 
 
+def test_an_error_report_is_not_a_detection(monkeypatch):
+    # without the seam's pattern the peripheral checks end in Error
+    monkeypatch.delattr(_CorruptedOracle, "pattern")
+    p = knot_params(3, 4)
+    verdicts = {name: rep.verdict
+                for name, rep in mutation_reports(p).items()}
+    assert verdicts == {"cone-sign-flip": "Refuted",
+                        "cone-identity-positive": "Refuted",
+                        "navas-negative-side-flip": "Error",
+                        "restriction-conjugation-dropped": "Error",
+                        "compatibility-image-reversed": "Error"}
+    results = run_mutation_selftests(p)
+    assert results == {name: v == "Refuted" for name, v in verdicts.items()}
+
+
 def test_counterexamples_capped_but_counted():
     p = knot_params(3, 4)
     corrupted = _CorruptedOracle(ConeOracle(p, "g1"),
@@ -403,7 +418,7 @@ def test_g2_signs_a_word_only_when_pi_and_t_vanish(c1, c2, monkeypatch):
     pairs = [(w1, w2) for w1 in words for w2 in words]
     calls.clear()
     for w1, w2 in pairs:
-        oracle.product_sign(w1, w2)
+        product_sign(oracle, w1, w2)
     assert calls == [w1 * w2 for w1, w2 in pairs
                      if _g2_invariants_vanish(params, w1 * w2)]
     assert len(calls) > len(words)  # w w^-1 and some more
@@ -426,7 +441,7 @@ def test_product_sign_matches_word_route(group):
         reference = ConeOracle(knot_params(*knot), group)
         windings = set()
         for w1, w2 in pairs:
-            s = oracle.product_sign(w1, w2)
+            s = product_sign(oracle, w1, w2)
             assert s is reference.is_positive(w1 * w2), (str(w1), str(w2))
             if group == "g1":
                 k = _factor_winding(oracle, w1, w2)
@@ -476,7 +491,7 @@ def test_product_decided_by_winding_multiplies_and_signs_nothing(
     monkeypatch.setattr(Moebius, "__mul__", counted_product)
     monkeypatch.setattr(NumberField, "sign_of", counted_sign)
     for (w1, w2), want in zip(pairs, expected):
-        assert oracle.product_sign(w1, w2) is want, (str(w1), str(w2))
+        assert product_sign(oracle, w1, w2) is want, (str(w1), str(w2))
     assert calls == []
 
 
@@ -486,12 +501,12 @@ def test_product_sign_keeps_the_identity_cross_check():
     # a stale lift
     oracle._elements[a] = oracle._realization.lifted(b.inverse())
     with pytest.raises(InternalCheckFailed):
-        oracle.product_sign(a, b)
+        product_sign(oracle, a, b)
     # a stale form of a^-1 makes a b look trivial
     oracle = ConeOracle(knot_params(3, 4), "g1")
     oracle._forms[a.inverse()] = oracle._form(b)
     with pytest.raises(InternalCheckFailed):
-        oracle.product_sign(a, b)
+        product_sign(oracle, a, b)
 
 
 @pytest.mark.parametrize("group", ["g1", "g2"])
@@ -571,8 +586,8 @@ def test_winding_decided_product_keeps_the_identity_cross_check(
     pairs = _winding_decided_pairs(oracle, ball(("a", "b"), 3))
     up = next(p for p in pairs if _factor_winding(oracle, *p) >= 1)
     down = next(p for p in pairs if _factor_winding(oracle, *p) <= -3)
-    assert ConeOracle(params, "g1").product_sign(*up) is Sign.POSITIVE
-    assert ConeOracle(params, "g1").product_sign(*down) is Sign.NEGATIVE
+    assert product_sign(ConeOracle(params, "g1"), *up) is Sign.POSITIVE
+    assert product_sign(ConeOracle(params, "g1"), *down) is Sign.NEGATIVE
     # patched before any form is stored: every word gets the identity's
     # form, so the forms call each product trivial
     assert not oracle._forms
@@ -580,7 +595,7 @@ def test_winding_decided_product_keeps_the_identity_cross_check(
                         lambda params, w: G1Element((), 0))
     for w1, w2 in (up, down):
         with pytest.raises(InternalCheckFailed):
-            oracle.product_sign(w1, w2)
+            product_sign(oracle, w1, w2)
 
 
 def test_semigroup_only_word_corruption_detected():
@@ -818,7 +833,7 @@ def test_product_signs_match_product_sign_pair_by_pair(knot, group):
     single, reference = ConeOracle(params, group), ConeOracle(params, group)
     for (i, j), sign in zip(pairs, got):
         w1, w2 = words[i], words[j]
-        assert sign is single.product_sign(w1, w2), (str(w1), str(w2))
+        assert sign is product_sign(single, w1, w2), (str(w1), str(w2))
         assert sign is reference.is_positive(w1 * w2), (str(w1), str(w2))
     # every (w, w^-1) pair is trivial, and the pairs (i, j) and
     # (j^-1, i^-1) sign mutually inverse products
@@ -857,7 +872,7 @@ def test_tallied_checks_match_the_sample_by_sample_reports(knot,
     tallied = mutation_reports(params)
     # the same five corruptions, each check run by its reference
     for check, reference in REFERENCE_CHECKS.items():
-        monkeypatch.setattr(certify, check.__name__, reference)
+        monkeypatch.setattr(selftest, check.__name__, reference)
     by_samples = mutation_reports(params)
     for name in MUTATIONS:
         assert tallied[name].verdict == "Refuted", name

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from twobridge import cli, orders
+from twobridge import cli, orders, selftest
 from twobridge.alexander import lspace_form, lspace_surgery_verdict
 from twobridge.certify import CertificateReport, Counterexample, SampleBudget
 from twobridge.cfrac import knot_params
@@ -506,15 +506,53 @@ def test_signed_integers_accepted(capsys, monkeypatch):
     assert code == 0 and doc["budget"]["seed"] == -2
 
 
+SELFTEST_FIXTURES = ["alexander-b(3,1)", "alexander-b(5,3)",
+                     "alexander-family-(3,4)", "exact-lift-identities",
+                     "corrupted-minpoly-rejected", "mutation-detection"]
+
+
 def test_selftest_passes(capsys):
     code, doc = run_cli(capsys, ["selftest"])
     assert code == 0
     assert doc["passed"] is True
     names = {r["name"] for r in doc["results"]}
-    assert names == {"alexander-b(3,1)", "alexander-b(5,3)",
-                     "alexander-family-(3,4)", "exact-lift-identities",
-                     "corrupted-minpoly-rejected", "mutation-detection"}
+    assert names == set(SELFTEST_FIXTURES)
     assert all(r["passed"] for r in doc["results"])
+
+
+def test_selftest_fails_when_a_mutation_report_is_an_error(capsys,
+                                                          monkeypatch):
+    # without the seam's pattern the three peripheral checks end in Error,
+    # which detects nothing
+    monkeypatch.delattr(selftest._CorruptedOracle, "pattern")
+    code, doc = run_cli(capsys, ["selftest"])
+    assert code == 1 and doc["passed"] is False
+    assert [r["name"] for r in doc["results"]] == SELFTEST_FIXTURES
+    *passed, failed = doc["results"]
+    assert all(r["passed"] for r in passed)
+    assert failed["passed"] is False
+    error = "AttributeError: '_CorruptedOracle' object has no attribute " \
+            "'pattern'"
+    assert failed["detail"] == "AssertionError: undetected mutations: " + \
+        "; ".join("%s (%s)" % (name, error) for name in (
+            "navas-negative-side-flip", "restriction-conjugation-dropped",
+            "compatibility-image-reversed"))
+
+
+def test_selftest_runs_every_fixture_past_a_failing_one(capsys,
+                                                       monkeypatch):
+    # a number field that accepts the corrupted minimal polynomial
+    monkeypatch.setattr(selftest, "NumberField",
+                        lambda n, _minpoly=None: None)
+    code, doc = run_cli(capsys, ["selftest"])
+    assert code == 1 and doc["passed"] is False
+    assert [r["name"] for r in doc["results"]] == SELFTEST_FIXTURES
+    assert [r for r in doc["results"] if not r["passed"]] == [
+        {"name": "corrupted-minpoly-rejected", "passed": False,
+         "detail": "AssertionError: corrupted minimal polynomial was "
+                   "accepted"}]
+    detected = doc["results"][-1]["detail"]
+    assert detected == "5 of 5 injected corruptions detected"
 
 
 def test_usage_errors_exit_64():

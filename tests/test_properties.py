@@ -21,7 +21,7 @@ from reference import (cocycle_by_evaluation,  # noqa: E402
                        g2_normal_form_by_letters, lifted_by_powers,
                        magnus_first_sign_by_letters,
                        magnus_first_sign_stepped, moebius_product_entrywise,
-                       reference_sign, sum_of_products_by_loop,
+                       product_sign, reference_sign, sum_of_products_by_loop,
                        word_product_by_reduce)
 from test_orders import TABLE_KNOTS  # noqa: E402
 
@@ -89,7 +89,7 @@ def test_product_sign_matches_test_point_reference(knot, w1, w2):
     oracle = ConeOracle(knot_params(*knot), "g1")
     want = decide_by_test_points(oracle._realization,
                                  oracle._realization.lifted(w1 * w2))[0]
-    assert oracle.product_sign(w1, w2) is want
+    assert product_sign(oracle, w1, w2) is want
 
 
 @st.composite
